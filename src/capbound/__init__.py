@@ -33,7 +33,6 @@ from .continuous import (
 from .dual_solver import (
     DualPoint,
     MuPair,
-    SmoothingConfig,
     SolveReport,
     apriori_error_bound,
     apriori_iterations,
@@ -72,7 +71,6 @@ from .info_theory import (
     continuity_capacity_bound,
     entropy,
     mutual_information,
-    project_simplex,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .dual_solver import SolveReport, solve_capacity
-from .errors import InvalidChannel
+from .errors import InvalidChannel, require_sandwich
 from .info_theory import (
     ChannelMatrix,
     CostConstraint,
@@ -108,7 +108,7 @@ class PerturbedSolve:
     c_ub: float
 
     def __post_init__(self):
-        assert self.c_lb <= self.c_ub + 1e-9
+        require_sandwich(self.c_lb, self.c_ub, "PerturbedSolve")
 
 
 def solve_with_perturbation(W: ChannelMatrix, eps: float, epsilon: float,

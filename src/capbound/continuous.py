@@ -31,9 +31,9 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize_scalar
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, xlogy
 
-from .dual_solver import FastGradientState, _max_entropy_multipliers, eval_F
+from .dual_solver import _fast_gradient, _smoothed_input_term, ball_radius, eval_F
 from .errors import (
     AssumptionViolated,
     BudgetExceeded,
@@ -44,8 +44,9 @@ from .errors import (
     NeedLargerM,
     QuadratureNotConverged,
     TailNotComputable,
+    require_sandwich,
 )
-from .info_theory import LN2, _entropy_bits, _neg_xlogx_nats
+from .info_theory import LN2, _neg_xlogx_nats
 
 _GL_ORDER = 8
 _DIRECT_SUM_TERM_FLOOR = 1e-18
@@ -60,13 +61,15 @@ _DIRECT_SUM_CAP = 500_000
 class ContinuousChannel:
     """Conditional law W(i|x) on a bounded input interval [0, peak].
 
-    kernel(x, i) evaluates W(i|x) vectorized over x; tail_mass(x, M) gives
+    kernel(x, i) evaluates W(i|x) and broadcasts over both arguments: an
+    input column x[:, None] against outputs np.arange(M) gives the (len(x), M)
+    block of rows (a scalar i must work too); tail_mass(x, M) gives
     sum_{j>=M} W(j|x); tail_sup(i) gives sup_x W(i|x) when available (needed
     for direct tail sums).  ``lipschitz_L`` bounds |d/dx W(i|x)| uniformly
     in i.  ``poisson_params`` marks channels with closed-form tail bounds.
     """
 
-    kernel: Callable[[np.ndarray, int], np.ndarray]
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     peak: float
     lipschitz_L: float
     label: str
@@ -98,14 +101,10 @@ def poisson_channel(peak: float, dark_current: float = 1.0) -> ContinuousChannel
     eta = float(dark_current)
 
     def kernel(x, i):
+        # xlogy(0, 0) = 0 makes a zero mean put all mass on i = 0.
         m = np.asarray(x, dtype=float) + eta
-        out = np.zeros_like(m)
-        pos = m > 0
         with np.errstate(divide="ignore"):
-            out[pos] = np.exp(-m[pos] + i * np.log(m[pos]) - gammaln(i + 1))
-        if i == 0:
-            out[~pos] = 1.0
-        return out
+            return np.exp(xlogy(i, m) - m - gammaln(np.asarray(i) + 1))
 
     def tail_mass(x, M):
         m = np.asarray(x, dtype=float) + eta
@@ -155,10 +154,7 @@ class TruncatedChannel:
 
     def kernel_rows(self, x) -> np.ndarray:
         """Truncated kernel rows W_M(.|x) at arbitrary inputs x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        K = np.stack([self.base.kernel(x, i) for i in range(self.M)], axis=1)
-        K += (self.base.tail_mass(x, self.M) / self.M)[:, None]
-        return K
+        return _truncated_rows(self.base, np.atleast_1d(np.asarray(x, dtype=float)), self.M)
 
     def f_at(self, x, lam: np.ndarray) -> np.ndarray:
         """f_lambda(x) = (W_M(.|x) . lambda) - r(x) in bits at arbitrary x."""
@@ -183,7 +179,8 @@ def _gl_grid(a: float, b: float, total_nodes: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _truncated_rows(base: ContinuousChannel, x: np.ndarray, M: int) -> np.ndarray:
-    K = np.stack([base.kernel(x, i) for i in range(M)], axis=1)
+    """Rows W(i|x) + tail(x)/M, i < M, for a 1-D array of inputs x."""
+    K = base.kernel(x[:, None], np.arange(M))
     K += (base.tail_mass(x, M) / M)[:, None]
     return K
 
@@ -379,8 +376,7 @@ def continuous_schedule(trunc: TruncatedChannel,
     if epsilon >= alpha / 4.0:
         raise EpsilonTooLarge(f"epsilon must be below alpha/4 = {alpha / 4.0:g}")
     nu = (epsilon / alpha) / math.log2(alpha / epsilon)
-    g2 = math.log2(1.0 / trunc.gamma_M)
-    d1 = 0.5 * (trunc.M * max(g2, 1.0 / LN2)) ** 2
+    d1 = _ball_constant(trunc)
     n_min = math.ceil(
         (1.0 / epsilon) * math.sqrt(8.0 * d1 * alpha)
         * math.sqrt(math.log2(1.0 / epsilon) + math.log2(alpha) + 0.25)
@@ -393,24 +389,12 @@ def continuous_schedule(trunc: TruncatedChannel,
 # Smoothed dual term on the grid
 
 
-def _g_nu_core(trunc: TruncatedChannel, lam: np.ndarray, nu: float,
-               cost: Optional[ContinuousCost]
-               ) -> tuple[float, np.ndarray, np.ndarray]:
-    f = trunc.f_values(lam)
-    scores = f * (LN2 / nu)
-    qw = trunc.weights
+def _node_cost(trunc: TruncatedChannel, cost: Optional[ContinuousCost]
+               ) -> tuple[Optional[np.ndarray], Optional[float]]:
+    """(cost at the grid nodes, budget), or (None, None) without a constraint."""
     if cost is None:
-        m = scores.max()
-        e = np.exp(scores - m)
-        z = float(qw @ e)
-        p = e / z
-        value = nu * (m + math.log(z)) / LN2 - nu * math.log2(trunc.rho)
-    else:
-        s_nodes = np.asarray(cost.fn(trunc.nodes), dtype=float)
-        m1, m2, p = _max_entropy_multipliers(scores, s_nodes, qw, cost.budget)
-        value = -nu * (m1 + m2 * cost.budget) / LN2 - nu * math.log2(trunc.rho)
-    grad = trunc.kernel_nodes.T @ (qw * p)
-    return float(value), grad, p
+        return None, None
+    return np.asarray(cost.fn(trunc.nodes), dtype=float), cost.budget
 
 
 def eval_G_nu_continuous(lam, trunc: TruncatedChannel, nu: float,
@@ -419,11 +403,11 @@ def eval_G_nu_continuous(lam, trunc: TruncatedChannel, nu: float,
                          ) -> tuple[float, np.ndarray, np.ndarray]:
     """Smoothed input term, its gradient, and the optimal density on the grid.
 
-    The integrals run over the truncation's fixed Gauss-Legendre grid with
-    max-shifted exponents; the gradient entries integrate the kernel against
-    the returned density and therefore sum to 1.  With a cost constraint the
-    two multipliers come from the bracketed Newton solve, whose gradient and
-    curvature are moments of the density under the quadrature weights.
+    The integrals run over the truncation's fixed Gauss-Legendre grid: the
+    nodes are the inputs of the discrete smoothed term, each with the log of
+    its quadrature weight added to its exponent, so the gradient integrates
+    the kernel against the returned density and sums to 1.  With a cost
+    constraint the two multipliers come from the bracketed Newton solve.
 
     verify_quadrature re-evaluates on up to 4 node-doubled grids and raises
     QuadratureNotConverged if the value keeps moving by more than
@@ -432,32 +416,19 @@ def eval_G_nu_continuous(lam, trunc: TruncatedChannel, nu: float,
     if nu <= 0:
         raise ValueError("nu must be positive")
     lam = np.asarray(lam, dtype=float)
-    value, grad, p = _g_nu_core(trunc, lam, nu, cost)
-    if verify_quadrature:
-        tol = 1e-9 * (1.0 + abs(value))
-        prev = value
-        n = trunc.nodes.size
-        converged = False
-        for _ in range(4):
-            n *= 2
-            cand = truncate(trunc.base, trunc.M, quad_nodes=n)
-            v2, _, _ = _g_nu_core(cand, lam, nu, cost)
-            if abs(v2 - prev) <= tol:
-                converged = True
-                break
-            prev = v2
-        if not converged:
-            raise QuadratureNotConverged(
-                f"integral moved more than {tol:.2e} after 4 node doublings"
-            )
-    return value, grad, p
+    lse, grad, mass = _smoothed_input_term(trunc.kernel_nodes, trunc.r_nodes, lam, nu,
+                                           np.log(trunc.weights), *_node_cost(trunc, cost))
+    if verify_quadrature and not _converged_truncation(trunc, nu, cost, lam)[1]:
+        raise QuadratureNotConverged(
+            "integral moved more than 1e-9 * (1 + |value|) after 4 node doublings"
+        )
+    return float(nu * lse / LN2 - nu * math.log2(trunc.rho)), grad, mass / trunc.weights
 
 
-def _converged_truncation(base: ContinuousChannel, M: int, nu: float,
-                          quad_nodes: int,
-                          cost: Optional[ContinuousCost]
+def _converged_truncation(trunc: TruncatedChannel, nu: float,
+                          cost: Optional[ContinuousCost], lam: np.ndarray
                           ) -> tuple[TruncatedChannel, bool]:
-    """Double the grid until the smoothed value at lambda = 0 stabilizes.
+    """Double the grid until the smoothed value at lam stabilizes.
 
     Returns the finest grid tried and whether it stabilized.  An unresolved
     grid only loosens the resulting sandwich (the primal value is the exact
@@ -465,13 +436,11 @@ def _converged_truncation(base: ContinuousChannel, M: int, nu: float,
     dual value is weak duality at the computed iterate), so callers may
     legitimately continue with converged=False.
     """
-    trunc = truncate(base, M, quad_nodes=quad_nodes)
-    lam0 = np.zeros(M)
-    value, _, _ = _g_nu_core(trunc, lam0, nu, cost)
+    value = eval_G_nu_continuous(lam, trunc, nu, cost)[0]
     for _ in range(4):
         tol = 1e-9 * (1.0 + abs(value))
-        cand = truncate(base, M, quad_nodes=2 * trunc.nodes.size)
-        v2, _, _ = _g_nu_core(cand, lam0, nu, cost)
+        cand = truncate(trunc.base, trunc.M, quad_nodes=2 * trunc.nodes.size)
+        v2 = eval_G_nu_continuous(lam, cand, nu, cost)[0]
         if abs(v2 - value) <= tol:
             return trunc, True
         trunc, value = cand, v2
@@ -554,66 +523,29 @@ class PoissonReport:
     wall_time: float
 
     def __post_init__(self):
-        assert self.c_lb <= self.c_ub + 1e-9
+        require_sandwich(self.c_lb, self.c_ub, "PoissonReport")
 
 
 def _solve_truncated(trunc: TruncatedChannel, nu: float, n: int,
                      cost: Optional[ContinuousCost],
-                     progress=None, checkpoint_every: Optional[int] = None):
-    """Fast-gradient solve of the smoothed dual on the quadrature grid."""
-    M = trunc.M
-    K = trunc.kernel_nodes
-    r = trunc.r_nodes
-    qw = trunc.weights
-    radius = M * max(math.log2(1.0 / trunc.gamma_M), 1.0 / LN2)
-    L = 1.0 + 1.0 / nu
-    s_nodes = np.asarray(cost.fn(trunc.nodes), dtype=float) if cost else None
+                     progress=None, checkpoint_every: Optional[int] = None
+                     ) -> tuple[np.ndarray, float]:
+    """Fast-gradient solve of the smoothed dual on the quadrature grid.
 
-    state = FastGradientState(M, radius, L)
-    acc_p = np.zeros(trunc.nodes.size)
-    acc_q = np.zeros(M)
-    x = state.x
-    y = np.zeros(M)
-    ell = checkpoint_every if checkpoint_every else max(100, round(n / 100))
-    inv = LN2 / nu
-
-    for k in range(n + 1):
-        scores = (K @ x - r) * inv
-        if cost is None:
-            m = scores.max()
-            e = np.exp(scores - m)
-            p = e / float(qw @ e)
-        else:
-            _, _, p = _max_entropy_multipliers(scores, s_nodes, qw, cost.budget)
-        gG = K.T @ (qw * p)
-        a = -x * LN2
-        ea = np.exp(a - a.max())
-        grad = -ea / ea.sum() + gG
-
-        acc_p += (k + 1) * p
-        acc_q += (k + 1) * gG
-        y = state.step(grad)
-        x = state.x
-
-        if progress is not None and (k == n or (k + 1) % ell == 0):
-            norm = 2.0 / ((k + 1) * (k + 2))
-            p_hat = acc_p * norm
-            q_hat = acc_q * norm
-            lb = float(-(qw * p_hat) @ r + _entropy_bits(q_hat))
-            Fv, _ = eval_F(y)
-            ub = Fv + float((K @ y - r).max())
-            progress(k, lb, ub, ub - lb)
-
-    norm = 2.0 / ((n + 1) * (n + 2))
-    p_hat = acc_p * norm
-    q_hat = acc_q * norm
-    mutual = float(-(qw * p_hat) @ r + _entropy_bits(q_hat))
-    return y, p_hat, q_hat, mutual
+    Runs n + 1 steps and returns (lambda_hat, I(p_hat)).  Checkpoint upper
+    bounds use the vertex maximum of f_lambda over the nodes, with or without
+    a cost constraint.
+    """
+    _, lam_hat, _, mutual, _ = _fast_gradient(
+        trunc.kernel_nodes, trunc.r_nodes, np.log(trunc.weights),
+        ball_radius(trunc.M, trunc.gamma_M), nu, n, *_node_cost(trunc, cost),
+        lambda lam: float(trunc.f_values(lam).max()), None, progress, checkpoint_every,
+    )
+    return lam_hat, mutual
 
 
 def _ball_constant(trunc: TruncatedChannel) -> float:
-    g2 = math.log2(1.0 / trunc.gamma_M)
-    return 0.5 * (trunc.M * max(g2, 1.0 / LN2)) ** 2
+    return 0.5 * ball_radius(trunc.M, trunc.gamma_M) ** 2
 
 
 def balanced_smoothing(trunc: TruncatedChannel,
@@ -736,14 +668,13 @@ def solve_poisson(peak: float, dark_current: float = 1.0,
             if nu is None:
                 nu = balanced_smoothing(probe, cost, iterations)
 
-    trunc, quad_ok = _converged_truncation(base, M, nu, quad_nodes, cost)
-    lam_hat, p_hat, q_hat, mutual = _solve_truncated(
-        trunc, nu, iterations, cost, progress=progress
-    )
+    trunc, quad_ok = _converged_truncation(truncate(base, M, quad_nodes=quad_nodes),
+                                           nu, cost, np.zeros(M))
+    lam_hat, mutual = _solve_truncated(trunc, nu, iterations, cost, progress=progress)
 
     Fv, _ = eval_F(lam_hat)
     g_sup = refined_sup_f(trunc, lam_hat)
-    g_nu, _, _ = _g_nu_core(trunc, lam_hat, nu, cost)
+    g_nu, _, _ = eval_G_nu_continuous(lam_hat, trunc, nu, cost)
     t1, t2, _ = _lipschitz_terms(trunc, cost)
     iota = smoothing_gap_bound(nu, t1, t2)
 

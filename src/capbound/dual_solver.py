@@ -40,9 +40,11 @@ import numpy as np
 
 from .errors import (
     AssumptionViolated,
+    CertificateViolated,
     DimensionMismatch,
     Infeasible,
     NewtonStall,
+    require_sandwich,
 )
 from .info_theory import (
     LN2,
@@ -83,6 +85,11 @@ class DualPoint:
             )
 
 
+def ball_radius(M: int, gamma: float) -> float:
+    """M * max(log2(1/gamma), 1/ln2): dual-ball radius for M outputs, min entry gamma."""
+    return M * max(math.log2(1.0 / gamma), 1.0 / LN2)
+
+
 def dual_radius(W: ChannelMatrix) -> float:
     """Radius of the ball known to contain a dual optimizer."""
     if W.gamma <= 0.0:
@@ -90,28 +97,13 @@ def dual_radius(W: ChannelMatrix) -> float:
             "Assumption 1 violated: channel matrix has zero entries (gamma = 0); "
             "use the perturbation wrapper (perturb-solve)"
         )
-    return W.cols * max(math.log2(1.0 / W.gamma), 1.0 / LN2)
+    return ball_radius(W.cols, W.gamma)
 
 
 def smoothing_constants(W: ChannelMatrix) -> tuple[float, float]:
     """(d1, d2) = (half squared dual-ball radius, log2 N)."""
     r = dual_radius(W)
     return 0.5 * r * r, math.log2(W.rows)
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Smoothing parameter nu tied to a planned iteration count."""
-
-    nu: float
-    d1: float
-    d2: float
-    n_planned: int
-
-    @classmethod
-    def from_iterations(cls, n: int, d1: float, d2: float) -> "SmoothingConfig":
-        nu = (2.0 / (n + 1)) * math.sqrt(d1 / d2)
-        return cls(nu=nu, d1=d1, d2=d2, n_planned=n)
 
 
 def _as_values(lam) -> np.ndarray:
@@ -138,20 +130,21 @@ def project_Q(x, radius: float) -> DualPoint:
 # Dual objective pieces
 
 
-def eval_F(lam) -> tuple[float, np.ndarray]:
-    """Smooth dual term F(lambda) = log2 sum_j 2^(-lambda_j) and its gradient.
-
-    The gradient is minus the softmax of -lambda (it sums to -1); evaluation
-    is max-shifted so no exponent exceeds 0.
-    """
-    lam = _as_values(lam)
-    a = -lam * LN2
+def _softmax(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log-sum-exp of a (natural log) and softmax(a), max-shifted so no exponent exceeds 0."""
     m = a.max()
     e = np.exp(a - m)
     s = e.sum()
-    value = (m + math.log(s)) / LN2
-    grad = -e / s
-    return float(value), grad
+    return m + math.log(s), e / s
+
+
+def eval_F(lam) -> tuple[float, np.ndarray]:
+    """Smooth dual term F(lambda) = log2 sum_j 2^(-lambda_j) and its gradient.
+
+    The gradient is minus the softmax of -lambda (it sums to -1).
+    """
+    lse, p = _softmax(-_as_values(lam) * LN2)
+    return float(lse / LN2), -p
 
 
 def _eval_F_direct(lam) -> tuple[float, np.ndarray]:
@@ -162,15 +155,29 @@ def _eval_F_direct(lam) -> tuple[float, np.ndarray]:
     return float(np.log2(s)), -t / s
 
 
-def _scores(Wm: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: float) -> np.ndarray:
-    """Natural-log exponents (W lambda - r) * ln2 / nu."""
-    return (Wm @ lam - r) * (LN2 / nu)
+def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: float,
+                         logw: Optional[np.ndarray] = None,
+                         s: Optional[np.ndarray] = None,
+                         budget: Optional[float] = None
+                         ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Smoothed input term over inputs with log-weights: (Phi, K^T mass, mass).
 
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    m = scores.max()
-    e = np.exp(scores - m)
-    return e / e.sum()
+    Input k carries the log-mass (K lambda - r)_k ln2/nu + logw_k (logw is 0
+    for a discrete channel and the log quadrature weight on a grid).  The
+    masses are their softmax, tilted by the cost multiplier m2 when ``s`` is
+    given so that s . mass = budget, and
+    Phi = log sum_k exp(logmass_k + m2*(s_k - budget)) (m2 = 0 without a
+    cost), so G_nu = nu*Phi/ln2 - nu*log2(total weight).
+    """
+    logmass = (K @ lam - r) * (LN2 / nu)
+    if logw is not None:
+        logmass += logw
+    if s is None:
+        lse, mass = _softmax(logmass)
+    else:
+        m1, m2, mass = _max_entropy_multipliers(logmass, s, budget)
+        lse = -(m1 + m2 * budget)
+    return lse, K.T @ mass, mass
 
 
 def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
@@ -182,16 +189,8 @@ def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    lam = _as_values(lam)
-    f = W.entries @ lam - W.r
-    c = f * (LN2 / nu)
-    m = c.max()
-    e = np.exp(c - m)
-    s = e.sum()
-    p = e / s
-    value = nu * (m + math.log(s)) / LN2 - nu * math.log2(W.rows)
-    grad = W.entries.T @ p
-    return float(value), grad, ProbVector(p)
+    lse, grad, p = _smoothed_input_term(W.entries, W.r, _as_values(lam), nu)
+    return float(nu * lse / LN2 - nu * math.log2(W.rows)), grad, ProbVector(p)
 
 
 def _eval_G_nu_direct(lam, W: ChannelMatrix, nu: float
@@ -214,46 +213,38 @@ class MuPair:
     mu2: float
 
 
-def _max_entropy_multipliers(scores: np.ndarray, s: np.ndarray,
-                             weights: np.ndarray, budget: float
+def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float
                              ) -> tuple[float, float, np.ndarray]:
     """Newton solve for the multipliers of the tilted max-entropy problem.
 
-    Maximizes  m1 + budget*m2 - sum_k weights_k exp(m1 + scores_k + m2*s_k)
-    over (m1, m2); at the optimum the density p_k = exp(m1 + scores_k + m2 s_k)
-    satisfies sum w p = 1 and sum w s p = budget exactly.  The normalization
+    Maximizes  m1 + budget*m2 - sum_k exp(m1 + logmass_k + m2*s_k)  over
+    (m1, m2); at the optimum the masses exp(m1 + logmass_k + m2 s_k) sum to 1
+    and meet sum s mass = budget exactly.  The normalization
     multiplier m1 is eliminated in closed form (its coordinate maximization
     is a log-sum-exp), leaving a 1-D strictly concave problem in m2 whose
     stationarity is the cost constraint; that is solved by bracketed Newton
     with bisection fallback, so convergence does not depend on the size of
     the tilts (exponent ranges of ~1e3 occur routinely for small nu).
-    Natural-log multipliers are returned.  ``weights`` are point masses
-    (ones) in the discrete case and quadrature weights in the continuous
-    case.
+    Natural-log multipliers and the masses are returned; a quadrature weight
+    w_k enters as log(w_k) in ``logmass``.
     """
     smin, smax = float(s.min()), float(s.max())
     if budget < smin - 1e-12 or budget > smax + 1e-12:
         raise Infeasible(
             f"budget {budget!r} outside attainable cost range [{smin!r}, {smax!r}]"
         )
-    logw = np.log(weights)
-    base = scores + logw
     tol = 1e-11 * max(1.0, abs(budget))
 
     if smax - smin <= 1e-12 * max(1.0, abs(smax)):
         # Degenerate cost (s constant): any m2 is optimal, pin it to 0.
-        m1 = -_logsumexp(base)
-        return m1, 0.0, np.exp(m1 + scores)
+        lognorm, mass = _softmax(logmass)
+        return -lognorm, 0.0, mass
 
     def moments(m2):
-        t = base + m2 * s
-        m = t.max()
-        e = np.exp(t - m)
-        z = e.sum()
-        prob = e / z              # weighted mass: prob_k = w_k p_k
-        mean = float(s @ prob)
-        var = float((s * s) @ prob) - mean * mean
-        return mean, var, m + math.log(z), prob
+        lognorm, mass = _softmax(logmass + m2 * s)
+        mean = float(s @ mass)
+        var = float((s * s) @ mass) - mean * mean
+        return mean, var, lognorm, mass
 
     # Bracket the root of  mean_cost(m2) = budget  (strictly increasing).
     lo = hi = 0.0
@@ -281,8 +272,7 @@ def _max_entropy_multipliers(scores: np.ndarray, s: np.ndarray,
         mean, var, lognorm, prob = moments(m2)
         g = mean - budget
         if abs(g) <= tol:
-            m1 = -lognorm
-            return m1, m2, prob / weights
+            return -lognorm, m2, prob
         if g > 0:
             hi = m2
         else:
@@ -291,15 +281,10 @@ def _max_entropy_multipliers(scores: np.ndarray, s: np.ndarray,
         m2 = cand if lo < cand < hi else 0.5 * (lo + hi)
     mean, var, lognorm, prob = moments(m2)
     if abs(mean - budget) <= 100 * tol:
-        return -lognorm, m2, prob / weights
+        return -lognorm, m2, prob
     raise NewtonStall(
         f"cost multiplier Newton solve stalled (residual {abs(mean - budget):.3e})"
     )
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = a.max()
-    return float(m + math.log(np.exp(a - m).sum()))
 
 
 def solve_mu(lam, W: ChannelMatrix, nu: float, cost: CostConstraint) -> MuPair:
@@ -313,10 +298,8 @@ def solve_mu(lam, W: ChannelMatrix, nu: float, cost: CostConstraint) -> MuPair:
     lam = _as_values(lam)
     if cost.costs.size != W.rows:
         raise DimensionMismatch("cost vector length must equal channel rows")
-    scores = _scores(W.entries, W.r, lam, nu)
-    m1, m2, _ = _max_entropy_multipliers(
-        scores, cost.costs, np.ones(W.rows), cost.budget
-    )
+    scores = (W.entries @ lam - W.r) * (LN2 / nu)
+    m1, m2, _ = _max_entropy_multipliers(scores, cost.costs, cost.budget)
     return MuPair(mu1=m1 / LN2, mu2=m2 / LN2)
 
 
@@ -330,14 +313,9 @@ def eval_G_nu_constrained(lam, W: ChannelMatrix, nu: float, cost: CostConstraint
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    lam = _as_values(lam)
-    scores = _scores(W.entries, W.r, lam, nu)
-    m1, m2, p = _max_entropy_multipliers(
-        scores, cost.costs, np.ones(W.rows), cost.budget
-    )
-    value = -nu * (m1 + m2 * cost.budget) / LN2 - nu * math.log2(W.rows)
-    grad = W.entries.T @ p
-    return float(value), grad, ProbVector(p)
+    lse, grad, p = _smoothed_input_term(W.entries, W.r, _as_values(lam), nu,
+                                        s=cost.costs, budget=cost.budget)
+    return float(nu * lse / LN2 - nu * math.log2(W.rows)), grad, ProbVector(p)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +434,48 @@ class FastGradientState:
         return y
 
 
+def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
+                   radius: float, nu: float, n: int,
+                   s: Optional[np.ndarray], budget: Optional[float],
+                   exact_G: Callable[[np.ndarray], float],
+                   target: Optional[float],
+                   progress: Optional[ProgressFn],
+                   checkpoint_every: Optional[int]):
+    """Fast-gradient solve of the smoothed dual over inputs with log-weights.
+
+    Runs steps k = 0..n on F + G_nu (see ``_smoothed_input_term``) and
+    averages the input masses with weights k+1.  The certificate
+    I(mass_hat) <= C <= F(y) + exact_G(y) is evaluated every
+    ``checkpoint_every`` steps (default max(100, n/100)) when a ``target``
+    gap or a ``progress`` callback is given, and always at step n; the run
+    stops at step n or at the first checkpoint whose gap is at most
+    ``target``.  Returns (k, y, mass_hat, c_lb, c_ub) at the last checkpoint.
+    """
+    state = FastGradientState(K.shape[1], radius, 1.0 + 1.0 / nu)
+    acc = np.zeros(K.shape[0])
+    ell = checkpoint_every if checkpoint_every else max(100, round(n / 100))
+    watch = target is not None or progress is not None
+    x = state.x
+    for k in range(n + 1):
+        _, gG, mass = _smoothed_input_term(K, r, x, nu, logw, s, budget)
+        _, pF = _softmax(-x * LN2)
+        acc += (k + 1) * mass
+        y = state.step(gG - pF)
+        x = state.x
+
+        if k == n or (watch and (k + 1) % ell == 0):
+            mass_hat = acc * (2.0 / ((k + 1) * (k + 2)))
+            q_hat = K.T @ mass_hat
+            c_lb = float(-(r @ mass_hat) + _entropy_bits(q_hat))
+            Fv, _ = eval_F(y)
+            c_ub = Fv + exact_G(y)
+            if progress is not None:
+                progress(k, c_lb, c_ub, c_ub - c_lb)
+            if k == n or (target is not None and c_ub - c_lb <= target):
+                break
+    return k, y, mass_hat, c_lb, c_ub
+
+
 # ---------------------------------------------------------------------------
 # Capacity solve
 
@@ -477,8 +497,11 @@ class SolveReport:
     s_max_estimate: Optional[float] = None
 
     def __post_init__(self):
-        assert self.c_lb <= self.c_ub + 1e-9
-        assert self.aposteriori_err >= -1e-9
+        require_sandwich(self.c_lb, self.c_ub, "SolveReport")
+        if not self.aposteriori_err >= -1e-9:
+            raise CertificateViolated(
+                f"SolveReport: negative a posteriori gap {self.aposteriori_err!r}"
+            )
 
 
 ProgressFn = Callable[[int, float, float, float], None]
@@ -542,7 +565,6 @@ def _solve_core(W: ChannelMatrix,
                 checkpoint_every: Optional[int]) -> SolveReport:
     t0 = time.perf_counter()
     N, M = W.rows, W.cols
-    Wm, r = W.entries, W.r
 
     if N == 1 or M == 1:
         # Degenerate alphabets: capacity is exactly zero.
@@ -555,62 +577,24 @@ def _solve_core(W: ChannelMatrix,
     radius = dual_radius(W)
     d1, d2 = smoothing_constants(W)
     n_eps = scheduled_iterations(epsilon, d1, d2)
-    cfg = SmoothingConfig.from_iterations(n_eps, d1, d2)
-    nu = cfg.nu
-    L = 1.0 + 1.0 / nu
-    ell = checkpoint_every if checkpoint_every else max(100, round(n_eps / 100))
+    nu = (2.0 / (n_eps + 1)) * math.sqrt(d1 / d2)
+    if cost is None:
+        s = budget = None
+        exact_G = lambda y: exact_G_unconstrained(y, W)
+    else:
+        s, budget = cost.costs, cost.budget
+        exact_G = lambda y: exact_G_constrained(y, W, cost)
 
-    s = cost.costs if cost is not None else None
-    budget = cost.budget if cost is not None else None
-    ones = np.ones(N)
-    inv_nu_ln2 = LN2 / nu
-
-    state = FastGradientState(M, radius, L)
-    acc_p = np.zeros(N)
-    x = state.x
-    y = np.zeros(M)
-    k = 0
-    c_lb = c_ub = gap = math.nan
-
-    while True:
-        f = Wm @ x - r
-        scoresk = f * inv_nu_ln2
-        if cost is None:
-            p = _softmax(scoresk)
-        else:
-            _, _, p = _max_entropy_multipliers(scoresk, s, ones, budget)
-        a = -x * LN2
-        ea = np.exp(a - a.max())
-        gF = -ea / ea.sum()
-        grad = gF + Wm.T @ p
-
-        acc_p += (k + 1) * p
-        y = state.step(grad)
-        x = state.x
-
-        if k == n_eps or (k + 1) % ell == 0:
-            p_hat = acc_p * (2.0 / ((k + 1) * (k + 2)))
-            c_lb = float(-(r @ p_hat) + _entropy_bits(Wm.T @ p_hat))
-            Fv, _ = eval_F(y)
-            if cost is None:
-                Gv = float((Wm @ y - r).max())
-            else:
-                Gv = _segment_lp_max(Wm @ y - r, s, budget)
-            c_ub = Fv + Gv
-            gap = c_ub - c_lb
-            if progress is not None:
-                progress(k, c_lb, c_ub, gap)
-            if k == n_eps or (stopping == "aposteriori" and gap <= epsilon):
-                break
-        k += 1
-
-    p_hat = acc_p * (2.0 / ((k + 1) * (k + 2)))
+    k, y, p_hat, c_lb, c_ub = _fast_gradient(
+        W.entries, W.r, None, radius, nu, n_eps, s, budget, exact_G,
+        epsilon if stopping == "aposteriori" else None, progress, checkpoint_every,
+    )
     apriori = nu * d2 + 4.0 * d1 * (1.0 + 1.0 / nu) / (k + 1) ** 2
     return SolveReport(
         c_lb=c_lb,
         c_ub=c_ub,
         apriori_err=apriori,
-        aposteriori_err=gap,
+        aposteriori_err=c_ub - c_lb,
         iterations=k,
         p_hat=ProbVector(np.maximum(p_hat, 0.0)),
         lambda_hat=DualPoint(y, radius),
@@ -618,3 +602,4 @@ def _solve_core(W: ChannelMatrix,
         nu=nu,
         constrained=cost is not None,
     )
+

@@ -52,3 +52,13 @@ class EpsilonTooLarge(CapacityError, ValueError):
 
 class BudgetExceeded(CapacityError):
     """No truncation level meets the accuracy target within the iteration cap."""
+
+
+class CertificateViolated(CapacityError):
+    """A reported bound pair breaks its own invariant (lower bound above upper)."""
+
+
+def require_sandwich(c_lb: float, c_ub: float, what: str) -> None:
+    """Raise CertificateViolated unless c_lb <= c_ub up to 1e-9 (NaN fails)."""
+    if not c_lb <= c_ub + 1e-9:
+        raise CertificateViolated(f"{what}: lower bound {c_lb!r} above upper bound {c_ub!r}")

@@ -210,30 +210,15 @@ def mutual_information(p, W: ChannelMatrix) -> float:
     return float(-(W.r @ w) + _entropy_bits(q))
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the probability simplex.
-
-    Sort-based algorithm; O(d log d).
-    """
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u + (1.0 - css) / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    tau = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + tau, 0.0)
-
-
 @dataclass(frozen=True)
 class DiffNormResult:
     """Evaluation of the channel-difference norm max_{b in simplex} ||b b^T A||_tr.
 
-    ``upper_bound`` is the sound over-estimate max_i ||row_i(A)||_2 (the
-    rank-one trace norm ||b||_2 ||A^T b||_2 is maximized at a simplex vertex,
-    so this bound is in fact attained); ``lower_estimate`` is the best value
-    found by multi-start projected ascent plus a Dirichlet sample sweep and
-    can only under-estimate the true maximum.  Certificates must use
+    ``upper_bound`` is max_i ||row_i(A)||_2.  The rank-one trace norm
+    ||b||_2 ||A^T b||_2 is at most ||A^T b||_2 on the simplex (there
+    ||b||_2 <= ||b||_1 = 1), a convex function whose maximum sits at a vertex,
+    where ||b||_2 = 1; so the bound is the exact maximum.
+    ``lower_estimate`` is kept for callers that read it and equals
     ``upper_bound``.
     """
 
@@ -245,62 +230,14 @@ class DiffNormResult:
         return self.upper_bound
 
 
-def _diff_norm_objective(b: np.ndarray, A: np.ndarray) -> float:
-    return float(np.linalg.norm(b) * np.linalg.norm(A.T @ b))
-
-
-def channel_diff_norm(W1: ChannelMatrix, W2: ChannelMatrix,
-                      samples: int = 2000, ascent_starts: int = 6,
-                      seed: int = 0) -> DiffNormResult:
-    """Channel-difference norm of A = W1 - W2 (dimensionless).
-
-    Returns both the sound vertex upper bound and a sampled lower estimate;
-    the two agree (up to ascent tolerance) because the maximum sits at a
-    simplex vertex.
-    """
+def channel_diff_norm(W1: ChannelMatrix, W2: ChannelMatrix) -> DiffNormResult:
+    """Channel-difference norm of A = W1 - W2 (dimensionless): the vertex maximum."""
     if W1.entries.shape != W2.entries.shape:
         raise DimensionMismatch("channel matrices must have equal shape")
-    A = W1.entries - W2.entries
-    row_norms = np.linalg.norm(A, axis=1)
-    upper = float(row_norms.max())
+    upper = float(np.linalg.norm(W1.entries - W2.entries, axis=1).max())
     if upper == 0.0:
         return DiffNormResult(0.0, 0.0, "zero-difference")
-
-    n = A.shape[0]
-    best = upper  # vertex value is feasible, so it seeds the estimate
-    rng = np.random.default_rng(seed)
-    cands = rng.dirichlet(np.ones(n), size=samples)
-    vals = np.linalg.norm(cands, axis=1) * np.linalg.norm(cands @ A, axis=1)
-    best = max(best, float(vals.max()))
-
-    # Multi-start projected gradient ascent on ||b|| * ||A^T b||.
-    starts = [np.full(n, 1.0 / n)]
-    for i in np.argsort(row_norms)[::-1][: max(0, ascent_starts - 1)]:
-        e = np.full(n, 1e-3 / n)
-        e[i] += 1.0 - 1e-3
-        starts.append(e / e.sum())
-    G = A @ A.T
-    for b in starts:
-        b = b.copy()
-        step = 1.0
-        val = _diff_norm_objective(b, A)
-        for _ in range(200):
-            nb = np.linalg.norm(b)
-            nAb = np.linalg.norm(A.T @ b)
-            if nb == 0 or nAb == 0:
-                break
-            grad = (nAb / nb) * b + (nb / nAb) * (G @ b)
-            cand = project_simplex(b + step * grad)
-            cval = _diff_norm_objective(cand, A)
-            if cval > val + 1e-15:
-                b, val = cand, cval
-                step *= 1.2
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        best = max(best, val)
-    return DiffNormResult(upper, min(best, upper), "vertex-bound+ascent")
+    return DiffNormResult(upper, upper, "vertex")
 
 
 def continuity_capacity_bound(delta_norm: float, N: int, M: int) -> float:

@@ -18,8 +18,7 @@ def uniform_output_channel(K, peak=2.0):
     """Kernel independent of x with K equiprobable outputs (zero tail)."""
 
     def kernel(x, i):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, 1.0 / K) if i < K else np.zeros_like(x)
+        return np.where(np.asarray(i) < K, 1.0 / K, 0.0) * np.ones_like(x, dtype=float)
 
     def tail_mass(x, M):
         x = np.asarray(x, dtype=float)

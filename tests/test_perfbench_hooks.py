@@ -1,0 +1,39 @@
+"""The benchmark's span tracer still finds and counts the functions it wraps.
+
+perfbench/spans.py replaces capbound functions by module attribute name, so
+a rename in capbound would otherwise only show up as missing trace metrics.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import capbound as cb
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve_and_count():
+    spans = _load_spans()
+    for name, (owner, attr) in spans.TARGETS.items():
+        assert callable(getattr(owner, attr, None)), name
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cb.solve_capacity(cb.make_random(4, 3, seed=5), epsilon=1e-2)
+        cb.solve_poisson(1.0, 1.0, M=8, iterations=200, nu=0.05)
+    finally:
+        tracer.uninstall()
+    tracer.passes = 1
+    metrics = tracer.layer_metrics()
+    for key in ("dual_solver.iterations", "dual_solver.checkpoints",
+                "continuous.iterations"):
+        assert metrics[key] > 0, key
+    assert not hasattr(cb.solve_capacity, "__wrapped__")
