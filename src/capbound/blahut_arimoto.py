@@ -5,6 +5,16 @@ q = W^T p and reweight p_i proportionally to p_i * exp(D(W(.|i) || q)).
 After n iterations the iterate value I(p_n, W) is within log2(N)/n of the
 capacity, which fixes the iteration count for a requested accuracy.
 
+Every iterate also carries Arimoto's upper bound: for any p,
+
+    I(p, W) = sum_i p_i D(W(.|i) || q)  <=  C  <=  max_i D(W(.|i) || q),
+
+so each run returns a two-sided certificate, and an a posteriori run stops
+as soon as the two sides are within epsilon.  Unlike the dual solver's
+averaged iterate, the gap of this sandwich is first order in the distance
+of p from the capacity-achieving input, which makes BA the cheap way to
+estimate that input (the S_max pre-solve of a cost-constrained dual solve).
+
 Used as an independent cross-check of the dual smoothing solver.
 """
 
@@ -17,16 +27,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .info_theory import ChannelMatrix, ProbVector, _entropy_bits
+from .errors import require_sandwich
+from .info_theory import LN2, ChannelMatrix, ProbVector, _entropy_bits
+
+
+# Output probability standing in for an underflowed q_j in the upper bound.
+_Q_FLOOR = 1e-300
+_LOG_Q_FLOOR = math.log(_Q_FLOOR)
 
 
 @dataclass
 class BAReport:
     c_lb: float
+    c_ub: float
     apriori_err: float
     iterations: int
     p: ProbVector
     wall_time: float
+
+    def __post_init__(self):
+        require_sandwich(self.c_lb, self.c_ub, "BAReport")
 
 
 def ba_iterations(N: int, epsilon: float) -> int:
@@ -36,13 +56,20 @@ def ba_iterations(N: int, epsilon: float) -> int:
     return max(1, math.ceil(math.log2(N) / epsilon))
 
 
-def ba_solve(W: ChannelMatrix, epsilon: float,
+def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
              on_iterate: Optional[Callable[[int, float], None]] = None) -> BAReport:
-    """Blahut-Arimoto capacity lower bound with a priori error log2(N)/n.
+    """Blahut-Arimoto capacity sandwich I(p) <= C <= max_i D(W(.|i) || W^T p).
 
-    Zero channel entries are fine (0*log 0 terms vanish); the KL exponents
-    are accumulated in nats and max-shifted before exponentiation.
+    stopping="apriori" runs exactly ba_iterations(N, epsilon) updates, after
+    which c_lb is within apriori_err = log2(N)/n of the capacity;
+    stopping="aposteriori" also stops at the first iterate whose certified
+    gap c_ub - c_lb is at most epsilon (the a priori count stays the hard
+    cap).  Zero channel entries are fine (0*log 0 terms vanish); the KL
+    exponents are accumulated in nats and max-shifted before
+    exponentiation.  All values are in bits.
     """
+    if stopping not in ("apriori", "aposteriori"):
+        raise ValueError(f"unknown stopping mode {stopping!r}")
     t0 = time.perf_counter()
     N = W.rows
     n = ba_iterations(N, epsilon)
@@ -51,32 +78,46 @@ def ba_solve(W: ChannelMatrix, epsilon: float,
     mask = Wm > 0.0
     wlogw[mask] = Wm[mask] * np.log(Wm[mask])
     row_neg_ent = wlogw.sum(axis=1)  # sum_j W_ij ln W_ij
+    reachable = mask.any(axis=0)
 
     logp = np.full(N, -math.log(N))
-    for it in range(n):
+    it = 0
+    while True:
         p = np.exp(logp - logp.max())
         p /= p.sum()
         q = Wm.T @ p
         logq = np.zeros_like(q)
         nz = q > 0.0
         logq[nz] = np.log(q[nz])
-        # D_i = sum_j W_ij ln(W_ij / q_j); columns with q_j = 0 have W_ij = 0,
-        # so the zeroed logq entries contribute nothing.
+        # D_i = sum_j W_ij ln(W_ij / q_j); columns with q_j = 0 have W_ij = 0
+        # wherever p_i > 0, so the zeroed logq entries contribute nothing to
+        # the update.
         div = row_neg_ent - Wm @ logq
+        if it == n or stopping == "aposteriori":
+            c_lb = float(-(W.r @ p) + _entropy_bits(q))
+            bound = div
+            if not nz[reachable].all():
+                # Every p_i feeding a reachable output underflowed, so q_j = 0
+                # there and the dropped terms W_ij ln(W_ij / q_j) are infinite.
+                # Arimoto's bound holds for any output law: raise those q_j
+                # to _Q_FLOOR, which adds less than M * _Q_FLOOR of mass.
+                bound = row_neg_ent - Wm @ np.where(reachable & ~nz, _LOG_Q_FLOOR, logq)
+            c_ub = float(bound.max()) / LN2
+            if it == n or c_ub - c_lb <= epsilon:
+                break
         logp = logp + div
         logp -= logp.max()
         if on_iterate is not None:
             pe = np.exp(logp)
             pe /= pe.sum()
             on_iterate(it, float(-(W.r @ pe) + _entropy_bits(Wm.T @ pe)))
+        it += 1
 
-    p = np.exp(logp)
-    p /= p.sum()
-    c_lb = float(-(W.r @ p) + _entropy_bits(Wm.T @ p))
     return BAReport(
         c_lb=c_lb,
-        apriori_err=math.log2(N) / n,
-        iterations=n,
+        c_ub=c_ub,
+        apriori_err=math.log2(N) / max(it, 1),
+        iterations=it,
         p=ProbVector(p),
         wall_time=time.perf_counter() - t0,
     )

@@ -128,6 +128,7 @@ def _cmd_solve_ba(args) -> int:
     _report_lines([
         ("channel", args.channel),
         ("c_lb", _fmt(rep.c_lb)),
+        ("c_ub", _fmt(rep.c_ub)),
         ("apriori_err", _fmt(rep.apriori_err)),
         ("iterations", rep.iterations),
     ])
@@ -136,6 +137,7 @@ def _cmd_solve_ba(args) -> int:
     if args.out:
         _write_json(args.out, {
             "c_lb": rep.c_lb,
+            "c_ub": rep.c_ub,
             "apriori_err": rep.apriori_err,
             "iterations": rep.iterations,
             "p": rep.p.weights.tolist(),
@@ -153,7 +155,7 @@ def _cmd_compare(args) -> int:
     print(header)
     print(f"{'dual':<8} {_fmt(dual.c_lb):>12} {_fmt(dual.c_ub):>12} "
           f"{_fmt(dual.apriori_err):>12} {_fmt(dual.aposteriori_err):>12} {dual.iterations:>10}")
-    print(f"{'ba':<8} {_fmt(ba.c_lb):>12} {'-':>12} "
+    print(f"{'ba':<8} {_fmt(ba.c_lb):>12} {_fmt(ba.c_ub):>12} "
           f"{_fmt(ba.apriori_err):>12} {'-':>12} {ba.iterations:>10}")
     if not args.quiet:
         print(f"# wall time [s]: dual {dual.wall_time:.3f}, ba {ba.wall_time:.3f}",
@@ -163,6 +165,7 @@ def _cmd_compare(args) -> int:
             "dual": _solve_report_payload(dual),
             "ba": {
                 "c_lb": ba.c_lb,
+                "c_ub": ba.c_ub,
                 "apriori_err": ba.apriori_err,
                 "iterations": ba.iterations,
                 "wall_time": ba.wall_time,
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=None, help="cost budget S")
     p.set_defaults(func=_cmd_solve_dmc)
 
-    p = sub.add_parser("solve-ba", help="Blahut-Arimoto baseline solve")
+    p = sub.add_parser("solve-ba", help="Blahut-Arimoto two-sided baseline solve")
     p.add_argument("channel")
     _add_common(p, stopping=False)
     p.set_defaults(func=_cmd_solve_ba)

@@ -38,6 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .blahut_arimoto import ba_solve
 from .errors import (
     AssumptionViolated,
     CertificateViolated,
@@ -55,10 +56,11 @@ from .info_theory import (
 )
 
 # S_max guard band: budgets within this of the unconstrained optimum are
-# treated as non-binding (the constraint is dropped).
+# treated as non-binding (the constraint is dropped), unless the
+# unconstrained solution then spends more than the budget.
 S_MAX_GUARD = 1e-4
 
-# Gap tolerance for the auxiliary solve that estimates S_max.
+# Gap tolerance for the certified Blahut-Arimoto solve that estimates S_max.
 _SMAX_SOLVE_EPS = 1e-6
 
 _MU_NEWTON_MAX_ITER = 200
@@ -519,10 +521,13 @@ def solve_capacity(W: ChannelMatrix,
     the requested epsilon; stopping="aposteriori" uses the same smoothing but
     stops at the first checkpoint whose measured duality gap is below
     epsilon (the schedule length is a hard cap, so termination is
-    guaranteed).  With a cost constraint, the unconstrained problem is first
-    solved to estimate the largest useful budget; budgets at or above it
-    (minus a guard band) drop the constraint, smaller ones are enforced with
-    equality.
+    guaranteed).  With a cost constraint whose budget is below the largest
+    cost, the unconstrained capacity-achieving input is first estimated by
+    Blahut-Arimoto, stopped at a certified gap of _SMAX_SOLVE_EPS; its cost
+    is the largest useful budget S_max.  Budgets within S_MAX_GUARD below
+    it, or above it, drop the constraint, unless the unconstrained p_hat
+    then spends more than the budget; every other budget is enforced with
+    equality (report.constrained is True).
     """
     if stopping not in ("apriori", "aposteriori"):
         raise ValueError(f"unknown stopping mode {stopping!r}")
@@ -546,12 +551,17 @@ def solve_capacity(W: ChannelMatrix,
                 f"budget {cost.budget!r} below minimum attainable cost {float(s.min())!r}"
             )
         if cost.budget < float(s.max()):
-            pre = _solve_core(W, None, _SMAX_SOLVE_EPS, "aposteriori", None, None)
-            s_max_est = float(s @ pre.p_hat.weights)
+            pre = ba_solve(W, _SMAX_SOLVE_EPS, stopping="aposteriori")
+            s_max_est = float(s @ pre.p.weights)
             if cost.budget < s_max_est - S_MAX_GUARD:
                 active_cost = cost
 
     report = _solve_core(W, active_cost, epsilon, stopping, progress, checkpoint_every)
+    if s_max_est is not None and active_cost is None \
+            and float(s @ report.p_hat.weights) > cost.budget:
+        # The budget sits in the guard band and the unconstrained input
+        # overspends it: enforce the constraint after all.
+        report = _solve_core(W, cost, epsilon, stopping, progress, checkpoint_every)
     report.wall_time = time.perf_counter() - t0
     report.s_max_estimate = s_max_est
     return report

@@ -56,3 +56,59 @@ def test_agrees_with_dual_solver():
 def test_tolerates_zero_entries():
     rep = cb.ba_solve(cb.make_bec(0.25), epsilon=1e-3)
     assert abs(rep.c_lb - 0.75) <= 1e-3
+
+
+def test_aposteriori_certifies_gap():
+    # the first 12 criterion-3 channels
+    rng = np.random.default_rng(100)
+    eps = 1e-3
+    for _ in range(12):
+        n = int(rng.integers(2, 65))
+        m = int(rng.integers(2, 65))
+        W = cb.make_random(n, m, seed=int(rng.integers(0, 1 << 30)))
+        ba = cb.ba_solve(W, epsilon=eps, stopping="aposteriori")
+        assert ba.c_ub - ba.c_lb <= eps
+        assert ba.iterations <= cb.ba_iterations(n, eps)
+        dual = cb.solve_capacity(W, epsilon=eps)
+        assert max(ba.c_lb, dual.c_lb) <= min(ba.c_ub, dual.c_ub) + 1e-9
+
+
+def test_default_is_apriori_bit_for_bit():
+    W = cb.make_random(20, 9, seed=4)
+    default = cb.ba_solve(W, epsilon=0.01)
+    explicit = cb.ba_solve(W, epsilon=0.01, stopping="apriori")
+    assert default.iterations == explicit.iterations == cb.ba_iterations(20, 0.01)
+    for field in ("c_lb", "c_ub", "apriori_err"):
+        assert getattr(default, field) == getattr(explicit, field)
+    assert default.p.weights.tobytes() == explicit.p.weights.tobytes()
+
+
+def test_apriori_upper_bound_contains_capacity():
+    rep = cb.ba_solve(cb.make_bsc(0.1), epsilon=1e-2)
+    truth = 1.0 - binary_entropy(0.1)
+    assert rep.c_lb - 1e-12 <= truth <= rep.c_ub + 1e-12
+
+
+def test_uniform_optimal_stops_at_zero_iterations():
+    rep = cb.ba_solve(cb.make_bsc(0.1), epsilon=1e-6, stopping="aposteriori")
+    assert rep.iterations == 0
+    assert math.isfinite(rep.apriori_err)
+    assert rep.c_ub - rep.c_lb <= 1e-6
+
+
+def test_unknown_stopping_mode():
+    with pytest.raises(ValueError):
+        cb.ba_solve(cb.make_bsc(0.1), epsilon=1e-2, stopping="never")
+
+
+def test_upper_bound_survives_underflowed_output():
+    # Output 2 is reached only from input 2, whose weight BA drives below
+    # the float range, so q_2 = 0 and D(W_2 || q) is infinite as computed.
+    d = 5e-4
+    W = cb.ChannelMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                          [(1 - d) / 2, (1 - d) / 2, d]])
+    rep = cb.ba_solve(W, epsilon=1e-3)
+    assert (W.entries.T @ rep.p.weights)[2] == 0.0
+    # the capacity exceeds 1 bit by far less than 1e-300
+    assert rep.c_lb - 1e-12 <= 1.0 <= rep.c_ub + 1e-12
+    assert rep.c_ub - rep.c_lb <= 1e-9

@@ -158,3 +158,33 @@ class TestProgressStream:
         fields = rows[0].split("\t")
         assert len(fields) == 4
         int(fields[0]); [float(v) for v in fields[1:]]
+
+
+class TestBlahutArimotoUpperBound:
+    def test_compare_ba_row_upper_bound(self, capsys):
+        code, out, _ = run_cli(capsys, ["compare", "random:12,6,2", "--eps", "1e-3", "--quiet"])
+        assert code == 0
+        rows = out.splitlines()
+        dual_lb = float(rows[1].split()[1])
+        ba_lb, ba_ub = float(rows[2].split()[1]), float(rows[2].split()[2])
+        assert ba_ub >= dual_lb - 1e-6
+        assert ba_ub >= ba_lb
+
+    def test_compare_json_has_ba_upper_bound(self, capsys, tmp_path):
+        out_path = tmp_path / "cmp.json"
+        code, _, _ = run_cli(capsys, ["compare", "bsc:0.1", "--eps", "1e-2",
+                                      "--quiet", "--out", str(out_path)])
+        assert code == 0
+        ba = json.loads(out_path.read_text())["ba"]
+        assert ba["c_lb"] <= ba["c_ub"] + 1e-9
+
+    def test_solve_ba_prints_upper_bound(self, capsys, tmp_path):
+        out_path = tmp_path / "ba.json"
+        code, out, _ = run_cli(capsys, ["solve-ba", "bsc:0.1", "--eps", "1e-3",
+                                        "--quiet", "--out", str(out_path)])
+        assert code == 0
+        truth = 1.0 + 0.1 * math.log2(0.1) + 0.9 * math.log2(0.9)
+        assert float(grab(out, "c_lb")) <= truth + 1e-6
+        assert float(grab(out, "c_ub")) >= truth - 1e-6
+        payload = json.loads(out_path.read_text())
+        assert payload["c_lb"] - 1e-12 <= truth <= payload["c_ub"] + 1e-12

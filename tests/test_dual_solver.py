@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
+from scipy.special import rel_entr
 
 import capbound as cb
 from capbound.dual_solver import (
+    S_MAX_GUARD,
     _eval_F_direct,
     _eval_G_nu_direct,
     apriori_error_bound,
@@ -361,3 +363,42 @@ class TestSolveCapacity:
         w = rep.p_hat.weights
         assert np.all(w >= 0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _binary_input_optimum(W):
+    """p_1 of the capacity-achieving input of a 2-input channel (brentq)."""
+    E = W.entries
+
+    def divergence_gap(t):
+        q = E.T @ np.array([1.0 - t, t])
+        return rel_entr(E[1], q).sum() - rel_entr(E[0], q).sum()
+
+    return brentq(divergence_gap, 1e-12, 1.0 - 1e-12, xtol=1e-15)
+
+
+class TestSMaxPreSolve:
+    @pytest.mark.parametrize("spec", [(2, 2, 32), (2, 5, 2), (2, 3, 4), (2, 8, 0)])
+    def test_estimate_accuracy(self, spec):
+        W = cb.make_random(*spec)
+        rep = cb.solve_capacity(W, cost=cb.CostConstraint(np.array([0.0, 1.0]), 0.999),
+                                epsilon=1e-2)
+        assert abs(rep.s_max_estimate - _binary_input_optimum(W)) <= S_MAX_GUARD / 4
+
+    @pytest.mark.parametrize("d", [-2e-4, -1e-4, -5e-5, 0.0, 5e-5])
+    def test_guard_band_budget_is_met(self, d):
+        W = cb.make_random(2, 2, seed=32)
+        s = np.array([0.0, 1.0])
+        s_max = cb.solve_capacity(W, cost=cb.CostConstraint(s, 0.999),
+                                  epsilon=1e-2).s_max_estimate
+        budget = s_max + d
+        rep = cb.solve_capacity(W, cost=cb.CostConstraint(s, budget), epsilon=1e-2)
+        assert s @ rep.p_hat.weights <= budget + 1e-9
+        assert rep.c_lb <= rep.c_ub
+
+    def test_single_output_channel(self):
+        W = cb.ChannelMatrix(np.ones((3, 1)))
+        s = np.array([0.0, 1.0, 2.0])
+        rep = cb.solve_capacity(W, cost=cb.CostConstraint(s, 1.5), epsilon=1e-2)
+        assert rep.s_max_estimate == pytest.approx(1.0, abs=1e-15)
+        assert not rep.constrained
+        assert rep.c_lb == rep.c_ub == 0.0

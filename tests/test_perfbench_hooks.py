@@ -7,6 +7,8 @@ a rename in capbound would otherwise only show up as missing trace metrics.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import capbound as cb
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -37,3 +39,26 @@ def test_tracer_targets_resolve_and_count():
                 "continuous.iterations"):
         assert metrics[key] > 0, key
     assert not hasattr(cb.solve_capacity, "__wrapped__")
+
+
+def test_smax_presolve_is_a_ba_span():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cb.solve_capacity(cb.make_random(2, 2, seed=32),
+                          cost=cb.CostConstraint(np.array([0.0, 1.0]), 0.25),
+                          epsilon=1e-2)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[s[0]] for s in tracer.spans]
+
+    def children(layer):
+        return [names[s[3]] for sid, s in enumerate(tracer.spans)
+                if names[sid] == layer and s[3] >= 0]
+
+    assert names.count("dual_solver.solve_capacity") == 1
+    assert children("blahut_arimoto.ba_solve") == ["dual_solver.solve_capacity"]
+    assert names.count("blahut_arimoto.ba_solve") == 1
+    assert children("dual_solver.solve_core") == ["dual_solver.solve_capacity"]
+    assert names.count("dual_solver.solve_core") == 1
