@@ -31,9 +31,9 @@ from .errors import require_sandwich
 from .info_theory import LN2, ChannelMatrix, ProbVector, _entropy_bits
 
 
-# Output probability standing in for an underflowed q_j in the upper bound.
-_Q_FLOOR = 1e-300
-_LOG_Q_FLOOR = math.log(_Q_FLOOR)
+# Log of the output probability (1e-300) standing in for an underflowed q_j
+# in the upper bound.
+_LOG_Q_FLOOR = math.log(1e-300)
 
 
 @dataclass
@@ -100,7 +100,7 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
                 # Every p_i feeding a reachable output underflowed, so q_j = 0
                 # there and the dropped terms W_ij ln(W_ij / q_j) are infinite.
                 # Arimoto's bound holds for any output law: raise those q_j
-                # to _Q_FLOOR, which adds less than M * _Q_FLOOR of mass.
+                # to 1e-300, which adds less than M * 1e-300 of mass.
                 bound = row_neg_ent - Wm @ np.where(reachable & ~nz, _LOG_Q_FLOOR, logq)
             c_ub = float(bound.max()) / LN2
             if it == n or c_ub - c_lb <= epsilon:

@@ -83,12 +83,6 @@ def test_default_is_apriori_bit_for_bit():
     assert default.p.weights.tobytes() == explicit.p.weights.tobytes()
 
 
-def test_apriori_upper_bound_contains_capacity():
-    rep = cb.ba_solve(cb.make_bsc(0.1), epsilon=1e-2)
-    truth = 1.0 - binary_entropy(0.1)
-    assert rep.c_lb - 1e-12 <= truth <= rep.c_ub + 1e-12
-
-
 def test_uniform_optimal_stops_at_zero_iterations():
     rep = cb.ba_solve(cb.make_bsc(0.1), epsilon=1e-6, stopping="aposteriori")
     assert rep.iterations == 0
