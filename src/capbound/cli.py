@@ -95,6 +95,7 @@ def _solve_report_payload(rep) -> dict:
         "nu": rep.nu,
         "constrained": rep.constrained,
         "s_max_estimate": rep.s_max_estimate,
+        "stop_reason": rep.stop_reason,
         "p_hat": rep.p_hat.weights.tolist(),
         "lambda_hat": rep.lambda_hat.values.tolist(),
         "wall_time": rep.wall_time,

@@ -416,8 +416,8 @@ def eval_G_nu_continuous(lam, trunc: TruncatedChannel, nu: float,
     if nu <= 0:
         raise ValueError("nu must be positive")
     lam = np.asarray(lam, dtype=float)
-    lse, grad, mass = _smoothed_input_term(trunc.kernel_nodes, trunc.r_nodes, lam, nu,
-                                           np.log(trunc.weights), *_node_cost(trunc, cost))
+    lse, grad, mass, _ = _smoothed_input_term(trunc.kernel_nodes, trunc.r_nodes, lam, nu,
+                                              np.log(trunc.weights), *_node_cost(trunc, cost))
     if verify_quadrature and not _converged_truncation(trunc, nu, cost, lam)[1]:
         raise QuadratureNotConverged(
             "integral moved more than 1e-9 * (1 + |value|) after 4 node doublings"
@@ -528,18 +528,18 @@ class PoissonReport:
 
 def _solve_truncated(trunc: TruncatedChannel, nu: float, n: int,
                      cost: Optional[ContinuousCost],
-                     progress=None, checkpoint_every: Optional[int] = None
-                     ) -> tuple[np.ndarray, float]:
+                     progress=None) -> tuple[np.ndarray, float]:
     """Fast-gradient solve of the smoothed dual on the quadrature grid.
 
-    Runs n + 1 steps and returns (lambda_hat, I(p_hat)).  Checkpoint upper
-    bounds use the vertex maximum of f_lambda over the nodes, with or without
-    a cost constraint.
+    Runs n + 1 steps and returns (lambda_hat, I(p_hat)).  A ``progress``
+    callback gets the certificate on the default checkpoint ladder; its
+    upper bounds use the vertex maximum of f_lambda over the nodes, with or
+    without a cost constraint.
     """
     _, lam_hat, _, mutual, _ = _fast_gradient(
         trunc.kernel_nodes, trunc.r_nodes, np.log(trunc.weights),
         ball_radius(trunc.M, trunc.gamma_M), nu, n, *_node_cost(trunc, cost),
-        lambda lam: float(trunc.f_values(lam).max()), None, progress, checkpoint_every,
+        lambda lam: float(trunc.f_values(lam).max()), None, progress, None,
     )
     return lam_hat, mutual
 

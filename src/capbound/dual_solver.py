@@ -65,6 +65,18 @@ _SMAX_SOLVE_EPS = 1e-6
 
 _MU_NEWTON_MAX_ITER = 200
 
+# Default checkpoint ladder of the fast-gradient loop: the certificate is
+# evaluated after 10 steps, then whenever the step count reaches
+# ceil(1.25 * the previous one), so a run that hits its cap checks about
+# 4.5*ln(n/10) times.
+_LADDER_FIRST = 10
+_LADDER_GROWTH = 1.25
+
+# Why a solve stopped: a checkpoint's certified gap reached epsilon, an a
+# priori run completed its iteration count, or an a posteriori run reached
+# that count, its cap, before any earlier checkpoint met epsilon.
+STOP_REASONS = ("gap<=eps", "apriori_n", "cap")
+
 
 # ---------------------------------------------------------------------------
 # Dual domain
@@ -160,16 +172,18 @@ def _eval_F_direct(lam) -> tuple[float, np.ndarray]:
 def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: float,
                          logw: Optional[np.ndarray] = None,
                          s: Optional[np.ndarray] = None,
-                         budget: Optional[float] = None
-                         ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Smoothed input term over inputs with log-weights: (Phi, K^T mass, mass).
+                         budget: Optional[float] = None,
+                         m2: float = 0.0
+                         ) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Smoothed input term over inputs with log-weights: (Phi, K^T mass, mass, m2).
 
     Input k carries the log-mass (K lambda - r)_k ln2/nu + logw_k (logw is 0
     for a discrete channel and the log quadrature weight on a grid).  The
     masses are their softmax, tilted by the cost multiplier m2 when ``s`` is
     given so that s . mass = budget, and
     Phi = log sum_k exp(logmass_k + m2*(s_k - budget)) (m2 = 0 without a
-    cost), so G_nu = nu*Phi/ln2 - nu*log2(total weight).
+    cost), so G_nu = nu*Phi/ln2 - nu*log2(total weight).  The multiplier
+    solve brackets from the given ``m2``; the solved m2 is returned.
     """
     logmass = (K @ lam - r) * (LN2 / nu)
     if logw is not None:
@@ -177,9 +191,9 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
     if s is None:
         lse, mass = _softmax(logmass)
     else:
-        m1, m2, mass = _max_entropy_multipliers(logmass, s, budget)
+        m1, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2)
         lse = -(m1 + m2 * budget)
-    return lse, K.T @ mass, mass
+    return lse, K.T @ mass, mass, m2
 
 
 def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
@@ -191,7 +205,7 @@ def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    lse, grad, p = _smoothed_input_term(W.entries, W.r, _as_values(lam), nu)
+    lse, grad, p, _ = _smoothed_input_term(W.entries, W.r, _as_values(lam), nu)
     return float(nu * lse / LN2 - nu * math.log2(W.rows)), grad, ProbVector(p)
 
 
@@ -215,8 +229,8 @@ class MuPair:
     mu2: float
 
 
-def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float
-                             ) -> tuple[float, float, np.ndarray]:
+def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
+                             start: float = 0.0) -> tuple[float, float, np.ndarray]:
     """Newton solve for the multipliers of the tilted max-entropy problem.
 
     Maximizes  m1 + budget*m2 - sum_k exp(m1 + logmass_k + m2*s_k)  over
@@ -226,7 +240,9 @@ def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float
     is a log-sum-exp), leaving a 1-D strictly concave problem in m2 whose
     stationarity is the cost constraint; that is solved by bracketed Newton
     with bisection fallback, so convergence does not depend on the size of
-    the tilts (exponent ranges of ~1e3 occur routinely for small nu).
+    the tilts (exponent ranges of ~1e3 occur routinely for small nu).  The
+    bracket grows from ``start`` by doubling steps, so a start near the root
+    (the previous fast-gradient step's m2) saves most of the expansion.
     Natural-log multipliers and the masses are returned; a quadrature weight
     w_k enters as log(w_k) in ``logmass``.
     """
@@ -249,8 +265,8 @@ def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float
         return mean, var, lognorm, mass
 
     # Bracket the root of  mean_cost(m2) = budget  (strictly increasing).
-    lo = hi = 0.0
-    mean0, _, _, _ = moments(0.0)
+    lo = hi = start
+    mean0, _, _, _ = moments(start)
     step = 1.0
     if mean0 > budget:
         while True:
@@ -315,8 +331,8 @@ def eval_G_nu_constrained(lam, W: ChannelMatrix, nu: float, cost: CostConstraint
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
-    lse, grad, p = _smoothed_input_term(W.entries, W.r, _as_values(lam), nu,
-                                        s=cost.costs, budget=cost.budget)
+    lse, grad, p, _ = _smoothed_input_term(W.entries, W.r, _as_values(lam), nu,
+                                           s=cost.costs, budget=cost.budget)
     return float(nu * lse / LN2 - nu * math.log2(W.rows)), grad, ProbVector(p)
 
 
@@ -447,25 +463,31 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
 
     Runs steps k = 0..n on F + G_nu (see ``_smoothed_input_term``) and
     averages the input masses with weights k+1.  The certificate
-    I(mass_hat) <= C <= F(y) + exact_G(y) is evaluated every
-    ``checkpoint_every`` steps (default max(100, n/100)) when a ``target``
-    gap or a ``progress`` callback is given, and always at step n; the run
-    stops at step n or at the first checkpoint whose gap is at most
-    ``target``.  Returns (k, y, mass_hat, c_lb, c_ub) at the last checkpoint.
+    I(mass_hat) <= C <= F(y) + exact_G(y) is evaluated when a ``target`` gap
+    or a ``progress`` callback is given, after every ``checkpoint_every``
+    steps or, by default, on the geometric ladder of ``_LADDER_FIRST`` and
+    ``_LADDER_GROWTH``, and always at step n.  Every checkpoint is a full
+    certificate, so the run stops at step n or at the first checkpoint whose
+    gap is at most ``target``.  With a cost, each step's multiplier solve
+    starts from the previous step's m2.  Returns (k, y, mass_hat, c_lb,
+    c_ub) at the last checkpoint.
     """
     state = FastGradientState(K.shape[1], radius, 1.0 + 1.0 / nu)
     acc = np.zeros(K.shape[0])
-    ell = checkpoint_every if checkpoint_every else max(100, round(n / 100))
     watch = target is not None or progress is not None
+    due = _LADDER_FIRST if checkpoint_every is None else checkpoint_every
+    m2 = 0.0
     x = state.x
     for k in range(n + 1):
-        _, gG, mass = _smoothed_input_term(K, r, x, nu, logw, s, budget)
+        _, gG, mass, m2 = _smoothed_input_term(K, r, x, nu, logw, s, budget, m2)
         _, pF = _softmax(-x * LN2)
         acc += (k + 1) * mass
         y = state.step(gG - pF)
         x = state.x
 
-        if k == n or (watch and (k + 1) % ell == 0):
+        if k == n or (watch and k + 1 == due):
+            due = (due + checkpoint_every if checkpoint_every is not None
+                   else math.ceil(_LADDER_GROWTH * due))
             mass_hat = acc * (2.0 / ((k + 1) * (k + 2)))
             q_hat = K.T @ mass_hat
             c_lb = float(-(r @ mass_hat) + _entropy_bits(q_hat))
@@ -497,9 +519,12 @@ class SolveReport:
     nu: float
     constrained: bool = False
     s_max_estimate: Optional[float] = None
+    stop_reason: str = "gap<=eps"
 
     def __post_init__(self):
         require_sandwich(self.c_lb, self.c_ub, "SolveReport")
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
         if not self.aposteriori_err >= -1e-9:
             raise CertificateViolated(
                 f"SolveReport: negative a posteriori gap {self.aposteriori_err!r}"
@@ -528,11 +553,19 @@ def solve_capacity(W: ChannelMatrix,
     it, or above it, drop the constraint, unless the unconstrained p_hat
     then spends more than the budget; every other budget is enforced with
     equality (report.constrained is True).
+
+    The certificate is checked on a geometric ladder of step counts (10, 13,
+    17, 22, ..., each ceil(1.25 * the previous)) or, when
+    ``checkpoint_every`` is given, every that many steps; an a priori solve
+    without a progress callback checks only at its last step.
+    report.stop_reason says why the run stopped (see STOP_REASONS).
     """
     if stopping not in ("apriori", "aposteriori"):
         raise ValueError(f"unknown stopping mode {stopping!r}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be at least 1")
     if W.gamma <= 0.0:
         raise AssumptionViolated(
             "Assumption 1 violated: channel matrix has zero entries (gamma = 0); "
@@ -582,7 +615,7 @@ def _solve_core(W: ChannelMatrix,
         lam = DualPoint(np.zeros(M), 0.0)
         return SolveReport(0.0, 0.0, 0.0, 0.0, 0, p, lam,
                            time.perf_counter() - t0, nu=math.inf,
-                           constrained=False)
+                           constrained=False, stop_reason="gap<=eps")
 
     radius = dual_radius(W)
     d1, d2 = smoothing_constants(W)
@@ -600,6 +633,10 @@ def _solve_core(W: ChannelMatrix,
         epsilon if stopping == "aposteriori" else None, progress, checkpoint_every,
     )
     apriori = nu * d2 + 4.0 * d1 * (1.0 + 1.0 / nu) / (k + 1) ** 2
+    if stopping == "apriori":
+        stop_reason = "apriori_n"
+    else:
+        stop_reason = "gap<=eps" if k < n_eps else "cap"
     return SolveReport(
         c_lb=c_lb,
         c_ub=c_ub,
@@ -611,5 +648,6 @@ def _solve_core(W: ChannelMatrix,
         wall_time=time.perf_counter() - t0,
         nu=nu,
         constrained=cost is not None,
+        stop_reason=stop_reason,
     )
 

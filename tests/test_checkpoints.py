@@ -1,0 +1,146 @@
+"""Checkpoint ladder, stop reasons and the warm-started multiplier solve."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import capbound as cb
+from capbound import dual_solver
+from capbound.dual_solver import _max_entropy_multipliers, scheduled_iterations
+from capbound.errors import Infeasible
+
+
+def _ladder(n):
+    """Progress k values of the default ladder on a run of n + 1 steps."""
+    ks, due = [], 10
+    while due - 1 < n:
+        ks.append(due - 1)
+        due = math.ceil(1.25 * due)
+    return ks + [n]
+
+
+class TestCheckpointLadder:
+    def test_progress_follows_ladder(self):
+        W = cb.make_random(16, 8, seed=26)
+        seen = []
+        rep = cb.solve_capacity(W, epsilon=0.01, stopping="apriori",
+                                progress=lambda k, lb, ub, gap: seen.append(k))
+        n = scheduled_iterations(0.01, *cb.smoothing_constants(W))
+        assert rep.iterations == n
+        assert seen[:4] == [9, 12, 16, 21]
+        assert seen == _ladder(n)
+
+    def test_fixed_spacing_kept(self):
+        W = cb.make_random(16, 8, seed=26)
+        seen = []
+        rep = cb.solve_capacity(W, epsilon=0.01, stopping="apriori",
+                                progress=lambda k, lb, ub, gap: seen.append(k),
+                                checkpoint_every=200)
+        n = rep.iterations
+        assert seen == list(range(199, n, 200)) + [n]
+
+    def test_apriori_without_callback_checks_once(self, monkeypatch):
+        calls = []
+        original = dual_solver.exact_G_unconstrained
+
+        def counting(lam, W):
+            calls.append(1)
+            return original(lam, W)
+
+        monkeypatch.setattr(dual_solver, "exact_G_unconstrained", counting)
+        rep = cb.solve_capacity(cb.make_random(16, 8, seed=26), epsilon=0.01,
+                                stopping="apriori")
+        assert len(calls) == 1
+        assert rep.iterations > 100
+
+    @pytest.mark.parametrize("bad", [0, -1, -200])
+    def test_checkpoint_every_below_one_rejected(self, bad):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            cb.solve_capacity(cb.make_bsc(0.1), epsilon=1e-2, checkpoint_every=bad)
+
+
+class TestStopReason:
+    def test_gap_reached(self):
+        W = cb.make_random(16, 8, seed=26)
+        rep = cb.solve_capacity(W, epsilon=0.01)
+        assert rep.stop_reason == "gap<=eps"
+        assert rep.aposteriori_err <= 0.01
+        assert rep.iterations < scheduled_iterations(0.01, *cb.smoothing_constants(W))
+
+    def test_apriori_count(self):
+        rep = cb.solve_capacity(cb.make_random(6, 4, seed=3), epsilon=0.05,
+                                stopping="apriori")
+        assert rep.stop_reason == "apriori_n"
+
+    def test_aposteriori_cap(self):
+        # With checkpoints spaced wider than the schedule, the only check is
+        # at the last scheduled step, the cap of an a posteriori run.
+        W = cb.make_random(3, 3, seed=5)
+        n = scheduled_iterations(1e-3, *cb.smoothing_constants(W))
+        rep = cb.solve_capacity(W, epsilon=1e-3, checkpoint_every=n + 1)
+        assert rep.stop_reason == "cap"
+        assert rep.iterations == n
+        assert rep.aposteriori_err <= 1e-3
+
+    def test_degenerate_alphabet(self):
+        rep = cb.solve_capacity(cb.ChannelMatrix([[0.3, 0.7]]), epsilon=1e-3)
+        assert rep.stop_reason == "gap<=eps"
+
+    def test_unknown_reason_rejected(self):
+        with pytest.raises(ValueError, match="stop reason"):
+            cb.SolveReport(c_lb=0.0, c_ub=0.0, apriori_err=0.0, aposteriori_err=0.0,
+                           iterations=0, p_hat=cb.ProbVector.uniform(2),
+                           lambda_hat=dual_solver.DualPoint(np.zeros(2), 1.0),
+                           wall_time=0.0, nu=1.0, stop_reason="tired")
+
+
+class TestWarmStartMultipliers:
+    def _problem(self):
+        rng = np.random.default_rng(41)
+        logmass = rng.normal(scale=300.0, size=7)
+        s = np.array([0.0, 0.3, 0.9, 1.4, 2.0, 3.0, 3.5])
+        return logmass, s, 1.1
+
+    def test_starts_meet_budget(self):
+        logmass, s, budget = self._problem()
+        _, m2_star, _ = _max_entropy_multipliers(logmass, s, budget)
+        tol = 100 * 1e-11 * max(1.0, budget)
+        for delta in (0.0, 1.0, -1.0, 1e3, -1e3):
+            m1, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2_star + delta)
+            assert mass.sum() == pytest.approx(1.0, abs=1e-12)
+            assert abs(s @ mass - budget) <= tol
+            assert m2 == pytest.approx(m2_star, rel=1e-6, abs=1e-6)
+
+    def test_infeasible_with_start(self):
+        logmass, s, _ = self._problem()
+        with pytest.raises(Infeasible):
+            _max_entropy_multipliers(logmass, s, -0.5, 12.0)
+
+    def test_constrained_solve_meets_budget(self):
+        W = cb.make_random(2, 2, 32)
+        cost = cb.CostConstraint(np.array([0.0, 1.0]), 0.25)
+        rep = cb.solve_capacity(W, cost=cost, epsilon=1e-4)
+        assert rep.constrained and rep.stop_reason == "gap<=eps"
+        assert rep.aposteriori_err <= 1e-4
+        assert abs(cost.costs @ rep.p_hat.weights - cost.budget) <= 1e-9
+
+
+@st.composite
+def positive_channels(draw):
+    n, m = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    rows = draw(st.lists(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    V = np.array(rows)
+    return cb.ChannelMatrix(V / V.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(W=positive_channels(), eps=st.sampled_from([1e-2, 1e-3]))
+def test_aposteriori_gap_and_ba_intersection(W, eps):
+    dual = cb.solve_capacity(W, epsilon=eps)
+    assert dual.aposteriori_err <= eps
+    ba = cb.ba_solve(W, eps, stopping="aposteriori")
+    assert max(dual.c_lb, ba.c_lb) <= min(dual.c_ub, ba.c_ub) + 1e-9

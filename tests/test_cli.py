@@ -188,3 +188,35 @@ class TestBlahutArimotoUpperBound:
         assert float(grab(out, "c_ub")) >= truth - 1e-6
         payload = json.loads(out_path.read_text())
         assert payload["c_lb"] - 1e-12 <= truth <= payload["c_ub"] + 1e-12
+
+
+class TestStopReasonJson:
+    def test_solve_dmc(self, capsys, tmp_path):
+        out_path = tmp_path / "rep.json"
+        code, _, _ = run_cli(capsys, ["solve-dmc", "bsc:0.1", "--eps", "1e-2",
+                                      "--quiet", "--out", str(out_path)])
+        assert code == 0
+        assert json.loads(out_path.read_text())["stop_reason"] == "gap<=eps"
+
+    def test_solve_dmc_apriori(self, capsys, tmp_path):
+        out_path = tmp_path / "rep.json"
+        code, _, _ = run_cli(capsys, ["solve-dmc", "bsc:0.1", "--eps", "1e-2",
+                                      "--stopping", "apriori", "--quiet",
+                                      "--out", str(out_path)])
+        assert code == 0
+        assert json.loads(out_path.read_text())["stop_reason"] == "apriori_n"
+
+    def test_compare(self, capsys, tmp_path):
+        out_path = tmp_path / "cmp.json"
+        code, _, _ = run_cli(capsys, ["compare", "bsc:0.1", "--eps", "1e-2",
+                                      "--quiet", "--out", str(out_path)])
+        assert code == 0
+        assert json.loads(out_path.read_text())["dual"]["stop_reason"] == "gap<=eps"
+
+    def test_perturb_solve(self, capsys, tmp_path):
+        out_path = tmp_path / "pert.json"
+        code, out, _ = run_cli(capsys, ["perturb-solve", "bec:0.4", "--eps", "0.05",
+                                        "--quiet", "--out", str(out_path)])
+        assert code == 0
+        assert json.loads(out_path.read_text())["stop_reason"] == "apriori_n"
+        assert "stop_reason" not in out
