@@ -59,13 +59,11 @@ from .errors import (
     InvalidOrder,
     NeedLargerM,
     NewtonStall,
-    QuadratureNotConverged,
     TailNotComputable,
 )
 from .info_theory import (
     ChannelMatrix,
     CostConstraint,
-    DiffNormResult,
     ProbVector,
     channel_diff_norm,
     continuity_capacity_bound,

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,8 +55,7 @@ def ba_iterations(N: int, epsilon: float) -> int:
     return max(1, math.ceil(math.log2(N) / epsilon))
 
 
-def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
-             on_iterate: Optional[Callable[[int, float], None]] = None) -> BAReport:
+def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori") -> BAReport:
     """Blahut-Arimoto capacity sandwich I(p) <= C <= max_i D(W(.|i) || W^T p).
 
     stopping="apriori" runs exactly ba_iterations(N, epsilon) updates, after
@@ -107,10 +105,6 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
                 break
         logp = logp + div
         logp -= logp.max()
-        if on_iterate is not None:
-            pe = np.exp(logp)
-            pe /= pe.sum()
-            on_iterate(it, float(-(W.r @ pe) + _entropy_bits(Wm.T @ pe)))
         it += 1
 
     return BAReport(

@@ -21,7 +21,6 @@ from .errors import InvalidChannel, require_sandwich
 from .info_theory import (
     ChannelMatrix,
     CostConstraint,
-    DiffNormResult,
     channel_diff_norm,
     continuity_capacity_bound,
 )
@@ -101,7 +100,6 @@ class PerturbedSolve:
 
     epsilon_perturb: float
     delta_norm_ub: float
-    delta_norm_estimate: float
     correction: float
     inner: SolveReport
     c_lb: float
@@ -123,17 +121,13 @@ def solve_with_perturbation(W: ChannelMatrix, eps: float, epsilon: float,
     gamma > 0 get a zero correction and reduce to a plain solve.
     """
     W2 = perturb_channel(W, eps)
-    if W2 is W:
-        diff = DiffNormResult(0.0, 0.0, "zero-difference")
-    else:
-        diff = channel_diff_norm(W, W2)
-    correction = continuity_capacity_bound(diff.upper_bound, W.rows, W.cols)
+    delta = channel_diff_norm(W, W2)
+    correction = continuity_capacity_bound(delta, W.rows, W.cols)
     inner = solve_capacity(W2, cost=cost, epsilon=epsilon, stopping=stopping,
                            progress=progress)
     return PerturbedSolve(
         epsilon_perturb=eps,
-        delta_norm_ub=diff.upper_bound,
-        delta_norm_estimate=diff.lower_estimate,
+        delta_norm_ub=delta,
         correction=correction,
         inner=inner,
         c_lb=inner.c_lb - correction,

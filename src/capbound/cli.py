@@ -45,6 +45,16 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _positive_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return x
+
+
 def _load_cost(path: str, budget: float) -> CostConstraint:
     try:
         with open(path) as fh:
@@ -56,6 +66,12 @@ def _load_cost(path: str, budget: float) -> CostConstraint:
     except (OSError, ValueError) as exc:
         raise InvalidChannel(f"bad cost file {path!r}: {exc}") from exc
     return CostConstraint(costs=np.asarray(vals, dtype=float), budget=budget)
+
+
+def _cost_from_args(args) -> Optional[CostConstraint]:
+    if (args.cost is None) != (args.budget is None):
+        raise _ParseError("--cost and --budget must be given together")
+    return None if args.cost is None else _load_cost(args.cost, args.budget)
 
 
 def _resolve_channel(spec: str, seed: Optional[int]):
@@ -103,8 +119,8 @@ def _solve_report_payload(rep) -> dict:
 
 
 def _cmd_solve_dmc(args) -> int:
+    cost = _cost_from_args(args)
     W = _resolve_channel(args.channel, args.seed)
-    cost = _load_cost(args.cost, args.budget) if args.cost else None
     rep = solve_capacity(W, cost=cost, epsilon=args.eps, stopping=args.stopping,
                          progress=_progress_printer(args.quiet))
     _report_lines([
@@ -176,8 +192,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_perturb_solve(args) -> int:
+    cost = _cost_from_args(args)
     W = _resolve_channel(args.channel, args.seed)
-    cost = _load_cost(args.cost, args.budget) if args.cost else None
     res = solve_with_perturbation(W, args.perturb, args.eps, cost=cost,
                                   stopping=args.stopping,
                                   progress=_progress_printer(args.quiet))
@@ -185,7 +201,6 @@ def _cmd_perturb_solve(args) -> int:
         ("channel", args.channel),
         ("perturbation", _fmt(res.epsilon_perturb)),
         ("delta_norm_ub", _fmt(res.delta_norm_ub)),
-        ("delta_norm_estimate", _fmt(res.delta_norm_estimate)),
         ("correction", _fmt(res.correction)),
         ("c_lb", _fmt(res.c_lb)),
         ("c_ub", _fmt(res.c_ub)),
@@ -200,7 +215,6 @@ def _cmd_perturb_solve(args) -> int:
         payload.update({
             "perturbation": res.epsilon_perturb,
             "delta_norm_ub": res.delta_norm_ub,
-            "delta_norm_estimate": res.delta_norm_estimate,
             "correction": res.correction,
             "c_lb": res.c_lb,
             "c_ub": res.c_ub,
@@ -302,7 +316,7 @@ def _cmd_poisson_sweep(args) -> int:
 def _add_common(p: argparse.ArgumentParser, stopping: bool = True,
                 eps_default=1e-3, eps_help="target accuracy in bits (default 1e-3)"
                 ) -> None:
-    p.add_argument("--eps", type=float, default=eps_default, help=eps_help)
+    p.add_argument("--eps", type=_positive_float, default=eps_default, help=eps_help)
     if stopping:
         p.add_argument("--stopping", choices=["apriori", "aposteriori"],
                        default="aposteriori")
@@ -340,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve a channel with zero entries via perturbation")
     p.add_argument("channel")
     _add_common(p)
-    p.add_argument("--perturb", type=float, default=1e-6,
+    p.add_argument("--perturb", type=_positive_float, default=1e-6,
                    help="value replacing zero entries (default 1e-6)")
     p.add_argument("--cost", help="file of per-input costs")
     p.add_argument("--budget", type=float, default=None, help="cost budget S")
@@ -383,15 +397,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
-    except _ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InvalidChannel as exc:
+    except (_ParseError, InvalidChannel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:

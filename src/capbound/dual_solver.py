@@ -457,25 +457,23 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
                    s: Optional[np.ndarray], budget: Optional[float],
                    exact_G: Callable[[np.ndarray], float],
                    target: Optional[float],
-                   progress: Optional[ProgressFn],
-                   checkpoint_every: Optional[int]):
+                   progress: Optional[ProgressFn]):
     """Fast-gradient solve of the smoothed dual over inputs with log-weights.
 
     Runs steps k = 0..n on F + G_nu (see ``_smoothed_input_term``) and
     averages the input masses with weights k+1.  The certificate
     I(mass_hat) <= C <= F(y) + exact_G(y) is evaluated when a ``target`` gap
-    or a ``progress`` callback is given, after every ``checkpoint_every``
-    steps or, by default, on the geometric ladder of ``_LADDER_FIRST`` and
-    ``_LADDER_GROWTH``, and always at step n.  Every checkpoint is a full
-    certificate, so the run stops at step n or at the first checkpoint whose
-    gap is at most ``target``.  With a cost, each step's multiplier solve
-    starts from the previous step's m2.  Returns (k, y, mass_hat, c_lb,
-    c_ub) at the last checkpoint.
+    or a ``progress`` callback is given, on the geometric ladder of
+    ``_LADDER_FIRST`` and ``_LADDER_GROWTH``, and always at step n.  Every
+    checkpoint is a full certificate, so the run stops at step n or at the
+    first checkpoint whose gap is at most ``target``.  With a cost, each
+    step's multiplier solve starts from the previous step's m2.  Returns
+    (k, y, mass_hat, c_lb, c_ub) at the last checkpoint.
     """
     state = FastGradientState(K.shape[1], radius, 1.0 + 1.0 / nu)
     acc = np.zeros(K.shape[0])
     watch = target is not None or progress is not None
-    due = _LADDER_FIRST if checkpoint_every is None else checkpoint_every
+    due = _LADDER_FIRST
     m2 = 0.0
     x = state.x
     for k in range(n + 1):
@@ -486,8 +484,7 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
         x = state.x
 
         if k == n or (watch and k + 1 == due):
-            due = (due + checkpoint_every if checkpoint_every is not None
-                   else math.ceil(_LADDER_GROWTH * due))
+            due = math.ceil(_LADDER_GROWTH * due)
             mass_hat = acc * (2.0 / ((k + 1) * (k + 2)))
             q_hat = K.T @ mass_hat
             c_lb = float(-(r @ mass_hat) + _entropy_bits(q_hat))
@@ -538,8 +535,7 @@ def solve_capacity(W: ChannelMatrix,
                    cost: Optional[CostConstraint] = None,
                    epsilon: float = 1e-3,
                    stopping: str = "aposteriori",
-                   progress: Optional[ProgressFn] = None,
-                   checkpoint_every: Optional[int] = None) -> SolveReport:
+                   progress: Optional[ProgressFn] = None) -> SolveReport:
     """Run the smoothed dual fast-gradient solve on a positive channel.
 
     stopping="apriori" runs exactly the scheduled number of iterations for
@@ -555,17 +551,14 @@ def solve_capacity(W: ChannelMatrix,
     equality (report.constrained is True).
 
     The certificate is checked on a geometric ladder of step counts (10, 13,
-    17, 22, ..., each ceil(1.25 * the previous)) or, when
-    ``checkpoint_every`` is given, every that many steps; an a priori solve
-    without a progress callback checks only at its last step.
+    17, 22, ..., each ceil(1.25 * the previous)); an a priori solve without
+    a progress callback checks only at its last step.
     report.stop_reason says why the run stopped (see STOP_REASONS).
     """
     if stopping not in ("apriori", "aposteriori"):
         raise ValueError(f"unknown stopping mode {stopping!r}")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least 1")
     if W.gamma <= 0.0:
         raise AssumptionViolated(
             "Assumption 1 violated: channel matrix has zero entries (gamma = 0); "
@@ -589,12 +582,12 @@ def solve_capacity(W: ChannelMatrix,
             if cost.budget < s_max_est - S_MAX_GUARD:
                 active_cost = cost
 
-    report = _solve_core(W, active_cost, epsilon, stopping, progress, checkpoint_every)
+    report = _solve_core(W, active_cost, epsilon, stopping, progress)
     if s_max_est is not None and active_cost is None \
             and float(s @ report.p_hat.weights) > cost.budget:
         # The budget sits in the guard band and the unconstrained input
         # overspends it: enforce the constraint after all.
-        report = _solve_core(W, cost, epsilon, stopping, progress, checkpoint_every)
+        report = _solve_core(W, cost, epsilon, stopping, progress)
     report.wall_time = time.perf_counter() - t0
     report.s_max_estimate = s_max_est
     return report
@@ -604,8 +597,7 @@ def _solve_core(W: ChannelMatrix,
                 cost: Optional[CostConstraint],
                 epsilon: float,
                 stopping: str,
-                progress: Optional[ProgressFn],
-                checkpoint_every: Optional[int]) -> SolveReport:
+                progress: Optional[ProgressFn]) -> SolveReport:
     t0 = time.perf_counter()
     N, M = W.rows, W.cols
 
@@ -630,7 +622,7 @@ def _solve_core(W: ChannelMatrix,
 
     k, y, p_hat, c_lb, c_ub = _fast_gradient(
         W.entries, W.r, None, radius, nu, n_eps, s, budget, exact_G,
-        epsilon if stopping == "aposteriori" else None, progress, checkpoint_every,
+        epsilon if stopping == "aposteriori" else None, progress,
     )
     apriori = nu * d2 + 4.0 * d1 * (1.0 + 1.0 / nu) / (k + 1) ** 2
     if stopping == "apriori":

@@ -42,10 +42,6 @@ class TailNotComputable(CapacityError):
     """Neither a closed form nor a convergent direct sum is available for the tail."""
 
 
-class QuadratureNotConverged(CapacityError):
-    """Node doubling did not stabilize the integral within the allowed refinements."""
-
-
 class EpsilonTooLarge(CapacityError, ValueError):
     """Requested accuracy is outside the admissible range of the schedule."""
 

@@ -210,34 +210,17 @@ def mutual_information(p, W: ChannelMatrix) -> float:
     return float(-(W.r @ w) + _entropy_bits(q))
 
 
-@dataclass(frozen=True)
-class DiffNormResult:
-    """Evaluation of the channel-difference norm max_{b in simplex} ||b b^T A||_tr.
+def channel_diff_norm(W1: ChannelMatrix, W2: ChannelMatrix) -> float:
+    """Channel-difference norm max_{b in simplex} ||b b^T A||_tr of A = W1 - W2.
 
-    ``upper_bound`` is max_i ||row_i(A)||_2.  The rank-one trace norm
-    ||b||_2 ||A^T b||_2 is at most ||A^T b||_2 on the simplex (there
+    The value is max_i ||row_i(A)||_2 (dimensionless).  The rank-one trace
+    norm ||b||_2 ||A^T b||_2 is at most ||A^T b||_2 on the simplex (there
     ||b||_2 <= ||b||_1 = 1), a convex function whose maximum sits at a vertex,
-    where ||b||_2 = 1; so the bound is the exact maximum.
-    ``lower_estimate`` is kept for callers that read it and equals
-    ``upper_bound``.
+    where ||b||_2 = 1; so the vertex maximum is the exact maximum.
     """
-
-    upper_bound: float
-    lower_estimate: float
-    method: str
-
-    def __float__(self):
-        return self.upper_bound
-
-
-def channel_diff_norm(W1: ChannelMatrix, W2: ChannelMatrix) -> DiffNormResult:
-    """Channel-difference norm of A = W1 - W2 (dimensionless): the vertex maximum."""
     if W1.entries.shape != W2.entries.shape:
         raise DimensionMismatch("channel matrices must have equal shape")
-    upper = float(np.linalg.norm(W1.entries - W2.entries, axis=1).max())
-    if upper == 0.0:
-        return DiffNormResult(0.0, 0.0, "zero-difference")
-    return DiffNormResult(upper, upper, "vertex")
+    return float(np.linalg.norm(W1.entries - W2.entries, axis=1).max())
 
 
 def continuity_capacity_bound(delta_norm: float, N: int, M: int) -> float:

@@ -33,9 +33,11 @@ def test_iteration_count_doubles_when_eps_halves():
 
 
 def test_ascent_property():
-    values = []
-    cb.ba_solve(cb.make_random(12, 7, seed=2), epsilon=0.02,
-                on_iterate=lambda k, v: values.append(v))
+    # An a priori run of n updates returns I(p_n), so runs at eps = log2(N)/n
+    # for growing n trace the iterate values.
+    W = cb.make_random(12, 7, seed=2)
+    runs = [cb.ba_solve(W, math.log2(12) / n) for n in range(1, 181)]
+    values = [rep.c_lb for rep in sorted(runs, key=lambda rep: rep.iterations)]
     diffs = np.diff(values)
     assert np.all(diffs >= -1e-12)
 

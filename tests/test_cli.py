@@ -220,3 +220,35 @@ class TestStopReasonJson:
         assert code == 0
         assert json.loads(out_path.read_text())["stop_reason"] == "apriori_n"
         assert "stop_reason" not in out
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("command", ["solve-dmc", "perturb-solve"])
+    @pytest.mark.parametrize("given", ["cost", "budget"])
+    def test_cost_and_budget_come_together(self, capsys, tmp_path, command, given):
+        costs = tmp_path / "costs.txt"
+        costs.write_text("0.0 1.0\n")
+        flags = ["--cost", str(costs)] if given == "cost" else ["--budget", "0.3"]
+        code, out, err = run_cli(capsys, [command, "bsc:0.1", "--eps", "1e-2", "--quiet",
+                                          *flags])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--cost and --budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-dmc", "bsc:0.1", "--eps", "0"],
+        ["solve-dmc", "bsc:0.1", "--eps=-1e-3"],
+        ["solve-ba", "bsc:0.1", "--eps", "0"],
+        ["compare", "bsc:0.1", "--eps", "-0.01"],
+        ["perturb-solve", "bec:0.4", "--eps", "0"],
+        ["perturb-solve", "bec:0.4", "--perturb", "0"],
+        ["perturb-solve", "bec:0.4", "--perturb=-1e-6"],
+        ["solve-poisson", "--peak", "1", "--eps", "0"],
+        ["poisson-sweep", "--db-grid", "0:0:1", "--eps", "-0.1"],
+        ["solve-dmc", "bsc:0.1", "--eps", "nan"],
+    ])
+    def test_non_positive_value_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv + ["--quiet"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "must be positive" in err

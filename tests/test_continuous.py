@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 import capbound as cb
-from capbound.continuous import _lipschitz_terms, refined_sup_f
-from capbound.errors import (
-    BudgetExceeded,
-    EpsilonTooLarge,
-    InvalidOrder,
-    NeedLargerM,
-    QuadratureNotConverged,
-)
+from capbound.continuous import _converged_truncation, _lipschitz_terms, refined_sup_f
+from capbound.errors import BudgetExceeded, EpsilonTooLarge, InvalidOrder, NeedLargerM
 
 
 def uniform_output_channel(K, peak=2.0):
@@ -226,15 +220,13 @@ class TestEvalGnuContinuous:
 
     def test_quadrature_verification_passes_when_converged(self):
         trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 16, quad_nodes=512)
-        val, _, _ = cb.eval_G_nu_continuous(np.zeros(16), trunc, 0.01,
-                                            verify_quadrature=True)
+        assert _converged_truncation(trunc, 0.01, None, np.zeros(16))[1]
+        val, _, _ = cb.eval_G_nu_continuous(np.zeros(16), trunc, 0.01)
         assert math.isfinite(val)
 
     def test_quadrature_verification_fails_on_coarse_grid(self):
         trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 16, quad_nodes=8)
-        with pytest.raises(QuadratureNotConverged):
-            cb.eval_G_nu_continuous(np.full(16, 3.0), trunc, 1e-4,
-                                    verify_quadrature=True)
+        assert not _converged_truncation(trunc, 1e-4, None, np.full(16, 3.0))[1]
 
     def test_constrained_moments(self):
         trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 8, quad_nodes=256)

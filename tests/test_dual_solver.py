@@ -312,8 +312,7 @@ class TestSolveCapacity:
             assert lb <= ub + 1e-9
 
         cb.solve_capacity(cb.make_random(16, 8, seed=26), epsilon=0.01,
-                          stopping="apriori", progress=watch,
-                          checkpoint_every=200)
+                          stopping="apriori", progress=watch)
         assert gaps and min(gaps) >= -1e-9
 
     def test_apriori_bound_holds(self):

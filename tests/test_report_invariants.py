@@ -55,8 +55,8 @@ def test_solve_report_rejects_broken_sandwich(c_lb, c_ub, gap):
 def test_perturbed_solve_rejects_inverted_bounds():
     inner = _solve_report(0.5, 0.5, 0.0)
     with pytest.raises(cb.CapacityError):
-        cb.PerturbedSolve(epsilon_perturb=1e-6, delta_norm_ub=0.0, delta_norm_estimate=0.0,
-                          correction=0.0, inner=inner, c_lb=0.7, c_ub=0.6)
+        cb.PerturbedSolve(epsilon_perturb=1e-6, delta_norm_ub=0.0, correction=0.0,
+                          inner=inner, c_lb=0.7, c_ub=0.6)
 
 
 def test_poisson_report_rejects_inverted_bounds():
