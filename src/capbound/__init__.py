@@ -32,21 +32,17 @@ from .continuous import (
 )
 from .dual_solver import (
     DualPoint,
-    MuPair,
     SolveReport,
     apriori_error_bound,
-    apriori_iterations,
     dual_radius,
     eval_F,
     eval_G_nu_constrained,
     eval_G_nu_unconstrained,
     exact_G_constrained,
     exact_G_unconstrained,
-    project_Q,
     scheduled_iterations,
     smoothing_constants,
     solve_capacity,
-    solve_mu,
 )
 from .errors import (
     AssumptionViolated,

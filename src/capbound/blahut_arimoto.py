@@ -78,23 +78,34 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori") -> BAR
     row_neg_ent = wlogw.sum(axis=1)  # sum_j W_ij ln W_ij
     reachable = mask.any(axis=0)
 
+    # Work vectors, allocated once and overwritten by every iterate.
     logp = np.full(N, -math.log(N))
+    p = np.empty(N)
+    q = np.empty(W.cols)
+    logq = np.empty(W.cols)
+    div = np.empty(N)
     it = 0
     while True:
-        p = np.exp(logp - logp.max())
-        p /= p.sum()
-        q = Wm.T @ p
-        logq = np.zeros_like(q)
-        nz = q > 0.0
-        logq[nz] = np.log(q[nz])
+        np.subtract(logp, np.maximum.reduce(logp), out=p)
+        np.exp(p, out=p)
+        p /= np.add.reduce(p)
+        np.dot(Wm.T, p, out=q)
+        nz = None
+        if np.minimum.reduce(q) > 0.0:
+            np.log(q, out=logq)
+        else:
+            logq.fill(0.0)
+            nz = q > 0.0
+            logq[nz] = np.log(q[nz])
         # D_i = sum_j W_ij ln(W_ij / q_j); columns with q_j = 0 have W_ij = 0
         # wherever p_i > 0, so the zeroed logq entries contribute nothing to
         # the update.
-        div = row_neg_ent - Wm @ logq
+        np.dot(Wm, logq, out=div)
+        np.subtract(row_neg_ent, div, out=div)
         if it == n or stopping == "aposteriori":
             c_lb = float(-(W.r @ p) + _entropy_bits(q))
             bound = div
-            if not nz[reachable].all():
+            if nz is not None and not nz[reachable].all():
                 # Every p_i feeding a reachable output underflowed, so q_j = 0
                 # there and the dropped terms W_ij ln(W_ij / q_j) are infinite.
                 # Arimoto's bound holds for any output law: raise those q_j
@@ -103,8 +114,8 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori") -> BAR
             c_ub = float(bound.max()) / LN2
             if it == n or c_ub - c_lb <= epsilon:
                 break
-        logp = logp + div
-        logp -= logp.max()
+        logp += div
+        logp -= np.maximum.reduce(logp)
         it += 1
 
     return BAReport(

@@ -288,7 +288,10 @@ def _parse_db_grid(text: str):
     return [start + i * step for i in range(n + 1)]
 
 
-_SWEEP_COLUMNS = ["A_dB", "M", "nu", "iterations", "c_lb", "c_ub", "E", "lapidoth_lb"]
+# c_lb and c_ub rest on the refined_sup_f estimate of sup f; the certified
+# pair does not.
+_SWEEP_COLUMNS = ["A_dB", "M", "nu", "iterations", "c_lb", "c_ub",
+                  "c_lb_certified", "c_ub_certified", "E", "lapidoth_lb"]
 
 
 def _cmd_poisson_sweep(args) -> int:

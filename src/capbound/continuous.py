@@ -199,6 +199,16 @@ def _truncated_rows(base: ContinuousChannel, x: np.ndarray, M: int) -> np.ndarra
 
 def truncate(base: ContinuousChannel, M: int, quad_nodes: int = _QUAD_NODES) -> TruncatedChannel:
     """Fold the output tail onto {0..M-1} and fix the integration grid."""
+    return _kernel_floor(_fold_on_grid(base, M, quad_nodes))
+
+
+def _fold_on_grid(base: ContinuousChannel, M: int, quad_nodes: int) -> TruncatedChannel:
+    """The truncation's rows and row entropies on its grid, without the floor scan.
+
+    ``gamma_M``, ``grid_min`` and ``tail_lb`` are NaN until ``_kernel_floor``
+    fills them in, so a grid that is only compared against (node doubling)
+    skips the dense scan.
+    """
     if M < 1:
         raise InvalidChannel("truncation level M must be >= 1")
     nodes, weights = _gl_grid(0.0, base.peak, quad_nodes)
@@ -210,7 +220,25 @@ def truncate(base: ContinuousChannel, M: int, quad_nodes: int = _QUAD_NODES) -> 
             f"truncated kernel rows sum to 1 +- {worst:.2e}; kernel and tail disagree"
         )
     r = _neg_xlogx_nats(K).sum(axis=1) / LN2
+    return TruncatedChannel(
+        base=base,
+        M=M,
+        gamma_M=math.nan,
+        nodes=nodes,
+        weights=weights,
+        rho=base.peak,
+        grid_min=math.nan,
+        tail_lb=math.nan,
+        kernel_nodes=K,
+        r_nodes=r,
+    )
 
+
+def _kernel_floor(trunc: TruncatedChannel) -> TruncatedChannel:
+    """Fill in gamma_M from a dense scan with 10x the grid's nodes (once)."""
+    if not math.isnan(trunc.gamma_M):
+        return trunc
+    base, M, quad_nodes = trunc.base, trunc.M, trunc.nodes.size
     dense = np.linspace(0.0, base.peak, 10 * quad_nodes + 1)
     Kd = _truncated_rows(base, dense, M)
     grid_min = float(Kd.min())
@@ -223,18 +251,8 @@ def truncate(base: ContinuousChannel, M: int, quad_nodes: int = _QUAD_NODES) -> 
             "Assumption 3 violated: truncated kernel minimum could not be "
             "bounded away from zero"
         )
-    return TruncatedChannel(
-        base=base,
-        M=M,
-        gamma_M=gamma,
-        nodes=nodes,
-        weights=weights,
-        rho=base.peak,
-        grid_min=grid_min,
-        tail_lb=tail_lb,
-        kernel_nodes=K,
-        r_nodes=r,
-    )
+    trunc.gamma_M, trunc.grid_min, trunc.tail_lb = gamma, grid_min, tail_lb
+    return trunc
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +449,18 @@ def _converged_truncation(trunc: TruncatedChannel, nu: float,
     grid only loosens the resulting sandwich (the primal value is the exact
     mutual information of the atomic input supported on the nodes, and the
     dual value is weak duality at the computed iterate), so callers may
-    legitimately continue with converged=False.
+    legitimately continue with converged=False.  Only the returned grid gets
+    the dense floor scan that sets gamma_M.
     """
     value = eval_G_nu_continuous(lam, trunc, nu, cost)[0]
     for _ in range(4):
         tol = 1e-9 * (1.0 + abs(value))
-        cand = truncate(trunc.base, trunc.M, quad_nodes=2 * trunc.nodes.size)
+        cand = _fold_on_grid(trunc.base, trunc.M, 2 * trunc.nodes.size)
         v2 = eval_G_nu_continuous(lam, cand, nu, cost)[0]
         if abs(v2 - value) <= tol:
-            return trunc, True
+            return _kernel_floor(trunc), True
         trunc, value = cand, v2
-    return trunc, False
+    return _kernel_floor(trunc), False
 
 
 def refined_sup_f(trunc: TruncatedChannel, lam: np.ndarray) -> float:
@@ -576,30 +595,45 @@ def choose_truncation_level(base: ContinuousChannel, tail_order: float,
     at a fixed iteration budget worsens with M, so the total is minimized
     near their crossing; bisection on the sign of the difference finds it.
     """
+    return _truncation_level(base, tail_order, budget_iters, cost, max_M)[0]
+
+
+def _truncation_level(base: ContinuousChannel, tail_order: float, budget_iters: int,
+                      cost: Optional[ContinuousCost], max_M: int
+                      ) -> tuple[int, TruncatedChannel]:
+    """``choose_truncation_level``'s M and its coarse-grid truncation.
+
+    Each level's truncation and error parts are computed once, so the final
+    comparison and the caller's schedule probe reuse the bisection's.
+    """
     if base.poisson_params is not None:
         peak, eta = base.poisson_params
         lo = max(1, math.ceil(peak + eta))
     else:
         lo = 1
     hi = max_M
-    if lo >= hi:
-        return hi
+    seen: dict[int, tuple[TruncatedChannel, float, float]] = {}
 
     def parts(M):
-        err_t = truncation_error_bound(base, M, tail_order)
-        trunc = truncate(base, M, quad_nodes=_COARSE_QUAD_NODES)
-        return err_t, balanced_smoothing(trunc, cost, budget_iters)[1]
+        if M not in seen:
+            trunc = truncate(base, M, quad_nodes=_COARSE_QUAD_NODES)
+            seen[M] = (trunc, truncation_error_bound(base, M, tail_order),
+                       balanced_smoothing(trunc, cost, budget_iters)[1])
+        return seen[M]
 
+    if lo >= hi:
+        return hi, parts(hi)[0]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        err_t, err_s = parts(mid)
+        _, err_t, err_s = parts(mid)
         if err_t > err_s:
             lo = mid
         else:
             hi = mid
-    tot_lo = sum(parts(lo))
-    tot_hi = sum(parts(hi))
-    return lo if tot_lo <= tot_hi else hi
+    tot_lo = sum(parts(lo)[1:])
+    tot_hi = sum(parts(hi)[1:])
+    M = lo if tot_lo <= tot_hi else hi
+    return M, parts(M)[0]
 
 
 def solve_poisson(peak: float, dark_current: float = 1.0,
@@ -627,12 +661,14 @@ def solve_poisson(peak: float, dark_current: float = 1.0,
     t0 = time.perf_counter()
     base = poisson_channel(peak, dark_current)
 
+    probe = None
     if M is None:
-        M = choose_truncation_level(base, tail_order, iteration_cap, cost=cost)
+        M, probe = _truncation_level(base, tail_order, iteration_cap, cost, _MAX_M)
     err_trunc = truncation_error_bound(base, M, tail_order)
 
     if nu is None or iterations is None:
-        probe = truncate(base, M, quad_nodes=_COARSE_QUAD_NODES)
+        if probe is None:
+            probe = truncate(base, M, quad_nodes=_COARSE_QUAD_NODES)
         if epsilon is not None:
             sched = continuous_schedule(probe, cost, epsilon)
             if nu is None:
@@ -652,7 +688,8 @@ def solve_poisson(peak: float, dark_current: float = 1.0,
             if nu is None:
                 nu, _ = balanced_smoothing(probe, cost, iterations)
 
-    trunc, quad_ok = _converged_truncation(truncate(base, M), nu, cost, np.zeros(M))
+    trunc, quad_ok = _converged_truncation(_fold_on_grid(base, M, _QUAD_NODES), nu, cost,
+                                           np.zeros(M))
     lam_hat, mutual = _solve_truncated(trunc, nu, iterations, cost, progress=progress)
 
     Fv, _ = eval_F(lam_hat)
@@ -699,7 +736,9 @@ def poisson_sweep(db_values, dark_current: float = 1.0,
 
     ``settings`` may pin (M, iterations, nu) per dB value; otherwise each
     point runs in budget mode (spend the cap, smooth for the best certified
-    gap), so sweeps stay desk-scale with valid, if wider, bounds.
+    gap), so sweeps stay desk-scale with valid, if wider, bounds.  Each row
+    carries both of solve_poisson's pairs: ``c_lb``/``c_ub`` rest on the
+    refined_sup_f estimate, ``c_lb_certified``/``c_ub_certified`` do not.
     """
     rows = []
     for db in db_values:
@@ -719,6 +758,8 @@ def poisson_sweep(db_values, dark_current: float = 1.0,
             "iterations": rep.iterations,
             "c_lb": rep.c_lb,
             "c_ub": rep.c_ub,
+            "c_lb_certified": rep.c_lb_certified,
+            "c_ub_certified": rep.c_ub_certified,
             "E": rep.trunc_error,
             "lapidoth_lb": rep.lapidoth,
         })

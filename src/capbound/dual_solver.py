@@ -126,30 +126,36 @@ def _as_values(lam) -> np.ndarray:
     return np.asarray(lam, dtype=float)
 
 
-def project_ball(x: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the centered ball of the given radius."""
-    x = np.asarray(x, dtype=float)
-    n = np.linalg.norm(x)
+def project_ball(x: np.ndarray, radius: float, inplace: bool = False) -> np.ndarray:
+    """Euclidean projection onto the centered ball of the given radius.
+
+    By default ``x`` is never changed: a point inside the ball is returned
+    as given and one outside as a new array.  With ``inplace`` (``x`` a
+    float array) a point outside is scaled in place and ``x`` is returned.
+    """
+    if not inplace:
+        x = np.asarray(x, dtype=float)
+    n = math.sqrt(x.dot(x))
     if n <= radius or n == 0.0:
         return x
-    return x * (radius / n)
-
-
-def project_Q(x, radius: float) -> DualPoint:
-    """Projection onto the dual ball Q, returned as a typed DualPoint."""
-    return DualPoint(project_ball(_as_values(x), radius), radius)
+    return np.multiply(x, radius / n, out=x if inplace else None)
 
 
 # ---------------------------------------------------------------------------
 # Dual objective pieces
 
 
-def _softmax(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log-sum-exp of a (natural log) and softmax(a), max-shifted so no exponent exceeds 0."""
-    m = a.max()
-    e = np.exp(a - m)
-    s = e.sum()
-    return m + math.log(s), e / s
+def _softmax(a: np.ndarray, out: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
+    """Log-sum-exp of a (natural log) and softmax(a), max-shifted so no exponent exceeds 0.
+
+    With ``out`` (which may be ``a``) the softmax is computed in place there.
+    """
+    m = np.maximum.reduce(a)
+    e = np.subtract(a, m, out=out)
+    np.exp(e, out=e)
+    s = np.add.reduce(e)
+    e /= s
+    return m + math.log(s), e
 
 
 def eval_F(lam) -> tuple[float, np.ndarray]:
@@ -161,19 +167,12 @@ def eval_F(lam) -> tuple[float, np.ndarray]:
     return float(lse / LN2), -p
 
 
-def _eval_F_direct(lam) -> tuple[float, np.ndarray]:
-    """Unshifted reference evaluation of F; overflows for large |lambda|."""
-    lam = _as_values(lam)
-    t = np.power(2.0, -lam)
-    s = t.sum()
-    return float(np.log2(s)), -t / s
-
-
 def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: float,
                          logw: Optional[np.ndarray] = None,
                          s: Optional[np.ndarray] = None,
                          budget: Optional[float] = None,
-                         m2: float = 0.0
+                         m2: float = 0.0,
+                         out: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
                          ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Smoothed input term over inputs with log-weights: (Phi, K^T mass, mass, m2).
 
@@ -184,16 +183,22 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
     Phi = log sum_k exp(logmass_k + m2*(s_k - budget)) (m2 = 0 without a
     cost), so G_nu = nu*Phi/ln2 - nu*log2(total weight).  The multiplier
     solve brackets from the given ``m2``; the solved m2 is returned.
+    ``out`` = (log-masses, masses, K^T mass) are work arrays of sizes
+    (N, N, M) that receive the results in place; without it every call
+    allocates its own.
     """
-    logmass = (K @ lam - r) * (LN2 / nu)
+    logmass, mass, grad = (None, None, None) if out is None else out
+    logmass = np.dot(K, lam, out=logmass)
+    logmass -= r
+    logmass *= LN2 / nu
     if logw is not None:
         logmass += logw
     if s is None:
-        lse, mass = _softmax(logmass)
+        lse, mass = _softmax(logmass, out=mass)
     else:
-        m1, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2)
+        m1, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
         lse = -(m1 + m2 * budget)
-    return lse, K.T @ mass, mass, m2
+    return lse, np.dot(K.T, mass, out=grad), mass, m2
 
 
 def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
@@ -209,28 +214,9 @@ def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
     return float(nu * lse / LN2 - nu * math.log2(W.rows)), grad, ProbVector(p)
 
 
-def _eval_G_nu_direct(lam, W: ChannelMatrix, nu: float
-                      ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Unshifted reference evaluation of G_nu; overflows for small nu."""
-    lam = _as_values(lam)
-    f = W.entries @ lam - W.r
-    t = np.power(2.0, f / nu)
-    s = t.sum()
-    p = t / s
-    value = nu * np.log2(s) - nu * math.log2(W.rows)
-    return float(value), W.entries.T @ p, p
-
-
-@dataclass(frozen=True)
-class MuPair:
-    """Multipliers (mu1, mu2) of the max-entropy solution p_i = 2^(mu1 + c_i + mu2 s_i)."""
-
-    mu1: float
-    mu2: float
-
-
 def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
-                             start: float = 0.0) -> tuple[float, float, np.ndarray]:
+                             start: float = 0.0, out: Optional[np.ndarray] = None
+                             ) -> tuple[float, float, np.ndarray]:
     """Newton solve for the multipliers of the tilted max-entropy problem.
 
     Maximizes  m1 + budget*m2 - sum_k exp(m1 + logmass_k + m2*s_k)  over
@@ -243,8 +229,12 @@ def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
     the tilts (exponent ranges of ~1e3 occur routinely for small nu).  The
     bracket grows from ``start`` by doubling steps, so a start near the root
     (the previous fast-gradient step's m2) saves most of the expansion.
-    Natural-log multipliers and the masses are returned; a quadrature weight
-    w_k enters as log(w_k) in ``logmass``.
+    A budget within the solver tolerance of the cheapest (dearest) cost is
+    that end point: only the inputs at that cost are feasible, and the
+    masses are the softmax of their log-masses, with m2 pinned to 0.
+    Natural-log multipliers and the masses are returned, the masses in
+    ``out`` when it is given; a quadrature weight w_k enters as log(w_k) in
+    ``logmass``.
     """
     smin, smax = float(s.min()), float(s.max())
     if budget < smin - 1e-12 or budget > smax + 1e-12:
@@ -255,13 +245,22 @@ def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
 
     if smax - smin <= 1e-12 * max(1.0, abs(smax)):
         # Degenerate cost (s constant): any m2 is optimal, pin it to 0.
-        lognorm, mass = _softmax(logmass)
+        lognorm, mass = _softmax(logmass, out=out)
+        return -lognorm, 0.0, mass
+    if budget - smin <= tol or smax - budget <= tol:
+        end = smin if budget - smin <= tol else smax
+        lognorm, mass = _softmax(np.where(s == end, logmass, -np.inf), out=out)
         return -lognorm, 0.0, mass
 
+    buf = np.empty_like(logmass) if out is None else out
+    ss = s * s
+
     def moments(m2):
-        lognorm, mass = _softmax(logmass + m2 * s)
+        np.multiply(s, m2, out=buf)
+        np.add(buf, logmass, out=buf)
+        lognorm, mass = _softmax(buf, out=buf)
         mean = float(s @ mass)
-        var = float((s * s) @ mass) - mean * mean
+        var = float(ss @ mass) - mean * mean
         return mean, var, lognorm, mass
 
     # Bracket the root of  mean_cost(m2) = budget  (strictly increasing).
@@ -303,22 +302,6 @@ def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
     raise NewtonStall(
         f"cost multiplier Newton solve stalled (residual {abs(mean - budget):.3e})"
     )
-
-
-def solve_mu(lam, W: ChannelMatrix, nu: float, cost: CostConstraint) -> MuPair:
-    """Multipliers making p_i = 2^(mu1 + (W lambda - r)_i/nu + mu2 s_i) feasible.
-
-    The returned pair is in the base-2 parameterization; the resulting p sums
-    to 1 and meets s^T p = budget to solver tolerance.
-    """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    lam = _as_values(lam)
-    if cost.costs.size != W.rows:
-        raise DimensionMismatch("cost vector length must equal channel rows")
-    scores = (W.entries @ lam - W.r) * (LN2 / nu)
-    m1, m2, _ = _max_entropy_multipliers(scores, cost.costs, cost.budget)
-    return MuPair(mu1=m1 / LN2, mu2=m2 / LN2)
 
 
 def eval_G_nu_constrained(lam, W: ChannelMatrix, nu: float, cost: CostConstraint
@@ -398,13 +381,6 @@ def _segment_lp_max(f: np.ndarray, s: np.ndarray, budget: float) -> float:
 # Iteration schedules
 
 
-def apriori_iterations(epsilon: float, d1: float, d2: float) -> int:
-    """Complexity-style iteration count ceil(4*sqrt(d1*d2)/eps + 2*sqrt(d1/eps))."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return math.ceil(4.0 * math.sqrt(d1 * d2) / epsilon + 2.0 * math.sqrt(d1 / epsilon))
-
-
 def scheduled_iterations(epsilon: float, d1: float, d2: float) -> int:
     """Smallest n whose a priori gap bound is at most epsilon.
 
@@ -427,27 +403,39 @@ def apriori_error_bound(n: int, d1: float, d2: float) -> float:
 
 
 class FastGradientState:
-    """Iterate bookkeeping for the optimal scheme on a centered ball.
+    """Iterate bookkeeping for the optimal scheme on a centered ball, in place.
 
     Per step k (starting from x_0 = 0, the ball center):
         y_k = proj(x_k - grad/L)
         z_k = proj(-(1/L) * sum_{i<=k} (i+1)/2 * grad_i)
         x_{k+1} = 2/(k+3) * z_k + (k+1)/(k+3) * y_k
+    The vectors are allocated once: each step overwrites ``x``, ``y`` and
+    ``gsum`` in place and returns ``y``, the same array every step.
     """
 
     def __init__(self, dim: int, radius: float, lipschitz: float):
         self.radius = radius
         self.L = lipschitz
         self.x = np.zeros(dim)
+        self.y = np.zeros(dim)
         self.gsum = np.zeros(dim)
+        self._z = np.zeros(dim)
         self.k = 0
 
     def step(self, grad: np.ndarray) -> np.ndarray:
         k = self.k
-        y = project_ball(self.x - grad / self.L, self.radius)
-        self.gsum += (0.5 * (k + 1)) * grad
-        z = project_ball(-self.gsum / self.L, self.radius)
-        self.x = (2.0 / (k + 3)) * z + ((k + 1) / (k + 3)) * y
+        x, y, z = self.x, self.y, self._z
+        np.divide(grad, self.L, out=y)
+        np.subtract(x, y, out=y)
+        project_ball(y, self.radius, inplace=True)
+        np.multiply(grad, 0.5 * (k + 1), out=z)
+        self.gsum += z
+        # gsum / -L rounds exactly as -gsum / L does: IEEE rounding is sign-symmetric.
+        np.divide(self.gsum, -self.L, out=z)
+        project_ball(z, self.radius, inplace=True)
+        np.multiply(z, 2.0 / (k + 3), out=x)
+        np.multiply(y, (k + 1) / (k + 3), out=z)
+        x += z
         self.k = k + 1
         return y
 
@@ -467,21 +455,29 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
     ``_LADDER_FIRST`` and ``_LADDER_GROWTH``, and always at step n.  Every
     checkpoint is a full certificate, so the run stops at step n or at the
     first checkpoint whose gap is at most ``target``.  With a cost, each
-    step's multiplier solve starts from the previous step's m2.  Returns
-    (k, y, mass_hat, c_lb, c_ub) at the last checkpoint.
+    step's multiplier solve starts from the previous step's m2.  The work
+    vectors are allocated once per solve and every step writes into them.
+    Returns (k, y, mass_hat, c_lb, c_ub) at the last checkpoint; y and
+    mass_hat belong to this solve alone.
     """
-    state = FastGradientState(K.shape[1], radius, 1.0 + 1.0 / nu)
-    acc = np.zeros(K.shape[0])
+    N, M = K.shape
+    state = FastGradientState(M, radius, 1.0 + 1.0 / nu)
+    acc = np.zeros(N)
+    work = (np.empty(N), np.empty(N), np.empty(M))
+    weighted = np.empty(N)
+    pF = np.empty(M)
     watch = target is not None or progress is not None
     due = _LADDER_FIRST
     m2 = 0.0
     x = state.x
     for k in range(n + 1):
-        _, gG, mass, m2 = _smoothed_input_term(K, r, x, nu, logw, s, budget, m2)
-        _, pF = _softmax(-x * LN2)
-        acc += (k + 1) * mass
-        y = state.step(gG - pF)
-        x = state.x
+        _, gG, mass, m2 = _smoothed_input_term(K, r, x, nu, logw, s, budget, m2, out=work)
+        np.multiply(x, -LN2, out=pF)  # bit for bit -x * LN2
+        _softmax(pF, out=pF)
+        np.multiply(mass, float(k + 1), out=weighted)
+        acc += weighted
+        gG -= pF
+        y = state.step(gG)
 
         if k == n or (watch and k + 1 == due):
             due = math.ceil(_LADDER_GROWTH * due)

@@ -11,9 +11,10 @@ import time
 
 import numpy as np
 import pytest
+from reference import _eval_F_direct, _eval_G_nu_direct
 
 import capbound as cb
-from capbound.dual_solver import _eval_F_direct, _eval_G_nu_direct, project_ball
+from capbound.dual_solver import project_ball
 
 # Pre-tuned reference settings per peak power in dB for the unit-dark-current
 # counting channel: truncation level M, iterations n, smoothing nu.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import capbound as cb
 from capbound import dual_solver
 from capbound.dual_solver import _max_entropy_multipliers, scheduled_iterations
-from capbound.errors import Infeasible, NewtonStall
+from capbound.errors import Infeasible
 
 
 def _ladder(n):
@@ -136,8 +136,8 @@ def test_aposteriori_gap_and_ba_intersection(W, eps):
 @settings(max_examples=60, deadline=None)
 @given(W=positive_channels(max_size=6), eps=st.sampled_from([1e-2, 1e-3]), data=st.data())
 def test_constrained_p_hat_is_feasible(W, eps, data):
-    # Budgets keep 1e-3 of the cost range from either end; closer ones can
-    # stall the multiplier solve (test_budget_at_cheapest_cost_stalls).
+    # Budgets keep 1e-3 of the cost range from either end; the ends
+    # themselves have their own tests (test_budget_at_*).
     costs = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=W.rows,
                                         max_size=W.rows)))
     lo, hi = float(costs.min()), float(costs.max())
@@ -150,11 +150,32 @@ def test_constrained_p_hat_is_feasible(W, eps, data):
     assert rep.aposteriori_err <= eps
 
 
-@pytest.mark.xfail(raises=NewtonStall, strict=True,
-                   reason="a budget within 1e-300 of the cheapest cost, next to a cost "
-                          "of 1e-286, needs a multiplier beyond the bracket")
 def test_budget_at_cheapest_cost_stalls():
+    # The budget is within the solver tolerance of the cheapest cost, next to
+    # a cost of 1e-286: the multiplier solve takes the end point (all mass on
+    # the cheapest input) instead of bracketing a tilt of order 1e286.
     W = cb.ChannelMatrix([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
     cost = cb.CostConstraint(np.array([0.0, 1.0, 1.9274805906209525e-286]), 5e-324)
     rep = cb.solve_capacity(W, cost=cost, epsilon=1e-2)
     assert cost.costs @ rep.p_hat.weights <= cost.budget + 1e-9
+
+
+def test_budget_at_dearest_cost():
+    # The mirror end point: a budget within the solver tolerance of the
+    # dearest cost keeps only the inputs at that cost, weighted by their
+    # softmax, with the tilt pinned to 0.
+    logmass = np.array([0.3, -0.2, 0.1])
+    m1, m2, mass = _max_entropy_multipliers(logmass, np.array([1.0, 0.0, 1.0]), 1.0 - 5e-12)
+    w = np.exp([0.3, 0.1])
+    np.testing.assert_allclose(mass, [w[0] / w.sum(), 0.0, w[1] / w.sum()], rtol=1e-15, atol=0)
+    assert m2 == 0.0
+    assert -m1 == pytest.approx(math.log(w.sum()), rel=1e-15)
+    # The smoothed input term is then the one of the end face of the simplex.
+    W = cb.ChannelMatrix([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
+    nu = 0.1
+    value, _, p = cb.eval_G_nu_constrained(
+        np.zeros(2), W, nu, cb.CostConstraint(np.array([1.0, 0.0, 1.0]), 1.0))
+    assert p.weights[1] == 0.0
+    face = -W.r[[0, 2]] / nu
+    assert value == pytest.approx(nu * math.log2(np.exp2(face).sum()) - nu * math.log2(3),
+                                  abs=1e-12)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -135,12 +136,16 @@ class TestPoisson:
                                         "--iteration-cap", "1200", "--quiet",
                                         "--out", str(out_path)])
         assert code == 0
+        header = "A_dB,M,nu,iterations,c_lb,c_ub,c_lb_certified,c_ub_certified,E,lapidoth_lb"
         lines = out.strip().splitlines()
-        assert lines[0] == "A_dB,M,nu,iterations,c_lb,c_ub,E,lapidoth_lb"
+        assert lines[0] == header
         assert len(lines) == 4
         file_lines = out_path.read_text().strip().splitlines()
-        assert file_lines[0] == "A_dB,M,nu,iterations,c_lb,c_ub,E,lapidoth_lb"
+        assert file_lines[0] == header
         assert len(file_lines) == 4
+        with out_path.open(newline="") as fh:
+            for row in csv.DictReader(fh):
+                assert float(row["c_lb_certified"]) <= float(row["c_ub_certified"])
 
     def test_sweep_deterministic(self, capsys):
         args = ["poisson-sweep", "--db-grid", "0:1:1", "--iteration-cap", "800", "--quiet"]

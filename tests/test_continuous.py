@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import capbound as cb
+from capbound import continuous
 from capbound.continuous import _converged_truncation, _lipschitz_terms, refined_sup_f
 from capbound.errors import BudgetExceeded, EpsilonTooLarge, InvalidOrder, NeedLargerM
 
@@ -302,6 +303,29 @@ class TestSolvePoisson:
         M = cb.choose_truncation_level(base, 0.5, budget_iters=20000, max_M=64)
         assert 2 <= M <= 64
 
+    def test_each_truncation_built_once(self, monkeypatch):
+        # The bisection, the schedule probe and node doubling share grids:
+        # no (M, nodes) grid is folded twice, and of the grids finer than the
+        # coarse one only the grid the solve keeps gets the dense floor scan.
+        folded, scanned = [], []
+        fold, floor = continuous._fold_on_grid, continuous._kernel_floor
+
+        def spy_fold(base, M, quad_nodes):
+            folded.append((M, quad_nodes))
+            return fold(base, M, quad_nodes)
+
+        def spy_floor(trunc):
+            if math.isnan(trunc.gamma_M):
+                scanned.append((trunc.M, trunc.nodes.size))
+            return floor(trunc)
+
+        monkeypatch.setattr(continuous, "_fold_on_grid", spy_fold)
+        monkeypatch.setattr(continuous, "_kernel_floor", spy_floor)
+        rep = cb.solve_poisson(1.0, 1.0, iteration_cap=300)
+        assert len(folded) == len(set(folded))
+        assert (rep.M, 256) in scanned
+        assert [g for g in scanned if g[1] > 256] == [(rep.M, rep.quad_nodes)]
+
     def test_refined_sup_tracks_node_max(self):
         trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 8, quad_nodes=128)
         lam = np.linspace(-0.5, 0.5, 8)
@@ -316,6 +340,7 @@ class TestSweep:
         assert len(rows) == 2
         for row in rows:
             assert set(row) == {"A_dB", "M", "nu", "iterations", "c_lb", "c_ub",
-                                "E", "lapidoth_lb"}
+                                "c_lb_certified", "c_ub_certified", "E", "lapidoth_lb"}
+            assert row["c_lb_certified"] <= row["c_ub_certified"]
             assert row["c_lb"] <= row["c_ub"]
             assert row["c_ub"] >= row["lapidoth_lb"]

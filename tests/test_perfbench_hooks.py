@@ -41,6 +41,26 @@ def test_tracer_targets_resolve_and_count():
     assert not hasattr(cb.solve_capacity, "__wrapped__")
 
 
+def test_inner_loop_layers_are_traced():
+    # The in-place fast-gradient step still goes through the traced
+    # FastGradientState.step, project_ball and _softmax, so the per-layer
+    # table keeps its rows for them.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rep = cb.solve_capacity(cb.make_random(4, 3, seed=5), epsilon=1e-2)
+    finally:
+        tracer.uninstall()
+    tracer.passes = 1
+    metrics = tracer.layer_metrics()
+    steps = rep.iterations + 1
+    assert metrics["dual_solver.fgm_step.calls"] == steps
+    assert metrics["dual_solver.project_ball.calls"] == 2 * steps
+    names = [tracer.names[s[0]] for s in tracer.spans]
+    assert names.count("dual_solver.softmax") >= 2 * steps
+
+
 def test_smax_presolve_is_a_ba_span():
     spans = _load_spans()
     tracer = spans.Tracer()
