@@ -16,7 +16,6 @@ from .continuous import (
     ContinuousCost,
     ContinuousSchedule,
     PoissonReport,
-    TailBound,
     TruncatedChannel,
     choose_truncation_level,
     continuous_schedule,

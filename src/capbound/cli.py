@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -25,9 +26,9 @@ import numpy as np
 from .blahut_arimoto import ba_solve
 from .channels import parse_channel_spec, solve_with_perturbation
 from .continuous import poisson_sweep, solve_poisson
-from .dual_solver import solve_capacity
+from .dual_solver import DualPoint, solve_capacity
 from .errors import CapacityError, InvalidChannel
-from .info_theory import CostConstraint
+from .info_theory import CostConstraint, ProbVector
 
 
 class _ParseError(Exception):
@@ -45,14 +46,25 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _positive_float(text: str) -> float:
-    try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if not x > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return x
+def _bounded(convert, ok, rule: str):
+    """An argparse type: ``convert(text)``, rejected unless ``ok`` holds."""
+
+    def parse(text: str):
+        try:
+            x = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return x
+
+    return parse
+
+
+# NaN fails the comparison, so `--eps nan` and `--nu nan` are rejected.
+_positive_float = _bounded(float, lambda x: x > 0, "positive")
+_positive_int = _bounded(int, lambda n: n > 0, "positive")
+_non_negative_int = _bounded(int, lambda n: n >= 0, "positive or zero")
 
 
 def _load_cost(path: str, budget: float) -> CostConstraint:
@@ -101,21 +113,17 @@ def _report_lines(pairs) -> None:
         print(f"{key}: {val}")
 
 
-def _solve_report_payload(rep) -> dict:
-    return {
-        "c_lb": rep.c_lb,
-        "c_ub": rep.c_ub,
-        "apriori_err": rep.apriori_err,
-        "aposteriori_err": rep.aposteriori_err,
-        "iterations": rep.iterations,
-        "nu": rep.nu,
-        "constrained": rep.constrained,
-        "s_max_estimate": rep.s_max_estimate,
-        "stop_reason": rep.stop_reason,
-        "p_hat": rep.p_hat.weights.tolist(),
-        "lambda_hat": rep.lambda_hat.values.tolist(),
-        "wall_time": rep.wall_time,
-    }
+def _report_payload(rep) -> dict:
+    """A report dataclass's fields, with ProbVector and DualPoint as lists."""
+    payload = {}
+    for field in dataclasses.fields(rep):
+        value = getattr(rep, field.name)
+        if isinstance(value, ProbVector):
+            value = value.weights.tolist()
+        elif isinstance(value, DualPoint):
+            value = value.values.tolist()
+        payload[field.name] = value
+    return payload
 
 
 def _cmd_solve_dmc(args) -> int:
@@ -135,7 +143,7 @@ def _cmd_solve_dmc(args) -> int:
     if not args.quiet:
         print(f"# wall time [s]: {rep.wall_time:.3f}", file=sys.stderr)
     if args.out:
-        _write_json(args.out, _solve_report_payload(rep))
+        _write_json(args.out, _report_payload(rep))
     return 0
 
 
@@ -152,14 +160,7 @@ def _cmd_solve_ba(args) -> int:
     if not args.quiet:
         print(f"# wall time [s]: {rep.wall_time:.3f}", file=sys.stderr)
     if args.out:
-        _write_json(args.out, {
-            "c_lb": rep.c_lb,
-            "c_ub": rep.c_ub,
-            "apriori_err": rep.apriori_err,
-            "iterations": rep.iterations,
-            "p": rep.p.weights.tolist(),
-            "wall_time": rep.wall_time,
-        })
+        _write_json(args.out, _report_payload(rep))
     return 0
 
 
@@ -178,16 +179,7 @@ def _cmd_compare(args) -> int:
         print(f"# wall time [s]: dual {dual.wall_time:.3f}, ba {ba.wall_time:.3f}",
               file=sys.stderr)
     if args.out:
-        _write_json(args.out, {
-            "dual": _solve_report_payload(dual),
-            "ba": {
-                "c_lb": ba.c_lb,
-                "c_ub": ba.c_ub,
-                "apriori_err": ba.apriori_err,
-                "iterations": ba.iterations,
-                "wall_time": ba.wall_time,
-            },
-        })
+        _write_json(args.out, {"dual": _report_payload(dual), "ba": _report_payload(ba)})
     return 0
 
 
@@ -211,7 +203,7 @@ def _cmd_perturb_solve(args) -> int:
     if not args.quiet:
         print(f"# wall time [s]: {res.inner.wall_time:.3f}", file=sys.stderr)
     if args.out:
-        payload = _solve_report_payload(res.inner)
+        payload = _report_payload(res.inner)
         payload.update({
             "perturbation": res.epsilon_perturb,
             "delta_norm_ub": res.delta_norm_ub,
@@ -259,13 +251,7 @@ def _cmd_solve_poisson(args) -> int:
     if not args.quiet:
         print(f"# wall time [s]: {rep.wall_time:.3f}", file=sys.stderr)
     if args.out:
-        payload = {k: getattr(rep, k) for k in (
-            "peak", "dark_current", "M", "nu", "iterations", "tail_order",
-            "trunc_error", "mutual_info", "dual_value", "g_sup", "g_nu",
-            "iota", "c_lb", "c_ub", "c_lb_certified", "c_ub_certified",
-            "lapidoth", "gamma_M", "quad_nodes", "quadrature_converged",
-            "wall_time")}
-        _write_json(args.out, payload)
+        _write_json(args.out, _report_payload(rep))
     return 0
 
 
@@ -288,12 +274,6 @@ def _parse_db_grid(text: str):
     return [start + i * step for i in range(n + 1)]
 
 
-# c_lb and c_ub rest on the refined_sup_f estimate of sup f; the certified
-# pair does not.
-_SWEEP_COLUMNS = ["A_dB", "M", "nu", "iterations", "c_lb", "c_ub",
-                  "c_lb_certified", "c_ub_certified", "E", "lapidoth_lb"]
-
-
 def _cmd_poisson_sweep(args) -> int:
     dbs = _parse_db_grid(args.db_grid)
 
@@ -304,15 +284,15 @@ def _cmd_poisson_sweep(args) -> int:
     rows = poisson_sweep(dbs, args.dark_current, epsilon=args.eps,
                          tail_order=args.order_k,
                          iteration_cap=args.iteration_cap, progress=note)
-    print(",".join(_SWEEP_COLUMNS))
+    columns = list(rows[0])
+    print(",".join(columns))
     for row in rows:
-        print(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                       for c in _SWEEP_COLUMNS))
+        print(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values()))
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
+            writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
-            writer.writerows([{c: row[c] for c in _SWEEP_COLUMNS} for row in rows])
+            writer.writerows(rows)
     return 0
 
 
@@ -373,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dark-current", type=float, default=1.0)
     p.add_argument("--order-k", type=float, default=0.5,
                    help="tail order for the truncation bound (default 0.5)")
-    p.add_argument("--trunc-m", type=int, default=None,
+    p.add_argument("--trunc-m", type=_positive_int, default=None,
                    help="override the truncation level M")
-    p.add_argument("--iterations", type=int, default=None,
+    p.add_argument("--iterations", type=_non_negative_int, default=None,
                    help="override the scheduled iteration count")
-    p.add_argument("--nu", type=float, default=None,
+    p.add_argument("--nu", type=_positive_float, default=None,
                    help="override the scheduled smoothing parameter")
-    p.add_argument("--iteration-cap", type=int, default=200_000)
+    p.add_argument("--iteration-cap", type=_positive_int, default=200_000)
     p.set_defaults(func=_cmd_solve_poisson)
 
     p = sub.add_parser("poisson-sweep",
@@ -390,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start:stop:step peak powers in dB")
     p.add_argument("--dark-current", type=float, default=1.0)
     p.add_argument("--order-k", type=float, default=0.5)
-    p.add_argument("--iteration-cap", type=int, default=30_000)
+    p.add_argument("--iteration-cap", type=_positive_int, default=30_000)
     p.set_defaults(func=_cmd_poisson_sweep)
 
     return parser

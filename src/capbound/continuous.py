@@ -30,7 +30,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize_scalar
 from scipy.special import gammainc, gammaln, xlogy
 
 from .dual_solver import _fast_gradient, _smoothed_input_term, ball_radius, eval_F
@@ -53,7 +52,7 @@ _DIRECT_SUM_CAP = 500_000
 
 # Quadrature nodes of the default grid (the Poisson solve's, before node
 # doubling), of the coarser grid that picks M and the schedule, and of the
-# scan that refines sup f; and the largest truncation level the bisection
+# scan that estimates sup f; and the largest truncation level the bisection
 # considers.
 _QUAD_NODES = 512
 _COARSE_QUAD_NODES = 256
@@ -168,12 +167,6 @@ class TruncatedChannel:
         """Truncated kernel rows W_M(.|x) at arbitrary inputs x."""
         return _truncated_rows(self.base, np.atleast_1d(np.asarray(x, dtype=float)), self.M)
 
-    def f_at(self, x, lam: np.ndarray) -> np.ndarray:
-        """f_lambda(x) = (W_M(.|x) . lambda) - r(x) in bits at arbitrary x."""
-        K = self.kernel_rows(x)
-        r = _neg_xlogx_nats(K).sum(axis=1) / LN2
-        return K @ lam - r
-
     def f_values(self, lam: np.ndarray) -> np.ndarray:
         return self.kernel_nodes @ lam - self.r_nodes
 
@@ -259,15 +252,8 @@ def _kernel_floor(trunc: TruncatedChannel) -> TruncatedChannel:
 # Polynomial tails and the truncation error bound
 
 
-@dataclass(frozen=True)
-class TailBound:
-    k: float
-    value: float
-    method: str
-
-
 def tail_Rk(base: ContinuousChannel, M: int, k: float,
-            method: str = "direct_sum") -> TailBound:
+            method: str = "direct_sum") -> float:
     """R_k(M) = sum_{i>=M} (sup_x W(i|x))^k, or a closed-form upper bound.
 
     direct_sum accumulates the true series until terms drop below 1e-18 and
@@ -293,7 +279,7 @@ def tail_Rk(base: ContinuousChannel, M: int, k: float,
         alpha = 2.0 ** (1.0 / k - 1.0)
         logv = k * (math.log(alpha) + (alpha - 1.0) * mean
                     + M * math.log(mean) - gammaln(M + 1))
-        return TailBound(k=k, value=float(math.exp(logv)), method=method)
+        return math.exp(logv)
 
     if method != "direct_sum":
         raise ValueError(f"unknown tail method {method!r}")
@@ -307,30 +293,27 @@ def tail_Rk(base: ContinuousChannel, M: int, k: float,
         total += term
         if term < _DIRECT_SUM_TERM_FLOOR:
             if term == 0.0:
-                return TailBound(k=k, value=total, method="direct_sum")
+                return total
             ratio = term / prev if prev else 1.0
             if ratio < 0.99:
                 total += term * ratio / (1.0 - ratio)
-                return TailBound(k=k, value=float(total), method="direct_sum")
+                return total
         prev = term
         i += 1
     raise TailNotComputable(f"direct tail sum did not converge within {_DIRECT_SUM_CAP} terms")
 
 
-def truncation_error_bound(base: ContinuousChannel, M: int, k: float,
-                           method: str = "auto") -> float:
+def truncation_error_bound(base: ContinuousChannel, M: int, k: float) -> float:
     """Uniform bound on |I(p, W) - I(p, W_M)| in bits, any input distribution.
 
-    (2*log2(e) / (e*(1-k))) * [ M^(1-k) * R_1(M)^k + R_k(M) ], for k in (0,1).
-    ``auto`` uses the closed-form tails for Poisson channels and direct sums
-    otherwise.
+    (2*log2(e) / (e*(1-k))) * [ M^(1-k) * R_1(M)^k + R_k(M) ], for k in (0,1),
+    with the closed-form tails for Poisson channels and direct sums otherwise.
     """
     if not 0.0 < k < 1.0:
         raise InvalidOrder(f"truncation error bound needs k in (0, 1), got {k!r}")
-    if method == "auto":
-        method = "poisson_closed_form" if base.poisson_params is not None else "direct_sum"
-    r1 = tail_Rk(base, M, 1.0, method=method).value
-    rk = tail_Rk(base, M, k, method=method).value
+    method = "poisson_closed_form" if base.poisson_params is not None else "direct_sum"
+    r1 = tail_Rk(base, M, 1.0, method=method)
+    rk = tail_Rk(base, M, k, method=method)
     pref = 2.0 / (LN2 * math.e * (1.0 - k))
     return float(pref * (M ** (1.0 - k) * r1 ** k + rk))
 
@@ -464,28 +447,20 @@ def _converged_truncation(trunc: TruncatedChannel, nu: float,
 
 
 def refined_sup_f(trunc: TruncatedChannel, lam: np.ndarray) -> float:
-    """Estimate sup_x f_lambda(x) by a dense scan plus local 1-D refinement.
+    """Estimate sup_x f_lambda(x) by its maximum over a uniform scan and the nodes.
 
-    Exact for the grid-discretized problem; for the continuum it is a lower
-    estimate of the true supremum (informational, not a certificate).
+    f_lambda(x) = W_M(.|x) . lambda - r(x) is evaluated on 8193 equispaced
+    inputs spanning [0, peak], both ends included, and on the quadrature
+    nodes.  The node maximum is the grid-discretized problem's exact value,
+    so the estimate never falls below it and weak duality
+    (mutual_info <= dual_value) holds.  For the continuum it is a lower
+    estimate of the true supremum, not a certificate: a peak between scan
+    points is missed.
     """
     lam = np.asarray(lam, dtype=float)
-    xs = np.linspace(0.0, trunc.rho, _SUP_SCAN_NODES + 1)
-    fv = trunc.f_at(xs, lam)
-    best = float(fv.max())
-    order = np.argsort(fv)[::-1][:3]
-    for i in order:
-        lo = xs[max(0, i - 1)]
-        hi = xs[min(xs.size - 1, i + 1)]
-        if hi <= lo:
-            continue
-        res = minimize_scalar(
-            lambda x: -float(trunc.f_at(np.array([x]), lam)[0]),
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        best = max(best, -float(res.fun))
-    return best
+    K = trunc.kernel_rows(np.linspace(0.0, trunc.rho, _SUP_SCAN_NODES + 1))
+    r = _neg_xlogx_nats(K).sum(axis=1) / LN2
+    return max(float((K @ lam - r).max()), float(trunc.f_values(lam).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +634,10 @@ def solve_poisson(peak: float, dark_current: float = 1.0,
     ContinuousCost), so the sandwich is for that equality constraint.
     """
     t0 = time.perf_counter()
+    if iterations is not None and iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations!r}")
+    if iteration_cap < 1:
+        raise ValueError(f"iteration_cap must be >= 1, got {iteration_cap!r}")
     base = poisson_channel(peak, dark_current)
 
     probe = None
@@ -730,25 +709,19 @@ def poisson_sweep(db_values, dark_current: float = 1.0,
                   epsilon: Optional[float] = None,
                   tail_order: float = 0.5,
                   iteration_cap: int = 30_000,
-                  settings: Optional[dict] = None,
                   progress=None) -> list[dict]:
     """Capacity sandwich across peak powers given in dB (A = 10^(dB/10)).
 
-    ``settings`` may pin (M, iterations, nu) per dB value; otherwise each
-    point runs in budget mode (spend the cap, smooth for the best certified
-    gap), so sweeps stay desk-scale with valid, if wider, bounds.  Each row
-    carries both of solve_poisson's pairs: ``c_lb``/``c_ub`` rest on the
-    refined_sup_f estimate, ``c_lb_certified``/``c_ub_certified`` do not.
+    Each point runs in budget mode (spend the cap, smooth for the best
+    certified gap), so sweeps stay desk-scale with valid, if wider, bounds.
+    Each row carries both of solve_poisson's pairs: ``c_lb``/``c_ub`` rest
+    on the refined_sup_f estimate, ``c_lb_certified``/``c_ub_certified`` do
+    not.
     """
     rows = []
     for db in db_values:
-        peak = 10.0 ** (db / 10.0)
-        kw = dict(tail_order=tail_order, iteration_cap=iteration_cap, epsilon=epsilon)
-        if settings and db in settings:
-            M, n, nu = settings[db]
-            rep = solve_poisson(peak, dark_current, M=M, iterations=n, nu=nu, **kw)
-        else:
-            rep = solve_poisson(peak, dark_current, **kw)
+        rep = solve_poisson(10.0 ** (db / 10.0), dark_current, epsilon=epsilon,
+                            tail_order=tail_order, iteration_cap=iteration_cap)
         if progress is not None:
             progress(db, rep)
         rows.append({

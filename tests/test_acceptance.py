@@ -212,8 +212,8 @@ def test_criterion_07_tails_and_truncation():
             m_lo = math.ceil(A + eta)
             for k in (0.25, 0.5, 1.0):
                 for M in range(m_lo, 61):
-                    direct = cb.tail_Rk(base, M, k, method="direct_sum").value
-                    closed = cb.tail_Rk(base, M, k, method="poisson_closed_form").value
+                    direct = cb.tail_Rk(base, M, k, method="direct_sum")
+                    closed = cb.tail_Rk(base, M, k, method="poisson_closed_form")
                     assert direct <= closed * (1 + 1e-12) + 1e-300
 
     base = cb.poisson_channel(1.0, 1.0)
@@ -257,12 +257,10 @@ def test_criterion_08_poisson_sandwich():
     assert cb.lapidoth_lb(10.0, 1.0) == pytest.approx(0.2739, abs=1e-3)
 
     # full sweep at strongly reduced iteration counts: ordering only
-    reduced = {db: (M, min(n, 12_000), nu)
-               for db, (M, n, nu) in REFERENCE_POISSON_SETTINGS.items()}
-    rows = cb.poisson_sweep(list(range(0, 15)), 1.0, settings=reduced)
-    for row in rows:
-        assert row["c_lb"] <= row["c_ub"] + 1e-9
-        assert row["c_ub"] >= row["lapidoth_lb"]
+    for db, (M, n, nu) in REFERENCE_POISSON_SETTINGS.items():
+        rep = cb.solve_poisson(10.0 ** (db / 10.0), 1.0, M=M, iterations=min(n, 12_000), nu=nu)
+        assert rep.c_lb <= rep.c_ub + 1e-9, db
+        assert rep.c_ub >= rep.lapidoth, db
     elapsed = time.perf_counter() - t0
     print(f"\nPASS criterion 8: reference points within 0.01, sweep ordering holds ({elapsed:.1f}s)")
 

@@ -133,6 +133,30 @@ def test_aposteriori_gap_and_ba_intersection(W, eps):
     assert max(dual.c_lb, ba.c_lb) <= min(dual.c_ub, ba.c_ub) + 1e-9
 
 
+@settings(max_examples=50, deadline=None)
+@given(W=positive_channels(max_size=6), eps=st.sampled_from([1e-2, 1e-3]), data=st.data())
+def test_relabelled_and_repeated_inputs_keep_the_sandwich(W, eps, data):
+    # Relabelling inputs or outputs, or repeating an input, leaves the
+    # capacity unchanged, so the three certified intervals share a point.
+    rows = data.draw(st.permutations(range(W.rows)))
+    cols = data.draw(st.permutations(range(W.cols)))
+    dup = data.draw(st.integers(0, W.rows - 1))
+    variants = [W, cb.ChannelMatrix(W.entries[rows][:, cols]),
+                cb.ChannelMatrix(np.vstack([W.entries, W.entries[dup]]))]
+    reps = [cb.solve_capacity(V, epsilon=eps) for V in variants]
+    for rep in reps:
+        assert rep.aposteriori_err <= eps
+    assert max(rep.c_lb for rep in reps) <= min(rep.c_ub for rep in reps) + 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(W=positive_channels(max_size=6), eps=st.sampled_from([1e-2, 1e-3]))
+def test_identical_rows_have_zero_capacity(W, eps):
+    rep = cb.solve_capacity(cb.ChannelMatrix(np.tile(W.entries[0], (W.rows, 1))), epsilon=eps)
+    assert rep.c_lb <= 1e-9
+    assert -1e-9 <= rep.c_ub <= eps
+
+
 @settings(max_examples=60, deadline=None)
 @given(W=positive_channels(max_size=6), eps=st.sampled_from([1e-2, 1e-3]), data=st.data())
 def test_constrained_p_hat_is_feasible(W, eps, data):

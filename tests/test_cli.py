@@ -251,9 +251,49 @@ class TestArgumentChecks:
         ["solve-poisson", "--peak", "1", "--eps", "0"],
         ["poisson-sweep", "--db-grid", "0:0:1", "--eps", "-0.1"],
         ["solve-dmc", "bsc:0.1", "--eps", "nan"],
+        ["solve-poisson", "--peak-db", "0", "--nu", "0"],
+        ["solve-poisson", "--peak-db", "0", "--nu=-1"],
+        ["solve-poisson", "--peak-db", "0", "--nu", "nan"],
+        ["solve-poisson", "--peak-db", "0", "--trunc-m", "0"],
+        ["solve-poisson", "--peak-db", "0", "--iterations=-5"],
+        ["solve-poisson", "--peak-db", "0", "--iteration-cap", "0"],
+        ["poisson-sweep", "--db-grid", "0:0:1", "--iteration-cap=-1"],
+        ["poisson-sweep", "--db-grid", "0:0:1", "--iteration-cap=-3"],
     ])
     def test_non_positive_value_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, argv + ["--quiet"])
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and "must be positive" in err
+        assert err.startswith("error: argument --") and "must be positive" in err
+
+
+class TestJsonReports:
+    # Each --out report is its result dataclass's fields; perturb-solve adds
+    # the outer sandwich and compare nests the two solvers' reports.
+    SOLVE = {"c_lb", "c_ub", "apriori_err", "aposteriori_err", "iterations", "nu",
+             "constrained", "s_max_estimate", "stop_reason", "p_hat", "lambda_hat",
+             "wall_time"}
+    BA = {"c_lb", "c_ub", "apriori_err", "iterations", "p", "wall_time"}
+    POISSON = {"peak", "dark_current", "M", "nu", "iterations", "tail_order",
+               "trunc_error", "mutual_info", "dual_value", "g_sup", "g_nu", "iota",
+               "c_lb", "c_ub", "c_lb_certified", "c_ub_certified", "lapidoth",
+               "gamma_M", "quad_nodes", "quadrature_converged", "wall_time"}
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["solve-dmc", "bsc:0.1", "--eps", "1e-2"], SOLVE),
+        (["solve-ba", "bsc:0.1", "--eps", "1e-2"], BA),
+        (["compare", "bsc:0.1", "--eps", "1e-2"], {"dual": SOLVE, "ba": BA}),
+        (["perturb-solve", "bec:0.4", "--eps", "0.05"],
+         SOLVE | {"perturbation", "delta_norm_ub", "correction"}),
+        (["solve-poisson", "--peak-db", "0", "--trunc-m", "8", "--iterations", "100",
+          "--nu", "0.05"], POISSON),
+    ])
+    def test_key_sets(self, capsys, tmp_path, argv, keys):
+        out_path = tmp_path / "rep.json"
+        code, _, _ = run_cli(capsys, argv + ["--quiet", "--out", str(out_path)])
+        assert code == 0
+        payload = json.loads(out_path.read_text())
+        if isinstance(keys, dict):
+            assert {k: set(v) for k, v in payload.items()} == keys
+        else:
+            assert set(payload) == keys

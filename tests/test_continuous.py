@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capbound as cb
 from capbound import continuous
 from capbound.continuous import _converged_truncation, _lipschitz_terms, refined_sup_f
 from capbound.errors import BudgetExceeded, EpsilonTooLarge, InvalidOrder, NeedLargerM
+from capbound.info_theory import LN2, _neg_xlogx_nats
 
 
 def uniform_output_channel(K, peak=2.0):
@@ -66,19 +73,18 @@ class TestTailBounds:
         base = cb.poisson_channel(1.0, 1.0)
         direct = cb.tail_Rk(base, 16, 1.0, method="direct_sum")
         closed = cb.tail_Rk(base, 16, 1.0, method="poisson_closed_form")
-        assert direct.value <= closed.value * (1 + 1e-12)
+        assert direct <= closed * (1 + 1e-12)
         # alpha degenerates to 1 at k=1: bound is (A+eta)^M / M!
-        assert closed.value == pytest.approx(2.0**16 / math.factorial(16), rel=1e-12)
+        assert closed == pytest.approx(2.0**16 / math.factorial(16), rel=1e-12)
 
     def test_direct_below_closed_form_khalf(self):
         base = cb.poisson_channel(1.0, 1.0)
         direct = cb.tail_Rk(base, 20, 0.5, method="direct_sum")
         closed = cb.tail_Rk(base, 20, 0.5, method="poisson_closed_form")
-        assert direct.value <= closed.value * (1 + 1e-12)
+        assert direct <= closed * (1 + 1e-12)
 
     def test_zero_tail_channel(self):
-        res = cb.tail_Rk(uniform_output_channel(4), 4, 1.0)
-        assert res.value == 0.0
+        assert cb.tail_Rk(uniform_output_channel(4), 4, 1.0) == 0.0
 
     def test_invalid_order(self):
         base = cb.poisson_channel(1.0, 1.0)
@@ -326,12 +332,17 @@ class TestSolvePoisson:
         assert (rep.M, 256) in scanned
         assert [g for g in scanned if g[1] > 256] == [(rep.M, rep.quad_nodes)]
 
-    def test_refined_sup_tracks_node_max(self):
-        trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 8, quad_nodes=128)
-        lam = np.linspace(-0.5, 0.5, 8)
-        node_max = float(trunc.f_values(lam).max())
+    @settings(max_examples=40, deadline=None)
+    @given(peak=st.sampled_from([0.5, 1.0, 5.0]), M=st.sampled_from([4, 8, 16]),
+           data=st.data())
+    def test_refined_sup_tracks_node_max(self, peak, M, data):
+        trunc = cb.truncate(cb.poisson_channel(peak, 1.0), M, quad_nodes=128)
+        lam = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=M, max_size=M)))
+        K = trunc.kernel_rows(np.linspace(0.0, peak, 8193))
+        scan_max = float((K @ lam - _neg_xlogx_nats(K).sum(axis=1) / LN2).max())
         sup = refined_sup_f(trunc, lam)
-        assert sup >= node_max - 1e-12
+        assert sup >= float(trunc.f_values(lam).max())
+        assert sup >= scan_max
 
 
 class TestSweep:
@@ -344,3 +355,15 @@ class TestSweep:
             assert row["c_lb_certified"] <= row["c_ub_certified"]
             assert row["c_lb"] <= row["c_ub"]
             assert row["c_ub"] >= row["lapidoth_lb"]
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize adds import time and resident memory to every CLI call;
+    # capbound needs only scipy.special.
+    env = dict(os.environ)
+    src = str(Path(cb.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, capbound, capbound.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
