@@ -15,6 +15,7 @@ from .continuous import (
     ContinuousChannel,
     ContinuousCost,
     ContinuousSchedule,
+    PoissonGridReport,
     PoissonReport,
     TruncatedChannel,
     choose_truncation_level,
@@ -25,6 +26,7 @@ from .continuous import (
     poisson_sweep,
     smoothing_gap_bound,
     solve_poisson,
+    solve_poisson_grid,
     tail_Rk,
     truncate,
     truncation_error_bound,

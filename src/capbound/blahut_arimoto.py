@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +35,12 @@ from .info_theory import LN2, ChannelMatrix, ProbVector, _entropy_bits
 # in the upper bound.
 _LOG_Q_FLOOR = math.log(1e-300)
 
+# Why a solve stopped: a checked iterate's certified gap reached epsilon, an
+# a priori run completed its iteration count, or an a posteriori run (or any
+# run whose count an iteration cap cut short) reached that count before its
+# gap met epsilon.  Shared with the dual solver's SolveReport.
+STOP_REASONS = ("gap<=eps", "apriori_n", "cap")
+
 
 @dataclass
 class BAReport:
@@ -43,9 +50,12 @@ class BAReport:
     iterations: int
     p: ProbVector
     wall_time: float
+    stop_reason: str = "gap<=eps"
 
     def __post_init__(self):
         require_sandwich(self.c_lb, self.c_ub, "BAReport")
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
 
 
 def ba_iterations(N: int, epsilon: float) -> int:
@@ -55,22 +65,28 @@ def ba_iterations(N: int, epsilon: float) -> int:
     return max(1, math.ceil(math.log2(N) / epsilon))
 
 
-def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori") -> BAReport:
+def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
+             iteration_cap: Optional[int] = None) -> BAReport:
     """Blahut-Arimoto capacity sandwich I(p) <= C <= max_i D(W(.|i) || W^T p).
 
     stopping="apriori" runs exactly ba_iterations(N, epsilon) updates, after
     which c_lb is within apriori_err = log2(N)/n of the capacity;
     stopping="aposteriori" also stops at the first iterate whose certified
     gap c_ub - c_lb is at most epsilon (the a priori count stays the hard
-    cap).  Zero channel entries are fine (0*log 0 terms vanish); the KL
+    cap).  An ``iteration_cap`` below the a priori count stops the run there
+    instead, and ``stop_reason`` then reads "cap" unless the gap was met.
+    Zero channel entries are fine (0*log 0 terms vanish); the KL
     exponents are accumulated in nats and max-shifted before
     exponentiation.  All values are in bits.
     """
     if stopping not in ("apriori", "aposteriori"):
         raise ValueError(f"unknown stopping mode {stopping!r}")
+    if iteration_cap is not None and iteration_cap < 1:
+        raise ValueError(f"iteration_cap must be >= 1, got {iteration_cap!r}")
     t0 = time.perf_counter()
     N = W.rows
-    n = ba_iterations(N, epsilon)
+    n_apriori = ba_iterations(N, epsilon)
+    n = n_apriori if iteration_cap is None else min(n_apriori, iteration_cap)
     Wm = W.entries
     wlogw = np.zeros_like(Wm)
     mask = Wm > 0.0
@@ -118,6 +134,12 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori") -> BAR
         logp -= np.maximum.reduce(logp)
         it += 1
 
+    if stopping == "aposteriori" and c_ub - c_lb <= epsilon:
+        stop_reason = "gap<=eps"
+    elif stopping == "apriori" and n == n_apriori:
+        stop_reason = "apriori_n"
+    else:
+        stop_reason = "cap"
     return BAReport(
         c_lb=c_lb,
         c_ub=c_ub,
@@ -125,4 +147,5 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori") -> BAR
         iterations=it,
         p=ProbVector(p),
         wall_time=time.perf_counter() - t0,
+        stop_reason=stop_reason,
     )

@@ -65,6 +65,7 @@ def _bounded(convert, ok, rule: str):
 _positive_float = _bounded(float, lambda x: x > 0, "positive")
 _positive_int = _bounded(int, lambda n: n > 0, "positive")
 _non_negative_int = _bounded(int, lambda n: n >= 0, "positive or zero")
+_tail_order = _bounded(float, lambda k: 0.0 < k < 1.0, "in (0, 1)")
 
 
 def _load_cost(path: str, budget: float) -> CostConstraint:
@@ -260,6 +261,8 @@ def _parse_db_grid(text: str):
         parts = [float(v) for v in text.split(":")]
     except ValueError as exc:
         raise _ParseError(f"bad --db-grid {text!r}") from exc
+    if not all(map(math.isfinite, parts)):
+        raise _ParseError(f"bad --db-grid {text!r}")
     if len(parts) == 1:
         return [parts[0]]
     if len(parts) == 2:
@@ -279,10 +282,10 @@ def _cmd_poisson_sweep(args) -> int:
 
     def note(db, rep):
         if not args.quiet:
-            print(f"# {db} dB done (M={rep.M}, n={rep.iterations})", file=sys.stderr)
+            print(f"# {db} dB done (M={rep.M}, n={rep.iterations}, {rep.stop_reason})",
+                  file=sys.stderr)
 
     rows = poisson_sweep(dbs, args.dark_current, epsilon=args.eps,
-                         tail_order=args.order_k,
                          iteration_cap=args.iteration_cap, progress=note)
     columns = list(rows[0])
     print(",".join(columns))
@@ -351,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peak-db", type=float, default=None,
                    help="peak power in dB (A = 10^(dB/10))")
     p.add_argument("--dark-current", type=float, default=1.0)
-    p.add_argument("--order-k", type=float, default=0.5,
-                   help="tail order for the truncation bound (default 0.5)")
+    p.add_argument("--order-k", type=_tail_order, default=0.5,
+                   help="tail order k in (0, 1) for the truncation bound (default 0.5)")
     p.add_argument("--trunc-m", type=_positive_int, default=None,
                    help="override the truncation level M")
     p.add_argument("--iterations", type=_non_negative_int, default=None,
@@ -363,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve_poisson)
 
     p = sub.add_parser("poisson-sweep",
-                       help="CSV sweep of the Poisson sandwich over peak powers")
-    _add_common(p, stopping=False, eps_default=None,
-                eps_help="target accuracy in bits; default fits the iteration cap")
+                       help="CSV sweep of the certified Poisson sandwich over peak powers")
+    _add_common(p, stopping=False,
+                eps_help="certified-gap target c_ub - c_lb in bits (default 1e-3)")
     p.add_argument("--db-grid", required=True,
                    help="start:stop:step peak powers in dB")
     p.add_argument("--dark-current", type=float, default=1.0)
-    p.add_argument("--order-k", type=float, default=0.5)
-    p.add_argument("--iteration-cap", type=_positive_int, default=30_000)
+    p.add_argument("--iteration-cap", type=_positive_int, default=30_000,
+                   help="cap on the Blahut-Arimoto iterations per point (default 30000)")
     p.set_defaults(func=_cmd_poisson_sweep)
 
     return parser

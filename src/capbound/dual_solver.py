@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blahut_arimoto import ba_solve
+from .blahut_arimoto import STOP_REASONS, ba_solve
 from .errors import (
     AssumptionViolated,
     CertificateViolated,
@@ -71,11 +71,6 @@ _MU_NEWTON_MAX_ITER = 200
 # 4.5*ln(n/10) times.
 _LADDER_FIRST = 10
 _LADDER_GROWTH = 1.25
-
-# Why a solve stopped: a checkpoint's certified gap reached epsilon, an a
-# priori run completed its iteration count, or an a posteriori run reached
-# that count, its cap, before any earlier checkpoint met epsilon.
-STOP_REASONS = ("gap<=eps", "apriori_n", "cap")
 
 
 # ---------------------------------------------------------------------------

@@ -248,11 +248,17 @@ def test_criterion_08_poisson_sandwich():
     """Counting-channel sandwich matches the reference curve; ordering holds on the sweep."""
     t0 = time.perf_counter()
     targets = {0: (0.1191, 0.1058), 5: (0.5192, 0.5010)}
+    # The certified grid Blahut-Arimoto sweep at its defaults, on the 0:14:2
+    # grid plus the second reference point.
+    sweep = {row["A_dB"]: row for row in cb.poisson_sweep(sorted({*range(0, 15, 2), 5}))}
     for db, (want_ub, want_lb) in targets.items():
         M, n, nu = REFERENCE_POISSON_SETTINGS[db]
         rep = cb.solve_poisson(10 ** (db / 10.0), 1.0, M=M, iterations=n, nu=nu)
         assert rep.c_ub == pytest.approx(want_ub, abs=0.01), db
         assert rep.c_lb == pytest.approx(want_lb, abs=0.01), db
+        # Both pairs are certificates, so they must meet.
+        row = sweep[db]
+        assert max(row["c_lb"], rep.c_lb_certified) <= min(row["c_ub"], rep.c_ub_certified), db
 
     assert cb.lapidoth_lb(10.0, 1.0) == pytest.approx(0.2739, abs=1e-3)
 
@@ -261,8 +267,12 @@ def test_criterion_08_poisson_sandwich():
         rep = cb.solve_poisson(10.0 ** (db / 10.0), 1.0, M=M, iterations=min(n, 12_000), nu=nu)
         assert rep.c_lb <= rep.c_ub + 1e-9, db
         assert rep.c_ub >= rep.lapidoth, db
+
+    for db in range(0, 15, 2):
+        assert sweep[db]["c_ub"] - sweep[db]["c_lb"] <= 1e-3, db
     elapsed = time.perf_counter() - t0
-    print(f"\nPASS criterion 8: reference points within 0.01, sweep ordering holds ({elapsed:.1f}s)")
+    print(f"\nPASS criterion 8: reference points within 0.01, sweep ordering holds, "
+          f"certified sweep gaps <= 1e-3 ({elapsed:.1f}s)")
 
 
 @pytest.mark.slow

@@ -108,3 +108,22 @@ def test_upper_bound_survives_underflowed_output():
     # the capacity exceeds 1 bit by far less than 1e-300
     assert rep.c_lb - 1e-12 <= 1.0 <= rep.c_ub + 1e-12
     assert rep.c_ub - rep.c_lb <= 1e-9
+
+
+def test_stop_reason_and_iteration_cap():
+    W = cb.make_random(20, 9, seed=4)
+    assert cb.ba_solve(W, 1e-2).stop_reason == "apriori_n"
+    assert cb.ba_solve(W, 1e-2, "aposteriori").stop_reason == "gap<=eps"
+    for stopping in ("apriori", "aposteriori"):
+        capped = cb.ba_solve(W, 1e-6, stopping, iteration_cap=5)
+        assert capped.iterations == 5 and capped.stop_reason == "cap"
+        assert capped.c_lb <= capped.c_ub
+    # A cap above the a priori count changes nothing, bit for bit.
+    free, loose = cb.ba_solve(W, 1e-2), cb.ba_solve(W, 1e-2, iteration_cap=10**9)
+    assert (free.iterations, free.c_lb, free.c_ub) == (loose.iterations, loose.c_lb, loose.c_ub)
+    assert free.p.weights.tobytes() == loose.p.weights.tobytes()
+    assert loose.stop_reason == "apriori_n"
+    with pytest.raises(ValueError):
+        cb.ba_solve(W, 1e-2, iteration_cap=0)
+    with pytest.raises(ValueError):
+        cb.BAReport(0.1, 0.2, 0.0, 1, free.p, 0.0, stop_reason="tired")

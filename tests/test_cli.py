@@ -132,11 +132,10 @@ class TestPoisson:
 
     def test_sweep_csv(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
-        code, out, _ = run_cli(capsys, ["poisson-sweep", "--db-grid", "0:2:1",
-                                        "--iteration-cap", "1200", "--quiet",
+        code, out, _ = run_cli(capsys, ["poisson-sweep", "--db-grid", "0:2:1", "--quiet",
                                         "--out", str(out_path)])
         assert code == 0
-        header = "A_dB,M,nu,iterations,c_lb,c_ub,c_lb_certified,c_ub_certified,E,lapidoth_lb"
+        header = "A_dB,M,iterations,c_lb,c_ub,E,lapidoth_lb"
         lines = out.strip().splitlines()
         assert lines[0] == header
         assert len(lines) == 4
@@ -145,7 +144,15 @@ class TestPoisson:
         assert len(file_lines) == 4
         with out_path.open(newline="") as fh:
             for row in csv.DictReader(fh):
-                assert float(row["c_lb_certified"]) <= float(row["c_ub_certified"])
+                assert float(row["c_lb"]) <= float(row["c_ub"])
+                assert float(row["c_ub"]) - float(row["c_lb"]) <= 1e-3
+
+    def test_sweep_progress_names_stop_reason(self, capsys):
+        code, _, err = run_cli(capsys, ["poisson-sweep", "--db-grid", "0:2:2",
+                                        "--iteration-cap", "20"])
+        assert code == 0
+        notes = [line for line in err.splitlines() if line.startswith("#")]
+        assert notes == ["# 0.0 dB done (M=14, n=20, cap)", "# 2.0 dB done (M=16, n=20, cap)"]
 
     def test_sweep_deterministic(self, capsys):
         args = ["poisson-sweep", "--db-grid", "0:1:1", "--iteration-cap", "800", "--quiet"]
@@ -218,6 +225,13 @@ class TestStopReasonJson:
         assert code == 0
         assert json.loads(out_path.read_text())["dual"]["stop_reason"] == "gap<=eps"
 
+    def test_solve_ba(self, capsys, tmp_path):
+        out_path = tmp_path / "ba.json"
+        code, _, _ = run_cli(capsys, ["solve-ba", "bsc:0.2", "--eps", "1e-2",
+                                      "--quiet", "--out", str(out_path)])
+        assert code == 0
+        assert json.loads(out_path.read_text())["stop_reason"] == "apriori_n"
+
     def test_perturb_solve(self, capsys, tmp_path):
         out_path = tmp_path / "pert.json"
         code, out, _ = run_cli(capsys, ["perturb-solve", "bec:0.4", "--eps", "0.05",
@@ -267,13 +281,41 @@ class TestArgumentChecks:
         assert err.startswith("error: argument --") and "must be positive" in err
 
 
+    @pytest.mark.parametrize("value", ["0", "1", "-0.5", "nan"])
+    def test_order_k_outside_unit_interval(self, capsys, value):
+        code, out, err = run_cli(capsys, ["solve-poisson", "--peak-db", "0",
+                                          "--order-k", value, "--quiet"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: argument --order-k: must be in (0, 1)")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-poisson", "--peak", "nan"],
+        ["solve-poisson", "--peak", "inf"],
+        ["solve-poisson", "--peak-db", "nan"],
+        ["solve-poisson", "--peak-db", "0", "--dark-current", "nan"],
+        ["poisson-sweep", "--db-grid", "nan"],
+        ["poisson-sweep", "--db-grid", "0:inf:1"],
+        ["poisson-sweep", "--db-grid", "0", "--dark-current", "nan"],
+        ["poisson-sweep", "--db-grid", "0", "--dark-current", "inf"],
+    ])
+    def test_non_finite_poisson_input_rejected(self, capsys, argv):
+        # The solve-poisson settings keep a solve short should one start.
+        if argv[0] == "solve-poisson":
+            argv = argv + ["--trunc-m", "8", "--iterations", "50", "--nu", "0.05"]
+        code, out, err = run_cli(capsys, argv + ["--quiet"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestJsonReports:
     # Each --out report is its result dataclass's fields; perturb-solve adds
     # the outer sandwich and compare nests the two solvers' reports.
     SOLVE = {"c_lb", "c_ub", "apriori_err", "aposteriori_err", "iterations", "nu",
              "constrained", "s_max_estimate", "stop_reason", "p_hat", "lambda_hat",
              "wall_time"}
-    BA = {"c_lb", "c_ub", "apriori_err", "iterations", "p", "wall_time"}
+    BA = {"c_lb", "c_ub", "apriori_err", "iterations", "p", "wall_time", "stop_reason"}
     POISSON = {"peak", "dark_current", "M", "nu", "iterations", "tail_order",
                "trunc_error", "mutual_info", "dual_value", "g_sup", "g_nu", "iota",
                "c_lb", "c_ub", "c_lb_certified", "c_ub_certified", "lapidoth",

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 import capbound as cb
 from capbound import continuous
 from capbound.continuous import _converged_truncation, _lipschitz_terms, refined_sup_f
-from capbound.errors import BudgetExceeded, EpsilonTooLarge, InvalidOrder, NeedLargerM
+from capbound.errors import (
+    AssumptionViolated,
+    BudgetExceeded,
+    EpsilonTooLarge,
+    InvalidOrder,
+    NeedLargerM,
+)
 from capbound.info_theory import LN2, _neg_xlogx_nats
 
 
@@ -347,14 +353,73 @@ class TestSolvePoisson:
 
 class TestSweep:
     def test_two_point_sweep(self):
-        rows = cb.poisson_sweep([0.0, 1.0], 1.0, iteration_cap=1200)
+        rows = cb.poisson_sweep([0.0, 1.0], 1.0)
         assert len(rows) == 2
         for row in rows:
-            assert set(row) == {"A_dB", "M", "nu", "iterations", "c_lb", "c_ub",
-                                "c_lb_certified", "c_ub_certified", "E", "lapidoth_lb"}
-            assert row["c_lb_certified"] <= row["c_ub_certified"]
+            assert set(row) == {"A_dB", "M", "iterations", "c_lb", "c_ub", "E", "lapidoth_lb"}
             assert row["c_lb"] <= row["c_ub"]
+            assert row["c_ub"] - row["c_lb"] <= 1e-3
             assert row["c_ub"] >= row["lapidoth_lb"]
+
+
+class TestGridSandwich:
+    @settings(max_examples=24, deadline=None)
+    @given(peak=st.sampled_from([0.5, 1.0, 5.0, 25.0]), data=st.data())
+    def test_certified_sup_covers_fine_scan(self, peak, data):
+        # At the sweep's truncation level and lam = -log2 q for a random
+        # output law q (entries spread over twelve decades), the certified
+        # supremum dominates a 65,537-point scan, and the curvature bound
+        # dominates that scan's second differences.
+        base = cb.poisson_channel(peak, 1.0)
+        M = continuous._grid_truncation_level(base, 1e-4)[0]
+        expo = data.draw(st.lists(st.floats(-12.0, 0.0), min_size=M, max_size=M))
+        q = 10.0 ** np.array(expo)
+        lam = -np.log2(q / q.sum())
+        xs = np.linspace(0.0, peak, 65_537)
+        f = continuous._f_scan(base, M, lam, xs)
+        assert continuous._certified_sup(base, M, lam, 1e-4) >= f.max()
+        h = xs[1] - xs[0]
+        second = np.abs(f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
+        assert continuous._curvature_bound(base, M, lam) >= second.max()
+
+    def test_scan_blocks_match_one_pass(self):
+        base = cb.poisson_channel(5.0, 1.0)
+        lam = np.linspace(0.5, 9.0, 12)
+        xs = np.linspace(0.0, 5.0, 2 * continuous._SCAN_BLOCK + 7)
+        K = base.kernel(xs[:, None], np.arange(12)) + (base.tail_mass(xs, 12) / 12)[:, None]
+        one = K @ lam - _neg_xlogx_nats(K).sum(axis=1) / LN2
+        np.testing.assert_allclose(continuous._f_scan(base, 12, lam, xs), one,
+                                   rtol=1e-14, atol=1e-13)
+
+    def test_truncation_level_is_smallest(self):
+        base = cb.poisson_channel(10.0, 1.0)
+        M, err, k = continuous._grid_truncation_level(base, 1e-4)
+        assert err == cb.truncation_error_bound(base, M, k) <= 1e-4
+        assert min(cb.truncation_error_bound(base, M - 1, kk)
+                   for kk in continuous._TAIL_ORDERS) > 1e-4
+
+    def test_iteration_cap_leaves_certified_sandwich(self):
+        rep = cb.solve_poisson_grid(1.0, 1.0, iteration_cap=10)
+        assert rep.iterations == 10 and rep.stop_reason == "cap"
+        assert rep.c_lb <= rep.c_ub
+        full = cb.solve_poisson_grid(1.0, 1.0)
+        assert full.stop_reason == "gap<=eps" and full.c_ub - full.c_lb <= 1e-3
+        assert max(rep.c_lb, full.c_lb) <= min(rep.c_ub, full.c_ub)
+
+    def test_uncertifiable_channels_refused(self):
+        # No dark current leaves f'' unbounded at x = 0; at 20 dB the
+        # kernel floor gammainc(M, eta)/M underflows.
+        with pytest.raises(AssumptionViolated):
+            cb.solve_poisson_grid(1.0, 0.0)
+        with pytest.raises(AssumptionViolated, match="underflows"):
+            cb.solve_poisson_grid(100.0, 1.0)
+
+    @pytest.mark.parametrize("peak, eta", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0),
+                                           (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)])
+    def test_bad_poisson_parameters_rejected(self, peak, eta):
+        for make in (cb.poisson_channel, cb.lapidoth_lb):
+            with pytest.raises(cb.InvalidChannel):
+                make(peak, eta)
 
 
 def test_import_leaves_out_scipy_optimize():
