@@ -14,12 +14,10 @@ from .channels import (
 from .continuous import (
     ContinuousChannel,
     ContinuousCost,
-    ContinuousSchedule,
     PoissonGridReport,
     PoissonReport,
     TruncatedChannel,
     choose_truncation_level,
-    continuous_schedule,
     eval_G_nu_continuous,
     lapidoth_lb,
     poisson_channel,
@@ -47,10 +45,8 @@ from .dual_solver import (
 )
 from .errors import (
     AssumptionViolated,
-    BudgetExceeded,
     CapacityError,
     DimensionMismatch,
-    EpsilonTooLarge,
     Infeasible,
     InvalidChannel,
     InvalidOrder,

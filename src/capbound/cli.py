@@ -25,7 +25,7 @@ import numpy as np
 
 from .blahut_arimoto import ba_solve
 from .channels import parse_channel_spec, solve_with_perturbation
-from .continuous import poisson_sweep, solve_poisson
+from .continuous import _peak_from_db, poisson_sweep, solve_poisson
 from .dual_solver import DualPoint, solve_capacity
 from .errors import CapacityError, InvalidChannel
 from .info_theory import CostConstraint, ProbVector
@@ -220,17 +220,23 @@ def _peak_from_args(args) -> float:
     if args.peak is not None:
         return args.peak
     if args.peak_db is not None:
-        return 10.0 ** (args.peak_db / 10.0)
+        return _peak_from_db(args.peak_db)
     raise _ParseError("one of --peak or --peak-db is required")
 
 
 def _cmd_solve_poisson(args) -> int:
     peak = _peak_from_args(args)
+    missing = [flag for flag, value in (("--trunc-m", args.trunc_m),
+                                        ("--iterations", args.iterations),
+                                        ("--nu", args.nu)) if value is None]
+    if missing:
+        raise _ParseError(
+            f"solve-poisson reproduces a run at pinned settings and needs "
+            f"{', '.join(missing)}; for an auto-tuned, certified pair run "
+            f"poisson-sweep --db-grid DB")
     rep = solve_poisson(
-        peak, args.dark_current, epsilon=args.eps,
-        M=args.trunc_m, iterations=args.iterations, nu=args.nu,
-        tail_order=args.order_k, iteration_cap=args.iteration_cap,
-        progress=_progress_printer(args.quiet),
+        peak, args.dark_current, M=args.trunc_m, iterations=args.iterations, nu=args.nu,
+        tail_order=args.order_k, progress=_progress_printer(args.quiet),
     )
     lines = [
         ("peak", _fmt(rep.peak)),
@@ -299,18 +305,21 @@ def _cmd_poisson_sweep(args) -> int:
     return 0
 
 
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="write machine-readable report to this path")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress progress and timing on stderr")
+
+
 def _add_common(p: argparse.ArgumentParser, stopping: bool = True,
-                eps_default=1e-3, eps_help="target accuracy in bits (default 1e-3)"
-                ) -> None:
-    p.add_argument("--eps", type=_positive_float, default=eps_default, help=eps_help)
+                eps_help="target accuracy in bits (default 1e-3)") -> None:
+    p.add_argument("--eps", type=_positive_float, default=1e-3, help=eps_help)
     if stopping:
         p.add_argument("--stopping", choices=["apriori", "aposteriori"],
                        default="aposteriori")
-    p.add_argument("--out", help="write machine-readable report to this path")
     p.add_argument("--seed", type=int, default=None,
                    help="seed completing a 'random:N,M' channel spec")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress progress and timing on stderr")
+    _add_output(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,9 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_perturb_solve, stopping="apriori")
 
     p = sub.add_parser("solve-poisson",
-                       help="peak-limited Poisson channel capacity sandwich")
-    _add_common(p, stopping=False, eps_default=None,
-                eps_help="target accuracy in bits; default fits the iteration cap")
+                       help="peak-limited Poisson channel sandwich at pinned M, n and nu")
+    _add_output(p)
     p.add_argument("--peak", type=float, default=None, help="peak power A")
     p.add_argument("--peak-db", type=float, default=None,
                    help="peak power in dB (A = 10^(dB/10))")
@@ -357,12 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order-k", type=_tail_order, default=0.5,
                    help="tail order k in (0, 1) for the truncation bound (default 0.5)")
     p.add_argument("--trunc-m", type=_positive_int, default=None,
-                   help="override the truncation level M")
+                   help="truncation level M (required)")
     p.add_argument("--iterations", type=_non_negative_int, default=None,
-                   help="override the scheduled iteration count")
+                   help="fast-gradient iteration count (required)")
     p.add_argument("--nu", type=_positive_float, default=None,
-                   help="override the scheduled smoothing parameter")
-    p.add_argument("--iteration-cap", type=_positive_int, default=200_000)
+                   help="smoothing parameter (required)")
     p.set_defaults(func=_cmd_solve_poisson)
 
     p = sub.add_parser("poisson-sweep",

@@ -41,8 +41,6 @@ from .blahut_arimoto import ba_solve
 from .dual_solver import _fast_gradient, _smoothed_input_term, ball_radius, eval_F
 from .errors import (
     AssumptionViolated,
-    BudgetExceeded,
-    EpsilonTooLarge,
     Infeasible,
     InvalidChannel,
     InvalidOrder,
@@ -57,13 +55,9 @@ _DIRECT_SUM_TERM_FLOOR = 1e-18
 _DIRECT_SUM_CAP = 500_000
 
 # Quadrature nodes of the default grid (the Poisson solve's, before node
-# doubling), of the coarser grid that picks M and the schedule, and of the
-# scan that estimates sup f; and the largest truncation level the bisection
-# considers.
+# doubling) and of the scan that estimates sup f.
 _QUAD_NODES = 512
-_COARSE_QUAD_NODES = 256
 _SUP_SCAN_NODES = 8192
-_MAX_M = 256
 
 # The most kernel rows one block of a sup scan builds at once (one
 # 16,385-row scan raised a sweep's peak resident memory from 84 MB to 109 MB).
@@ -295,7 +289,10 @@ def tail_Rk(base: ContinuousChannel, M: int, k: float,
         alpha = 2.0 ** (1.0 / k - 1.0)
         logv = k * (math.log(alpha) + (alpha - 1.0) * mean
                     + M * math.log(mean) - gammaln(M + 1))
-        return math.exp(logv)
+        try:
+            return math.exp(logv)
+        except OverflowError:
+            return math.inf  # sound: an infinite bound only widens the sandwich
 
     if method != "direct_sum":
         raise ValueError(f"unknown tail method {method!r}")
@@ -335,7 +332,7 @@ def truncation_error_bound(base: ContinuousChannel, M: int, k: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Smoothing gap and iteration schedule
+# Smoothing gap
 
 
 def _lipschitz_terms(trunc: TruncatedChannel,
@@ -375,37 +372,6 @@ def smoothing_gap_bound(nu: float, t1: float, t2: float) -> float:
     if branch1:
         return nu * (math.log2(t1 / nu + t2) + 1.0)
     return nu
-
-
-@dataclass(frozen=True)
-class ContinuousSchedule:
-    """Smoothing parameter and iteration floor for a target accuracy."""
-
-    t1: float
-    t2: float
-    alpha: float
-    nu: float
-    n_min: int
-    d1: float
-
-
-def continuous_schedule(trunc: TruncatedChannel,
-                        cost: Optional[ContinuousCost],
-                        epsilon: float) -> ContinuousSchedule:
-    """Pick (nu, n) so the smoothed solve reaches the target duality gap."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    t1, t2, _ = _lipschitz_terms(trunc, cost)
-    alpha = 2.0 * (t1 + t2 + 1.0)
-    if epsilon >= alpha / 4.0:
-        raise EpsilonTooLarge(f"epsilon must be below alpha/4 = {alpha / 4.0:g}")
-    nu = (epsilon / alpha) / math.log2(alpha / epsilon)
-    d1 = _ball_constant(trunc)
-    n_min = math.ceil(
-        (1.0 / epsilon) * math.sqrt(8.0 * d1 * alpha)
-        * math.sqrt(math.log2(1.0 / epsilon) + math.log2(alpha) + 0.25)
-    )
-    return ContinuousSchedule(t1=t1, t2=t2, alpha=alpha, nu=nu, n_min=n_min, d1=d1)
 
 
 # ---------------------------------------------------------------------------
@@ -558,138 +524,25 @@ def _solve_truncated(trunc: TruncatedChannel, nu: float, n: int,
     return lam_hat, mutual
 
 
-def _ball_constant(trunc: TruncatedChannel) -> float:
-    return 0.5 * ball_radius(trunc.M, trunc.gamma_M) ** 2
+def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations: int,
+                  nu: float, cost: Optional[ContinuousCost] = None,
+                  tail_order: float = 0.5, progress=None) -> PoissonReport:
+    """The paper's Poisson capacity sandwich at a pinned M, iteration count and nu.
 
-
-def balanced_smoothing(trunc: TruncatedChannel,
-                       cost: Optional[ContinuousCost],
-                       iterations: int) -> tuple[float, float]:
-    """Smoothing parameter minimizing the fixed-budget a priori gap, and that gap.
-
-    The gap after n iterations at fixed nu is bounded by
-    iota(nu) + 4*D1*(1+1/nu)/(n+1)^2; with iota(nu) ~ nu*(log2(T1/nu+T2)+1)
-    the minimizer satisfies nu = 2*sqrt(D1/ell)/(n+1) for the slowly varying
-    log factor ell, which a few fixed-point rounds pin down.  Returns
-    (nu, the bound at nu).
-    """
-    t1, t2, _ = _lipschitz_terms(trunc, cost)
-    d1 = _ball_constant(trunc)
-    ell = 10.0
-    nu = 1.0
-    for _ in range(4):
-        nu = 2.0 * math.sqrt(d1 / ell) / (iterations + 1)
-        ell = max(1.0, math.log2(t1 / nu + t2) + 1.0)
-    gap = smoothing_gap_bound(nu, t1, t2) + 4.0 * d1 * (1.0 + 1.0 / nu) / (iterations + 1) ** 2
-    return nu, gap
-
-
-def choose_truncation_level(base: ContinuousChannel, tail_order: float,
-                            budget_iters: int,
-                            cost: Optional[ContinuousCost] = None,
-                            max_M: int = _MAX_M) -> int:
-    """Bisect M between the truncation penalty and the solver error.
-
-    The truncation penalty falls with M while the reachable solver accuracy
-    at a fixed iteration budget worsens with M, so the total is minimized
-    near their crossing; bisection on the sign of the difference finds it.
-    """
-    return _truncation_level(base, tail_order, budget_iters, cost, max_M)[0]
-
-
-def _truncation_level(base: ContinuousChannel, tail_order: float, budget_iters: int,
-                      cost: Optional[ContinuousCost], max_M: int
-                      ) -> tuple[int, TruncatedChannel]:
-    """``choose_truncation_level``'s M and its coarse-grid truncation.
-
-    Each level's truncation and error parts are computed once, so the final
-    comparison and the caller's schedule probe reuse the bisection's.
-    """
-    if base.poisson_params is not None:
-        peak, eta = base.poisson_params
-        lo = max(1, math.ceil(peak + eta))
-    else:
-        lo = 1
-    hi = max_M
-    seen: dict[int, tuple[TruncatedChannel, float, float]] = {}
-
-    def parts(M):
-        if M not in seen:
-            trunc = truncate(base, M, quad_nodes=_COARSE_QUAD_NODES)
-            seen[M] = (trunc, truncation_error_bound(base, M, tail_order),
-                       balanced_smoothing(trunc, cost, budget_iters)[1])
-        return seen[M]
-
-    if lo >= hi:
-        return hi, parts(hi)[0]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        _, err_t, err_s = parts(mid)
-        if err_t > err_s:
-            lo = mid
-        else:
-            hi = mid
-    tot_lo = sum(parts(lo)[1:])
-    tot_hi = sum(parts(hi)[1:])
-    M = lo if tot_lo <= tot_hi else hi
-    return M, parts(M)[0]
-
-
-def solve_poisson(peak: float, dark_current: float = 1.0,
-                  epsilon: Optional[float] = None,
-                  cost: Optional[ContinuousCost] = None,
-                  M: Optional[int] = None,
-                  iterations: Optional[int] = None,
-                  nu: Optional[float] = None,
-                  tail_order: float = 0.5,
-                  iteration_cap: int = 200_000,
-                  progress=None) -> PoissonReport:
-    """Certified capacity sandwich for the peak-limited Poisson channel.
-
-    With M / iterations / nu unset, the truncation level is chosen by
-    bisection against the iteration cap and the smoothing schedule supplies
-    (nu, n); explicit values override the schedule (useful to reproduce
-    reference runs).  epsilon=None schedules at the best accuracy the
-    iteration cap can certify; an explicit epsilon that needs more than the
-    cap raises BudgetExceeded.  The primary bounds follow the doubled
-    sandwich with the refined supremum estimate of the exact dual term; the
-    certified pair swaps in the uniform smoothing gap and is reported
-    alongside.  A ``cost`` is enforced as E[s(X)] = budget (see
-    ContinuousCost), so the sandwich is for that equality constraint.
+    This is the reproduction path: the truncation level, the fast-gradient
+    iteration count and the smoothing parameter are the caller's, as in the
+    published reference runs.  ``solve_poisson_grid`` is the auto-tuned,
+    certified path.  The primary bounds follow the doubled sandwich with the
+    refined supremum estimate of the exact dual term; the certified pair
+    swaps in the uniform smoothing gap and is reported alongside.  A
+    ``cost`` is enforced as E[s(X)] = budget (see ContinuousCost), so the
+    sandwich is for that equality constraint.
     """
     t0 = time.perf_counter()
-    if iterations is not None and iterations < 0:
+    if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations!r}")
-    if iteration_cap < 1:
-        raise ValueError(f"iteration_cap must be >= 1, got {iteration_cap!r}")
     base = poisson_channel(peak, dark_current)
-
-    probe = None
-    if M is None:
-        M, probe = _truncation_level(base, tail_order, iteration_cap, cost, _MAX_M)
     err_trunc = truncation_error_bound(base, M, tail_order)
-
-    if nu is None or iterations is None:
-        if probe is None:
-            probe = truncate(base, M, quad_nodes=_COARSE_QUAD_NODES)
-        if epsilon is not None:
-            sched = continuous_schedule(probe, cost, epsilon)
-            if nu is None:
-                nu = sched.nu
-            if iterations is None:
-                iterations = sched.n_min
-                if iterations > iteration_cap:
-                    _, reachable = balanced_smoothing(probe, cost, iteration_cap)
-                    raise BudgetExceeded(
-                        f"schedule needs {iterations} iterations for epsilon={epsilon:g}; "
-                        f"cap {iteration_cap} only reaches {reachable:g}"
-                    )
-        else:
-            # budget mode: spend the cap, smooth for the best certified gap
-            if iterations is None:
-                iterations = iteration_cap
-            if nu is None:
-                nu, _ = balanced_smoothing(probe, cost, iterations)
 
     trunc, quad_ok = _converged_truncation(_fold_on_grid(base, M, _QUAD_NODES), nu, cost,
                                            np.zeros(M))
@@ -738,8 +591,8 @@ _TAIL_ORDERS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 _GRID_INPUTS = 513
 
 
-def _grid_truncation_level(base: ContinuousChannel, target: float
-                           ) -> tuple[int, float, float]:
+def choose_truncation_level(base: ContinuousChannel, target: float
+                            ) -> tuple[int, float, float]:
     """Smallest M >= peak + dark current with min_k E(M, k) <= target.
 
     Returns (M, that least bound E, its tail order k), k from _TAIL_ORDERS.
@@ -751,6 +604,25 @@ def _grid_truncation_level(base: ContinuousChannel, target: float
         if err <= target:
             return M, err, k
         M += 1
+
+
+def _kernel_floor_bound(base: ContinuousChannel, M: int) -> float:
+    """gamma = gammainc(M, eta)/M, a lower bound on every entry of W_M.
+
+    Refuses (AssumptionViolated) a channel without dark current and a level
+    whose gamma underflows.  gamma falls as M grows, so a refusal at one
+    level holds for every larger one.
+    """
+    eta = base.poisson_params[1]
+    if eta <= 0.0:
+        raise AssumptionViolated("the certified supremum needs a positive dark current")
+    gamma = gammainc(float(M), eta) / M
+    if gamma <= 0.0:
+        raise AssumptionViolated(
+            f"gammainc(M, eta)/M underflows at M = {M}: no curvature bound for "
+            f"peak {base.peak:g}"
+        )
+    return gamma
 
 
 def _curvature_bound(base: ContinuousChannel, M: int, lam: np.ndarray) -> float:
@@ -778,17 +650,8 @@ def _curvature_bound(base: ContinuousChannel, M: int, lam: np.ndarray) -> float:
     2 (1 + M) / (eta ln 2).  Without dark current (eta = 0) f'' is unbounded
     near x = 0, so that channel is refused.
     """
-    eta = base.poisson_params[1]
-    if eta <= 0.0:
-        raise AssumptionViolated("the certified supremum needs a positive dark current")
-    gamma = gammainc(M, eta) / M
-    if gamma <= 0.0:
-        raise AssumptionViolated(
-            f"gammainc(M, eta)/M underflows at M = {M}: no curvature bound for "
-            f"peak {base.peak:g}"
-        )
-    spread = float(lam.max() - lam.min()) - math.log2(gamma)
-    return 2.5 * spread + 2.0 * (1.0 + M) / (eta * LN2)
+    spread = float(lam.max() - lam.min()) - math.log2(_kernel_floor_bound(base, M))
+    return 2.5 * spread + 2.0 * (1.0 + M) / (base.poisson_params[1] * LN2)
 
 
 def _certified_sup(base: ContinuousChannel, M: int, lam: np.ndarray, tol: float) -> float:
@@ -864,13 +727,18 @@ def solve_poisson_grid(peak: float, dark_current: float = 1.0, epsilon: float = 
     leaves a tenth for the rise of sup_x D over the grid's maximum (below
     1e-6 on the 0-14 dB sweep).  An ``iteration_cap`` that stops the solve
     first leaves a wider, still certified, sandwich (stop_reason "cap").
+    The kernel floor of ``_kernel_floor_bound`` is checked at the least
+    level and at M before any row is built, so a channel the curvature
+    bound refuses costs no solve.
     """
     t0 = time.perf_counter()
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     base = poisson_channel(peak, dark_current)
     tenth = epsilon / 10.0
-    M, err_trunc, k = _grid_truncation_level(base, tenth)
+    _kernel_floor_bound(base, math.ceil(base.peak + base.poisson_params[1]))
+    M, err_trunc, k = choose_truncation_level(base, tenth)
+    _kernel_floor_bound(base, M)
     W = ChannelMatrix(_truncated_rows(base, np.linspace(0.0, base.peak, _GRID_INPUTS), M))
     ba = ba_solve(W, 8.0 * tenth - err_trunc, stopping="aposteriori",
                   iteration_cap=iteration_cap)
@@ -891,6 +759,14 @@ def solve_poisson_grid(peak: float, dark_current: float = 1.0, epsilon: float = 
     )
 
 
+def _peak_from_db(db: float) -> float:
+    """A = 10^(dB/10); a power that overflows a float raises InvalidChannel."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise InvalidChannel(f"peak power {db!r} dB overflows a float") from None
+
+
 def poisson_sweep(db_values, dark_current: float = 1.0, epsilon: float = 1e-3,
                   iteration_cap: Optional[int] = 30_000,
                   progress=None) -> list[dict]:
@@ -902,8 +778,8 @@ def poisson_sweep(db_values, dark_current: float = 1.0, epsilon: float = 1e-3,
     called after each point.
     """
     rows = []
-    for db in db_values:
-        rep = solve_poisson_grid(10.0 ** (db / 10.0), dark_current, epsilon=epsilon,
+    for db, peak in [(db, _peak_from_db(db)) for db in db_values]:
+        rep = solve_poisson_grid(peak, dark_current, epsilon=epsilon,
                                  iteration_cap=iteration_cap)
         if progress is not None:
             progress(db, rep)

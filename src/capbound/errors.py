@@ -42,14 +42,6 @@ class TailNotComputable(CapacityError):
     """Neither a closed form nor a convergent direct sum is available for the tail."""
 
 
-class EpsilonTooLarge(CapacityError, ValueError):
-    """Requested accuracy is outside the admissible range of the schedule."""
-
-
-class BudgetExceeded(CapacityError):
-    """No truncation level meets the accuracy target within the iteration cap."""
-
-
 class CertificateViolated(CapacityError):
     """A reported bound pair breaks its own invariant (lower bound above upper)."""
 

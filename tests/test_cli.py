@@ -130,6 +130,38 @@ class TestPoisson:
         assert code == 1
         assert "--peak" in err
 
+    @pytest.mark.parametrize("given, missing", [
+        ([], ["--trunc-m", "--iterations", "--nu"]),
+        (["--trunc-m", "16", "--nu", "0.01"], ["--iterations"]),
+    ])
+    def test_pins_required(self, capsys, given, missing):
+        # solve-poisson only reproduces runs at a pinned M, n and nu; it
+        # names the missing pins and points at the auto-tuned sweep.
+        code, out, err = run_cli(capsys, ["solve-poisson", "--peak-db", "0", "--quiet", *given])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        named = [flag for flag in ("--trunc-m", "--iterations", "--nu") if flag in err]
+        assert named == missing
+        assert "poisson-sweep --db-grid" in err
+
+    @pytest.mark.parametrize("grid", ["30", "300"])
+    def test_sweep_refuses_uncertifiable_peak(self, capsys, grid):
+        code, out, err = run_cli(capsys, ["poisson-sweep", "--db-grid", grid, "--quiet"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "underflows" in err
+
+    def test_tail_overflow_is_not_a_crash(self, capsys):
+        # At 30 dB and M = 1001 the closed-form tail bound is inf, not an
+        # OverflowError; the kernel floor then underflows, a solver error.
+        code, out, err = run_cli(capsys, ["solve-poisson", "--peak-db", "30", "--trunc-m",
+                                          "1001", "--iterations", "1", "--nu", "0.05",
+                                          "--quiet"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Assumption 3 violated")
+
     def test_sweep_csv(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, ["poisson-sweep", "--db-grid", "0:2:1", "--quiet",
@@ -241,6 +273,28 @@ class TestStopReasonJson:
         assert "stop_reason" not in out
 
 
+class TestSizeOneAlphabets:
+    # One input or one output symbol: the capacity is 0, and every command
+    # returns a sandwich around it within eps.
+    MATRICES = {"1x3": "1 3\n0.2 0.3 0.5\n", "3x1": "3 1\n1\n1\n1\n", "1x1": "1 1\n1\n"}
+
+    @pytest.mark.parametrize("shape", sorted(MATRICES))
+    @pytest.mark.parametrize("command", ["solve-dmc", "solve-ba", "compare", "perturb-solve"])
+    def test_zero_capacity_sandwich(self, capsys, tmp_path, shape, command):
+        eps = 1e-3
+        spec = tmp_path / "W.txt"
+        spec.write_text(self.MATRICES[shape])
+        out_path = tmp_path / "rep.json"
+        code, _, _ = run_cli(capsys, [command, f"file:{spec}", "--eps", str(eps), "--quiet",
+                                      "--out", str(out_path)])
+        assert code == 0
+        payload = json.loads(out_path.read_text())
+        for rep in (payload["dual"], payload["ba"]) if command == "compare" else (payload,):
+            assert rep["c_lb"] <= 1e-9
+            assert rep["c_ub"] <= eps
+            assert rep["c_lb"] <= rep["c_ub"]
+
+
 class TestArgumentChecks:
     @pytest.mark.parametrize("command", ["solve-dmc", "perturb-solve"])
     @pytest.mark.parametrize("given", ["cost", "budget"])
@@ -262,7 +316,6 @@ class TestArgumentChecks:
         ["perturb-solve", "bec:0.4", "--eps", "0"],
         ["perturb-solve", "bec:0.4", "--perturb", "0"],
         ["perturb-solve", "bec:0.4", "--perturb=-1e-6"],
-        ["solve-poisson", "--peak", "1", "--eps", "0"],
         ["poisson-sweep", "--db-grid", "0:0:1", "--eps", "-0.1"],
         ["solve-dmc", "bsc:0.1", "--eps", "nan"],
         ["solve-poisson", "--peak-db", "0", "--nu", "0"],
@@ -270,9 +323,10 @@ class TestArgumentChecks:
         ["solve-poisson", "--peak-db", "0", "--nu", "nan"],
         ["solve-poisson", "--peak-db", "0", "--trunc-m", "0"],
         ["solve-poisson", "--peak-db", "0", "--iterations=-5"],
-        ["solve-poisson", "--peak-db", "0", "--iteration-cap", "0"],
         ["poisson-sweep", "--db-grid", "0:0:1", "--iteration-cap=-1"],
         ["poisson-sweep", "--db-grid", "0:0:1", "--iteration-cap=-3"],
+        ["perturb-solve", "bec:0.4", "--perturb", "nan"],
+        ["poisson-sweep", "--db-grid", "0:0:1", "--eps", "nan"],
     ])
     def test_non_positive_value_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, argv + ["--quiet"])
@@ -298,6 +352,9 @@ class TestArgumentChecks:
         ["poisson-sweep", "--db-grid", "0:inf:1"],
         ["poisson-sweep", "--db-grid", "0", "--dark-current", "nan"],
         ["poisson-sweep", "--db-grid", "0", "--dark-current", "inf"],
+        # Finite, but 10^(dB/10) overflows a float.
+        ["solve-poisson", "--peak-db", "4000"],
+        ["poisson-sweep", "--db-grid", "4000"],
     ])
     def test_non_finite_poisson_input_rejected(self, capsys, argv):
         # The solve-poisson settings keep a solve short should one start.

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -12,13 +13,7 @@ from hypothesis import strategies as st
 import capbound as cb
 from capbound import continuous
 from capbound.continuous import _converged_truncation, _lipschitz_terms, refined_sup_f
-from capbound.errors import (
-    AssumptionViolated,
-    BudgetExceeded,
-    EpsilonTooLarge,
-    InvalidOrder,
-    NeedLargerM,
-)
+from capbound.errors import AssumptionViolated, InvalidOrder, NeedLargerM
 from capbound.info_theory import LN2, _neg_xlogx_nats
 
 
@@ -98,6 +93,14 @@ class TestTailBounds:
             with pytest.raises(InvalidOrder):
                 cb.tail_Rk(base, 16, k)
 
+    def test_closed_form_overflow_is_infinite(self):
+        # At 30 dB and M = 1001 the factorial-tail bound exceeds the largest
+        # float: it is reported as inf, which only widens the sandwich.
+        base = cb.poisson_channel(1000.0, 1.0)
+        for k in (0.5, 1.0):
+            assert cb.tail_Rk(base, 1001, k, method="poisson_closed_form") == math.inf
+        assert cb.truncation_error_bound(base, 1001, 0.5) == math.inf
+
     def test_closed_form_needs_large_m(self):
         with pytest.raises(NeedLargerM):
             cb.tail_Rk(cb.poisson_channel(10.0, 1.0), 5, 0.5,
@@ -137,33 +140,6 @@ class TestTruncationErrorBound:
 
 
 class TestSchedule:
-    def test_formula_invariants(self):
-        trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 16, quad_nodes=128)
-        eps = 0.01
-        sched = cb.continuous_schedule(trunc, None, eps)
-        assert sched.nu == pytest.approx(
-            (eps / sched.alpha) / math.log2(sched.alpha / eps), rel=1e-12
-        )
-        want_n = math.ceil(
-            (1 / eps) * math.sqrt(8 * sched.d1 * sched.alpha)
-            * math.sqrt(math.log2(1 / eps) + math.log2(sched.alpha) + 0.25)
-        )
-        assert sched.n_min == want_n
-        assert sched.alpha == pytest.approx(2 * (sched.t1 + sched.t2 + 1), rel=1e-12)
-
-    def test_monotone_in_epsilon(self):
-        trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 16, quad_nodes=128)
-        s1 = cb.continuous_schedule(trunc, None, 0.02)
-        s2 = cb.continuous_schedule(trunc, None, 0.002)
-        assert s2.nu < s1.nu
-        assert s2.n_min > s1.n_min
-
-    def test_epsilon_too_large(self):
-        trunc = cb.truncate(uniform_output_channel(4), 4, quad_nodes=64)
-        # L = 0 makes alpha = 2, so anything >= 0.5 must be rejected
-        with pytest.raises(EpsilonTooLarge):
-            cb.continuous_schedule(trunc, None, 0.5)
-
     def test_gap_bound_continuous_at_branch(self):
         for t1, t2 in ((2.0, 0.0), (5.0, 0.5), (0.3, 0.9)):
             nu_star = t1 / (1.0 - t2)
@@ -185,7 +161,7 @@ class TestSchedule:
         trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 16, quad_nodes=128)
         cost = cb.ContinuousCost(fn=lambda x: x, budget=2.0, lipschitz=1.0)
         with pytest.raises(cb.Infeasible):
-            cb.continuous_schedule(trunc, cost, 0.01)
+            _lipschitz_terms(trunc, cost)
 
 
 class TestEvalGnuContinuous:
@@ -306,19 +282,9 @@ class TestSolvePoisson:
         free = cb.solve_poisson(1.0, 1.0, M=12, iterations=600, nu=0.02)
         assert rep.mutual_info <= free.dual_value + 1e-6
 
-    def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceeded):
-            cb.solve_poisson(1.0, 1.0, epsilon=1e-6, M=16, iteration_cap=1000)
-
-    def test_truncation_choice_in_range(self):
-        base = cb.poisson_channel(1.0, 1.0)
-        M = cb.choose_truncation_level(base, 0.5, budget_iters=20000, max_M=64)
-        assert 2 <= M <= 64
-
     def test_each_truncation_built_once(self, monkeypatch):
-        # The bisection, the schedule probe and node doubling share grids:
-        # no (M, nodes) grid is folded twice, and of the grids finer than the
-        # coarse one only the grid the solve keeps gets the dense floor scan.
+        # Node doubling folds each (M, nodes) grid once, and only the grid
+        # the solve keeps gets the dense floor scan.
         folded, scanned = [], []
         fold, floor = continuous._fold_on_grid, continuous._kernel_floor
 
@@ -333,10 +299,9 @@ class TestSolvePoisson:
 
         monkeypatch.setattr(continuous, "_fold_on_grid", spy_fold)
         monkeypatch.setattr(continuous, "_kernel_floor", spy_floor)
-        rep = cb.solve_poisson(1.0, 1.0, iteration_cap=300)
+        rep = cb.solve_poisson(1.0, 1.0, M=16, iterations=300, nu=0.01)
         assert len(folded) == len(set(folded))
-        assert (rep.M, 256) in scanned
-        assert [g for g in scanned if g[1] > 256] == [(rep.M, rep.quad_nodes)]
+        assert scanned == [(rep.M, rep.quad_nodes)]
 
     @settings(max_examples=40, deadline=None)
     @given(peak=st.sampled_from([0.5, 1.0, 5.0]), M=st.sampled_from([4, 8, 16]),
@@ -371,7 +336,7 @@ class TestGridSandwich:
         # supremum dominates a 65,537-point scan, and the curvature bound
         # dominates that scan's second differences.
         base = cb.poisson_channel(peak, 1.0)
-        M = continuous._grid_truncation_level(base, 1e-4)[0]
+        M = cb.choose_truncation_level(base, 1e-4)[0]
         expo = data.draw(st.lists(st.floats(-12.0, 0.0), min_size=M, max_size=M))
         q = 10.0 ** np.array(expo)
         lam = -np.log2(q / q.sum())
@@ -392,11 +357,15 @@ class TestGridSandwich:
                                    rtol=1e-14, atol=1e-13)
 
     def test_truncation_level_is_smallest(self):
-        base = cb.poisson_channel(10.0, 1.0)
-        M, err, k = continuous._grid_truncation_level(base, 1e-4)
-        assert err == cb.truncation_error_bound(base, M, k) <= 1e-4
-        assert min(cb.truncation_error_bound(base, M - 1, kk)
-                   for kk in continuous._TAIL_ORDERS) > 1e-4
+        # For each (peak, target) pair the chosen level meets the target at
+        # the tail order it reports, and the level below misses it at every
+        # tail order (none of these pairs stops at the least level A + eta).
+        for peak, target in itertools.product((0.5, 1.0, 10.0, 25.0), (1e-2, 1e-4, 1e-6)):
+            base = cb.poisson_channel(peak, 1.0)
+            M, err, k = cb.choose_truncation_level(base, target)
+            assert err == cb.truncation_error_bound(base, M, k) <= target
+            assert min(cb.truncation_error_bound(base, M - 1, kk)
+                       for kk in continuous._TAIL_ORDERS) > target
 
     def test_iteration_cap_leaves_certified_sandwich(self):
         rep = cb.solve_poisson_grid(1.0, 1.0, iteration_cap=10)
@@ -406,13 +375,21 @@ class TestGridSandwich:
         assert full.stop_reason == "gap<=eps" and full.c_ub - full.c_lb <= 1e-3
         assert max(rep.c_lb, full.c_lb) <= min(rep.c_ub, full.c_ub)
 
-    def test_uncertifiable_channels_refused(self):
-        # No dark current leaves f'' unbounded at x = 0; at 20 dB the
-        # kernel floor gammainc(M, eta)/M underflows.
+    def test_uncertifiable_channels_refused(self, monkeypatch):
+        # No dark current leaves f'' unbounded at x = 0; from about 18 dB
+        # the kernel floor gammainc(M, eta)/M underflows.  Either is refused
+        # before a row is built: at 20 dB at the chosen M, at 30 dB (where
+        # the closed-form tail overflows) and 300 dB (M about 1e30) at the
+        # least level.
+        def no_rows(*args):
+            raise AssertionError("rows built for a refused channel")
+
+        monkeypatch.setattr(continuous, "_truncated_rows", no_rows)
         with pytest.raises(AssumptionViolated):
             cb.solve_poisson_grid(1.0, 0.0)
-        with pytest.raises(AssumptionViolated, match="underflows"):
-            cb.solve_poisson_grid(100.0, 1.0)
+        for db in (20, 30, 300):
+            with pytest.raises(AssumptionViolated, match="underflows"):
+                cb.solve_poisson_grid(10.0 ** (db / 10.0), 1.0)
 
     @pytest.mark.parametrize("peak, eta", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0),
                                            (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)])
