@@ -12,8 +12,8 @@ from .channels import (
     solve_with_perturbation,
 )
 from .continuous import (
-    ContinuousChannel,
     ContinuousCost,
+    PoissonChannel,
     PoissonGridReport,
     PoissonReport,
     TruncatedChannel,
@@ -52,7 +52,6 @@ from .errors import (
     InvalidOrder,
     NeedLargerM,
     NewtonStall,
-    TailNotComputable,
 )
 from .info_theory import (
     ChannelMatrix,

@@ -61,8 +61,9 @@ def _bounded(convert, ok, rule: str):
     return parse
 
 
-# NaN fails the comparison, so `--eps nan` and `--nu nan` are rejected.
-_positive_float = _bounded(float, lambda x: x > 0, "positive")
+# NaN fails the comparison, so `--eps nan` and `--nu nan` are rejected; an
+# infinite --eps, --nu or --perturb has no meaning and is rejected too.
+_positive_float = _bounded(float, lambda x: 0 < x < math.inf, "positive and finite")
 _positive_int = _bounded(int, lambda n: n > 0, "positive")
 _non_negative_int = _bounded(int, lambda n: n >= 0, "positive or zero")
 _tail_order = _bounded(float, lambda k: 0.0 < k < 1.0, "in (0, 1)")

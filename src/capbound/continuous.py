@@ -1,8 +1,10 @@
-"""Capacity bounds for continuous-input, countable-output channels.
+"""Capacity bounds for the peak-limited Poisson counting channel.
 
-The countable output is folded onto {0, ..., M-1} by spreading the tail mass
-Sum_{j>=M} W(j|x) uniformly over the kept symbols; the capacity shift this
-causes is bounded explicitly through the polynomial-tail sums
+The channel's input is x in [0, A] and its output is Poisson with mean
+x + dark_current.  The countable output is folded onto {0, ..., M-1} by
+spreading the tail mass Sum_{j>=M} W(j|x) uniformly over the kept symbols;
+the capacity shift this causes is bounded explicitly through closed-form
+bounds on the polynomial-tail sums
 
     R_k(M) = sum_{i>=M} (sup_x W(i|x))^k.
 
@@ -17,11 +19,8 @@ truncation penalty:
 The sweep takes a second, certified path: Blahut-Arimoto on a uniform input
 grid gives I(p, W_M) <= C (the fold is a garbling of the output), and
 Arimoto's bound sup_x D(W_M(.|x) || q) + E, with the supremum over the whole
-input interval certified by a curvature bound, gives the upper side.
-
-The flagship instance is the peak-power-limited Poisson counting channel
-(output Poisson with mean x + dark_current, input x in [0, A]), for which
-closed-form tail bounds and a classical explicit lower bound are provided.
+input interval certified by a curvature bound, gives the upper side.  A
+classical explicit lower bound is reported next to both.
 
 All values are in bits.
 """
@@ -45,14 +44,11 @@ from .errors import (
     InvalidChannel,
     InvalidOrder,
     NeedLargerM,
-    TailNotComputable,
     require_sandwich,
 )
 from .info_theory import LN2, ChannelMatrix, _neg_xlogx_nats
 
 _GL_ORDER = 8
-_DIRECT_SUM_TERM_FLOOR = 1e-18
-_DIRECT_SUM_CAP = 500_000
 
 # Quadrature nodes of the default grid (the Poisson solve's, before node
 # doubling) and of the scan that estimates sup f.
@@ -63,30 +59,55 @@ _SUP_SCAN_NODES = 8192
 # 16,385-row scan raised a sweep's peak resident memory from 84 MB to 109 MB).
 _SCAN_BLOCK = 8193
 
+# Bound on |d/dx W(i|x)| uniformly in i: for the Poisson kernel
+# d/dx W(i|x) = W(i-1|x) - W(i|x), and |W(i-1|x) - W(i|x)| <= 1.
+_KERNEL_LIPSCHITZ = 1.0
+
 
 # ---------------------------------------------------------------------------
-# Channel descriptions
+# The channel
+
+
+def _check_poisson_params(peak: float, dark_current: float) -> None:
+    """Raise InvalidChannel unless 0 < peak < inf and 0 <= dark_current < inf."""
+    if not (math.isfinite(peak) and peak > 0):
+        raise InvalidChannel(f"peak power must be positive and finite, got {peak!r}")
+    if not (math.isfinite(dark_current) and dark_current >= 0):
+        raise InvalidChannel(
+            f"dark current must be nonnegative and finite, got {dark_current!r}")
 
 
 @dataclass(frozen=True)
-class ContinuousChannel:
-    """Conditional law W(i|x) on a bounded input interval [0, peak].
+class PoissonChannel:
+    """Counting channel: output Poisson-distributed with mean x + dark_current.
 
     kernel(x, i) evaluates W(i|x) and broadcasts over both arguments: an
     input column x[:, None] against outputs np.arange(M) gives the (len(x), M)
-    block of rows (a scalar i must work too); tail_mass(x, M) gives
-    sum_{j>=M} W(j|x); tail_sup(i) gives sup_x W(i|x) when available (needed
-    for direct tail sums).  ``lipschitz_L`` bounds |d/dx W(i|x)| uniformly
-    in i.  ``poisson_params`` marks channels with closed-form tail bounds.
+    block of rows (a scalar i works too); tail_mass(x, M) gives
+    sum_{j>=M} W(j|x).  pmf and tails are evaluated through log-gamma /
+    regularized incomplete gamma, so truncation levels in the hundreds stay
+    far from overflow.  Build it with ``poisson_channel``, which checks the
+    parameters.
     """
 
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     peak: float
-    lipschitz_L: float
-    label: str
-    tail_mass: Callable[[np.ndarray, int], np.ndarray]
-    tail_sup: Optional[Callable[[int], float]] = None
-    poisson_params: Optional[tuple[float, float]] = None
+    dark_current: float
+
+    def kernel(self, x, i):
+        # xlogy(0, 0) = 0 makes a zero mean put all mass on i = 0.
+        m = np.asarray(x, dtype=float) + self.dark_current
+        with np.errstate(divide="ignore"):
+            return np.exp(xlogy(i, m) - m - gammaln(np.asarray(i) + 1))
+
+    def tail_mass(self, x, M):
+        m = np.asarray(x, dtype=float) + self.dark_current
+        return gammainc(M, m)
+
+
+def poisson_channel(peak: float, dark_current: float = 1.0) -> PoissonChannel:
+    """The Poisson channel on inputs [0, peak] with the given dark current."""
+    _check_poisson_params(peak, dark_current)
+    return PoissonChannel(peak=float(peak), dark_current=float(dark_current))
 
 
 @dataclass(frozen=True)
@@ -100,52 +121,6 @@ class ContinuousCost:
     fn: Callable[[np.ndarray], np.ndarray]
     budget: float
     lipschitz: float
-
-
-def _check_poisson_params(peak: float, dark_current: float) -> None:
-    """Raise InvalidChannel unless 0 < peak < inf and 0 <= dark_current < inf."""
-    if not (math.isfinite(peak) and peak > 0):
-        raise InvalidChannel(f"peak power must be positive and finite, got {peak!r}")
-    if not (math.isfinite(dark_current) and dark_current >= 0):
-        raise InvalidChannel(
-            f"dark current must be nonnegative and finite, got {dark_current!r}")
-
-
-def poisson_channel(peak: float, dark_current: float = 1.0) -> ContinuousChannel:
-    """Counting channel: output Poisson-distributed with mean x + dark_current.
-
-    pmf and tails are evaluated through log-gamma / regularized incomplete
-    gamma, so truncation levels in the hundreds stay far from overflow.  The
-    derivative bound uses |W(i-1|x) - W(i|x)| <= 1.
-    """
-    _check_poisson_params(peak, dark_current)
-    eta = float(dark_current)
-
-    def kernel(x, i):
-        # xlogy(0, 0) = 0 makes a zero mean put all mass on i = 0.
-        m = np.asarray(x, dtype=float) + eta
-        with np.errstate(divide="ignore"):
-            return np.exp(xlogy(i, m) - m - gammaln(np.asarray(i) + 1))
-
-    def tail_mass(x, M):
-        m = np.asarray(x, dtype=float) + eta
-        return gammainc(M, m)
-
-    def tail_sup(i):
-        m = min(max(float(i), eta), peak + eta)
-        if m == 0.0:
-            return 1.0 if i == 0 else 0.0
-        return float(math.exp(-m + i * math.log(m) - gammaln(i + 1)))
-
-    return ContinuousChannel(
-        kernel=kernel,
-        peak=float(peak),
-        lipschitz_L=1.0,
-        label=f"poisson(A={peak:g}, eta={eta:g})",
-        tail_mass=tail_mass,
-        tail_sup=tail_sup,
-        poisson_params=(float(peak), eta),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +137,13 @@ class TruncatedChannel:
     bound min_x tail(x)/M.
     """
 
-    base: ContinuousChannel
+    base: PoissonChannel
     M: int
     gamma_M: float
     nodes: np.ndarray
     weights: np.ndarray
-    rho: float
-    grid_min: float
-    tail_lb: float
     kernel_nodes: np.ndarray  # (nodes, M) truncated kernel values
     r_nodes: np.ndarray       # per-node row entropy, bits
-
-    def kernel_rows(self, x) -> np.ndarray:
-        """Truncated kernel rows W_M(.|x) at arbitrary inputs x."""
-        return _truncated_rows(self.base, np.atleast_1d(np.asarray(x, dtype=float)), self.M)
 
     def f_values(self, lam: np.ndarray) -> np.ndarray:
         return self.kernel_nodes @ lam - self.r_nodes
@@ -193,24 +161,23 @@ def _gl_grid(a: float, b: float, total_nodes: int) -> tuple[np.ndarray, np.ndarr
     return nodes, weights
 
 
-def _truncated_rows(base: ContinuousChannel, x: np.ndarray, M: int) -> np.ndarray:
+def _truncated_rows(base: PoissonChannel, x: np.ndarray, M: int) -> np.ndarray:
     """Rows W(i|x) + tail(x)/M, i < M, for a 1-D array of inputs x."""
     K = base.kernel(x[:, None], np.arange(M))
     K += (base.tail_mass(x, M) / M)[:, None]
     return K
 
 
-def truncate(base: ContinuousChannel, M: int, quad_nodes: int = _QUAD_NODES) -> TruncatedChannel:
+def truncate(base: PoissonChannel, M: int, quad_nodes: int = _QUAD_NODES) -> TruncatedChannel:
     """Fold the output tail onto {0..M-1} and fix the integration grid."""
     return _kernel_floor(_fold_on_grid(base, M, quad_nodes))
 
 
-def _fold_on_grid(base: ContinuousChannel, M: int, quad_nodes: int) -> TruncatedChannel:
+def _fold_on_grid(base: PoissonChannel, M: int, quad_nodes: int) -> TruncatedChannel:
     """The truncation's rows and row entropies on its grid, without the floor scan.
 
-    ``gamma_M``, ``grid_min`` and ``tail_lb`` are NaN until ``_kernel_floor``
-    fills them in, so a grid that is only compared against (node doubling)
-    skips the dense scan.
+    ``gamma_M`` is NaN until ``_kernel_floor`` fills it in, so a grid that
+    is only compared against (node doubling) skips the dense scan.
     """
     if M < 1:
         raise InvalidChannel("truncation level M must be >= 1")
@@ -229,9 +196,6 @@ def _fold_on_grid(base: ContinuousChannel, M: int, quad_nodes: int) -> Truncated
         gamma_M=math.nan,
         nodes=nodes,
         weights=weights,
-        rho=base.peak,
-        grid_min=math.nan,
-        tail_lb=math.nan,
         kernel_nodes=K,
         r_nodes=r,
     )
@@ -243,10 +207,9 @@ def _kernel_floor(trunc: TruncatedChannel) -> TruncatedChannel:
         return trunc
     base, M, quad_nodes = trunc.base, trunc.M, trunc.nodes.size
     dense = np.linspace(0.0, base.peak, 10 * quad_nodes + 1)
-    Kd = _truncated_rows(base, dense, M)
-    grid_min = float(Kd.min())
+    grid_min = float(_truncated_rows(base, dense, M).min())
     tail_lb = float(np.min(base.tail_mass(dense, M))) / M
-    dip = 2.0 * base.lipschitz_L * (base.peak / (10 * quad_nodes))
+    dip = 2.0 * _KERNEL_LIPSCHITZ * (base.peak / (10 * quad_nodes))
     gamma = max(tail_lb, grid_min - dip)
     gamma = min(gamma, grid_min)
     if gamma <= 0.0:
@@ -254,7 +217,7 @@ def _kernel_floor(trunc: TruncatedChannel) -> TruncatedChannel:
             "Assumption 3 violated: truncated kernel minimum could not be "
             "bounded away from zero"
         )
-    trunc.gamma_M, trunc.grid_min, trunc.tail_lb = gamma, grid_min, tail_lb
+    trunc.gamma_M = gamma
     return trunc
 
 
@@ -262,71 +225,40 @@ def _kernel_floor(trunc: TruncatedChannel) -> TruncatedChannel:
 # Polynomial tails and the truncation error bound
 
 
-def tail_Rk(base: ContinuousChannel, M: int, k: float,
-            method: str = "direct_sum") -> float:
-    """R_k(M) = sum_{i>=M} (sup_x W(i|x))^k, or a closed-form upper bound.
+def tail_Rk(base: PoissonChannel, M: int, k: float) -> float:
+    """Closed-form upper bound on R_k(M) = sum_{i>=M} (sup_x W(i|x))^k.
 
-    direct_sum accumulates the true series until terms drop below 1e-18 and
-    adds a geometric majorant for the remainder (the term ratio of any
-    Poisson-like tail keeps decreasing, so the majorant is sound);
-    poisson_closed_form evaluates the factorial-tail bound with
-    alpha = 2^(1/k - 1), valid for M >= peak + dark_current.
+    The factorial-tail bound with alpha = 2^(1/k - 1), valid for
+    M >= peak + dark_current (NeedLargerM below that).
     """
     if not 0.0 < k <= 1.0:
         raise InvalidOrder(f"tail order k = {k!r} outside (0, 1]")
     if M < 0:
         raise InvalidChannel("truncation level must be nonnegative")
-
-    if method == "poisson_closed_form":
-        if base.poisson_params is None:
-            raise TailNotComputable("closed-form tail needs a Poisson channel")
-        peak, eta = base.poisson_params
-        mean = peak + eta
-        if M < mean:
-            raise NeedLargerM(
-                f"closed-form tail bound needs M >= peak + dark current = {mean:g}"
-            )
-        alpha = 2.0 ** (1.0 / k - 1.0)
-        logv = k * (math.log(alpha) + (alpha - 1.0) * mean
-                    + M * math.log(mean) - gammaln(M + 1))
-        try:
-            return math.exp(logv)
-        except OverflowError:
-            return math.inf  # sound: an infinite bound only widens the sandwich
-
-    if method != "direct_sum":
-        raise ValueError(f"unknown tail method {method!r}")
-    if base.tail_sup is None:
-        raise TailNotComputable("direct tail sum needs sup_x W(i|x)")
-    total = 0.0
-    prev = None
-    i = M
-    while i < M + _DIRECT_SUM_CAP:
-        term = base.tail_sup(i) ** k
-        total += term
-        if term < _DIRECT_SUM_TERM_FLOOR:
-            if term == 0.0:
-                return total
-            ratio = term / prev if prev else 1.0
-            if ratio < 0.99:
-                total += term * ratio / (1.0 - ratio)
-                return total
-        prev = term
-        i += 1
-    raise TailNotComputable(f"direct tail sum did not converge within {_DIRECT_SUM_CAP} terms")
+    mean = base.peak + base.dark_current
+    if M < mean:
+        raise NeedLargerM(
+            f"closed-form tail bound needs M >= peak + dark current = {mean:g}"
+        )
+    alpha = 2.0 ** (1.0 / k - 1.0)
+    logv = k * (math.log(alpha) + (alpha - 1.0) * mean
+                + M * math.log(mean) - gammaln(M + 1))
+    try:
+        return math.exp(logv)
+    except OverflowError:
+        return math.inf  # sound: an infinite bound only widens the sandwich
 
 
-def truncation_error_bound(base: ContinuousChannel, M: int, k: float) -> float:
+def truncation_error_bound(base: PoissonChannel, M: int, k: float) -> float:
     """Uniform bound on |I(p, W) - I(p, W_M)| in bits, any input distribution.
 
     (2*log2(e) / (e*(1-k))) * [ M^(1-k) * R_1(M)^k + R_k(M) ], for k in (0,1),
-    with the closed-form tails for Poisson channels and direct sums otherwise.
+    with the closed-form tails of ``tail_Rk``.
     """
     if not 0.0 < k < 1.0:
         raise InvalidOrder(f"truncation error bound needs k in (0, 1), got {k!r}")
-    method = "poisson_closed_form" if base.poisson_params is not None else "direct_sum"
-    r1 = tail_Rk(base, M, 1.0, method=method)
-    rk = tail_Rk(base, M, k, method=method)
+    r1 = tail_Rk(base, M, 1.0)
+    rk = tail_Rk(base, M, k)
     pref = 2.0 / (LN2 * math.e * (1.0 - k))
     return float(pref * (M ** (1.0 - k) * r1 ** k + rk))
 
@@ -340,12 +272,12 @@ def _lipschitz_terms(trunc: TruncatedChannel,
     """(T1, T2, L_f) entering the uniform smoothing gap."""
     M = trunc.M
     g2 = math.log2(1.0 / trunc.gamma_M)
-    L = trunc.base.lipschitz_L
+    L = _KERNEL_LIPSCHITZ
     l_f = L * M * M * max(g2, 1.0 / LN2) + M * L * abs(g2 - 1.0 / LN2)
-    rho = trunc.rho
+    rho = trunc.base.peak
     if cost is None:
         return l_f * rho, 0.0, l_f
-    xs = np.concatenate(([0.0], trunc.nodes, [trunc.rho]))
+    xs = np.concatenate(([0.0], trunc.nodes, [rho]))
     svals = np.asarray(cost.fn(xs), dtype=float)
     s_lo = float(svals.min()) - cost.budget   # negative for an interior budget
     s_hi = float(svals.max()) - cost.budget   # positive for an interior budget
@@ -402,7 +334,7 @@ def eval_G_nu_continuous(lam, trunc: TruncatedChannel, nu: float,
     lam = np.asarray(lam, dtype=float)
     lse, grad, mass, _ = _smoothed_input_term(trunc.kernel_nodes, trunc.r_nodes, lam, nu,
                                               np.log(trunc.weights), *_node_cost(trunc, cost))
-    return float(nu * lse / LN2 - nu * math.log2(trunc.rho)), grad, mass / trunc.weights
+    return float(nu * lse / LN2 - nu * math.log2(trunc.base.peak)), grad, mass / trunc.weights
 
 
 def _converged_truncation(trunc: TruncatedChannel, nu: float,
@@ -428,7 +360,7 @@ def _converged_truncation(trunc: TruncatedChannel, nu: float,
     return _kernel_floor(trunc), False
 
 
-def _f_scan(base: ContinuousChannel, M: int, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _f_scan(base: PoissonChannel, M: int, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """f(x) = W_M(.|x) . lam - H(W_M(.|x)) in bits at each x, built in row blocks.
 
     With lam = -log2 q, f(x) is the divergence D(W_M(.|x) || q).
@@ -452,7 +384,8 @@ def refined_sup_f(trunc: TruncatedChannel, lam: np.ndarray) -> float:
     points is missed.
     """
     lam = np.asarray(lam, dtype=float)
-    scan = _f_scan(trunc.base, trunc.M, lam, np.linspace(0.0, trunc.rho, _SUP_SCAN_NODES + 1))
+    xs = np.linspace(0.0, trunc.base.peak, _SUP_SCAN_NODES + 1)
+    scan = _f_scan(trunc.base, trunc.M, lam, xs)
     return max(float(scan.max()), float(trunc.f_values(lam).max()))
 
 
@@ -504,6 +437,7 @@ class PoissonReport:
 
     def __post_init__(self):
         require_sandwich(self.c_lb, self.c_ub, "PoissonReport")
+        require_sandwich(self.c_lb_certified, self.c_ub_certified, "PoissonReport (certified)")
 
 
 def _solve_truncated(trunc: TruncatedChannel, nu: float, n: int,
@@ -541,6 +475,8 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
     t0 = time.perf_counter()
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations!r}")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
     base = poisson_channel(peak, dark_current)
     err_trunc = truncation_error_bound(base, M, tail_order)
 
@@ -591,14 +527,13 @@ _TAIL_ORDERS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 _GRID_INPUTS = 513
 
 
-def choose_truncation_level(base: ContinuousChannel, target: float
+def choose_truncation_level(base: PoissonChannel, target: float
                             ) -> tuple[int, float, float]:
     """Smallest M >= peak + dark current with min_k E(M, k) <= target.
 
     Returns (M, that least bound E, its tail order k), k from _TAIL_ORDERS.
     """
-    peak, eta = base.poisson_params
-    M = max(1, math.ceil(peak + eta))
+    M = max(1, math.ceil(base.peak + base.dark_current))
     while True:
         err, k = min((truncation_error_bound(base, M, k), k) for k in _TAIL_ORDERS)
         if err <= target:
@@ -606,14 +541,14 @@ def choose_truncation_level(base: ContinuousChannel, target: float
         M += 1
 
 
-def _kernel_floor_bound(base: ContinuousChannel, M: int) -> float:
+def _kernel_floor_bound(base: PoissonChannel, M: int) -> float:
     """gamma = gammainc(M, eta)/M, a lower bound on every entry of W_M.
 
     Refuses (AssumptionViolated) a channel without dark current and a level
     whose gamma underflows.  gamma falls as M grows, so a refusal at one
     level holds for every larger one.
     """
-    eta = base.poisson_params[1]
+    eta = base.dark_current
     if eta <= 0.0:
         raise AssumptionViolated("the certified supremum needs a positive dark current")
     gamma = gammainc(float(M), eta) / M
@@ -625,7 +560,7 @@ def _kernel_floor_bound(base: ContinuousChannel, M: int) -> float:
     return gamma
 
 
-def _curvature_bound(base: ContinuousChannel, M: int, lam: np.ndarray) -> float:
+def _curvature_bound(base: PoissonChannel, M: int, lam: np.ndarray) -> float:
     """L2 >= sup over [0, peak] of |f''| for the Poisson f of ``_f_scan``.
 
     With W = W(.|x), W_M(i) = W(i) + T/M and T = P(Y >= M | x), write
@@ -651,10 +586,10 @@ def _curvature_bound(base: ContinuousChannel, M: int, lam: np.ndarray) -> float:
     near x = 0, so that channel is refused.
     """
     spread = float(lam.max() - lam.min()) - math.log2(_kernel_floor_bound(base, M))
-    return 2.5 * spread + 2.0 * (1.0 + M) / (base.poisson_params[1] * LN2)
+    return 2.5 * spread + 2.0 * (1.0 + M) / (base.dark_current * LN2)
 
 
-def _certified_sup(base: ContinuousChannel, M: int, lam: np.ndarray, tol: float) -> float:
+def _certified_sup(base: PoissonChannel, M: int, lam: np.ndarray, tol: float) -> float:
     """Upper bound on sup over [0, peak] of the f of ``_f_scan``, within tol of the scan.
 
     On a cell of width h the chord bound gives f <= max(f at its ends) +
@@ -736,7 +671,7 @@ def solve_poisson_grid(peak: float, dark_current: float = 1.0, epsilon: float = 
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     base = poisson_channel(peak, dark_current)
     tenth = epsilon / 10.0
-    _kernel_floor_bound(base, math.ceil(base.peak + base.poisson_params[1]))
+    _kernel_floor_bound(base, math.ceil(base.peak + base.dark_current))
     M, err_trunc, k = choose_truncation_level(base, tenth)
     _kernel_floor_bound(base, M)
     W = ChannelMatrix(_truncated_rows(base, np.linspace(0.0, base.peak, _GRID_INPUTS), M))

@@ -38,10 +38,6 @@ class NeedLargerM(CapacityError):
     """Closed-form tail bound requires a larger truncation level."""
 
 
-class TailNotComputable(CapacityError):
-    """Neither a closed form nor a convergent direct sum is available for the tail."""
-
-
 class CertificateViolated(CapacityError):
     """A reported bound pair breaks its own invariant (lower bound above upper)."""
 

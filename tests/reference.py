@@ -4,13 +4,16 @@ The solvers in capbound reuse their work arrays from step to step.  The
 functions here are the straightforward versions they replaced, which build
 every intermediate as a new array; the tests require the two to agree bit
 for bit.  ``_eval_F_direct`` and ``_eval_G_nu_direct`` evaluate the dual
-terms without the max shift (criterion 10's reference).
+terms without the max shift (criterion 10's reference), and
+``poisson_tail_direct`` sums the Poisson tail series that ``tail_Rk`` bounds
+in closed form (criterion 7's oracle).
 """
 
 import math
 import time
 
 import numpy as np
+from scipy.special import gammaln
 
 from capbound.blahut_arimoto import _LOG_Q_FLOOR, BAReport, ba_iterations
 from capbound.dual_solver import _LADDER_FIRST, _LADDER_GROWTH, _as_values
@@ -196,3 +199,31 @@ def ba_solve(W, epsilon, stopping="apriori"):
 
     return BAReport(c_lb=c_lb, c_ub=c_ub, apriori_err=math.log2(N) / max(it, 1),
                     iterations=it, p=ProbVector(p), wall_time=time.perf_counter() - t0)
+
+
+def poisson_tail_direct(base, M, k):
+    """R_k(M) = sum_{i>=M} (sup_x W(i|x))^k for a Poisson channel, summed directly.
+
+    sup over x in [0, peak] of the pmf at i sits at the mean nearest i in
+    [eta, peak + eta].  The series is summed until a term drops below 1e-18
+    and the rest is bounded by a geometric majorant at the last term ratio.
+    That is sound here: from i >= peak + eta on, the ratio of consecutive
+    terms is ((peak + eta)/(i + 1))^k, which keeps decreasing.
+    """
+    peak, eta = base.peak, base.dark_current
+    total, prev = 0.0, None
+    for i in range(M, M + 500_000):
+        m = min(max(float(i), eta), peak + eta)
+        if m == 0.0:
+            term = (1.0 if i == 0 else 0.0) ** k
+        else:
+            term = float(math.exp(-m + i * math.log(m) - gammaln(i + 1))) ** k
+        total += term
+        if term < 1e-18:
+            if term == 0.0:
+                return total
+            ratio = term / prev if prev else 1.0
+            if ratio < 0.99:
+                return total + term * ratio / (1.0 - ratio)
+        prev = term
+    raise AssertionError(f"direct tail sum from M = {M} did not converge")

@@ -327,6 +327,10 @@ class TestArgumentChecks:
         ["poisson-sweep", "--db-grid", "0:0:1", "--iteration-cap=-3"],
         ["perturb-solve", "bec:0.4", "--perturb", "nan"],
         ["poisson-sweep", "--db-grid", "0:0:1", "--eps", "nan"],
+        ["solve-dmc", "bsc:0.1", "--eps", "inf"],
+        ["compare", "bsc:0.1", "--eps", "inf"],
+        ["solve-poisson", "--peak-db", "0", "--nu", "inf"],
+        ["perturb-solve", "bec:0.4", "--perturb", "inf"],
     ])
     def test_non_positive_value_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, argv + ["--quiet"])

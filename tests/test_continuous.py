@@ -9,28 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import poisson_tail_direct
 
 import capbound as cb
 from capbound import continuous
-from capbound.continuous import _converged_truncation, _lipschitz_terms, refined_sup_f
+from capbound.continuous import (
+    _converged_truncation,
+    _gl_grid,
+    _lipschitz_terms,
+    _truncated_rows,
+    refined_sup_f,
+)
 from capbound.errors import AssumptionViolated, InvalidOrder, NeedLargerM
 from capbound.info_theory import LN2, _neg_xlogx_nats
-
-
-def uniform_output_channel(K, peak=2.0):
-    """Kernel independent of x with K equiprobable outputs (zero tail)."""
-
-    def kernel(x, i):
-        return np.where(np.asarray(i) < K, 1.0 / K, 0.0) * np.ones_like(x, dtype=float)
-
-    def tail_mass(x, M):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, max(0, K - M) / K)
-
-    return cb.ContinuousChannel(
-        kernel=kernel, peak=peak, lipschitz_L=0.0, label="uniform",
-        tail_mass=tail_mass, tail_sup=lambda i: 1.0 / K if i < K else 0.0,
-    )
 
 
 def discrete_mutual_information(p, rows):
@@ -45,15 +36,10 @@ def discrete_mutual_information(p, rows):
 
 
 class TestTruncate:
-    def test_zero_tail_identity(self):
-        trunc = cb.truncate(uniform_output_channel(4), 4, quad_nodes=64)
-        np.testing.assert_allclose(trunc.kernel_nodes, 0.25, atol=1e-15)
-        assert trunc.gamma_M == pytest.approx(0.25, abs=1e-12)
-
     def test_poisson_rows_sum_to_one(self):
         base = cb.poisson_channel(1.0, 1.0)
         trunc = cb.truncate(base, 16, quad_nodes=128)
-        rows = trunc.kernel_rows(np.array([0.0, 0.5, 1.0]))
+        rows = _truncated_rows(base, np.array([0.0, 0.5, 1.0]), 16)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(trunc.kernel_nodes.sum(axis=1), 1.0, atol=1e-10)
 
@@ -64,28 +50,26 @@ class TestTruncate:
         series = math.fsum(
             math.exp(-1.0) / math.factorial(j) for j in range(16, 80)
         )
-        assert trunc.tail_lb == pytest.approx(series / 16, rel=1e-10)
+        assert trunc.gamma_M == pytest.approx(series / 16, rel=1e-10)
         assert trunc.gamma_M >= series / 16 * (1 - 1e-12)
-        assert trunc.gamma_M <= trunc.grid_min
+        dense = _truncated_rows(base, np.linspace(0.0, 1.0, 10 * 128 + 1), 16)
+        assert trunc.gamma_M <= dense.min()
 
 
 class TestTailBounds:
     def test_direct_below_closed_form_k1(self):
         base = cb.poisson_channel(1.0, 1.0)
-        direct = cb.tail_Rk(base, 16, 1.0, method="direct_sum")
-        closed = cb.tail_Rk(base, 16, 1.0, method="poisson_closed_form")
+        direct = poisson_tail_direct(base, 16, 1.0)
+        closed = cb.tail_Rk(base, 16, 1.0)
         assert direct <= closed * (1 + 1e-12)
         # alpha degenerates to 1 at k=1: bound is (A+eta)^M / M!
         assert closed == pytest.approx(2.0**16 / math.factorial(16), rel=1e-12)
 
     def test_direct_below_closed_form_khalf(self):
         base = cb.poisson_channel(1.0, 1.0)
-        direct = cb.tail_Rk(base, 20, 0.5, method="direct_sum")
-        closed = cb.tail_Rk(base, 20, 0.5, method="poisson_closed_form")
+        direct = poisson_tail_direct(base, 20, 0.5)
+        closed = cb.tail_Rk(base, 20, 0.5)
         assert direct <= closed * (1 + 1e-12)
-
-    def test_zero_tail_channel(self):
-        assert cb.tail_Rk(uniform_output_channel(4), 4, 1.0) == 0.0
 
     def test_invalid_order(self):
         base = cb.poisson_channel(1.0, 1.0)
@@ -98,19 +82,15 @@ class TestTailBounds:
         # float: it is reported as inf, which only widens the sandwich.
         base = cb.poisson_channel(1000.0, 1.0)
         for k in (0.5, 1.0):
-            assert cb.tail_Rk(base, 1001, k, method="poisson_closed_form") == math.inf
+            assert cb.tail_Rk(base, 1001, k) == math.inf
         assert cb.truncation_error_bound(base, 1001, 0.5) == math.inf
 
     def test_closed_form_needs_large_m(self):
         with pytest.raises(NeedLargerM):
-            cb.tail_Rk(cb.poisson_channel(10.0, 1.0), 5, 0.5,
-                       method="poisson_closed_form")
+            cb.tail_Rk(cb.poisson_channel(10.0, 1.0), 5, 0.5)
 
 
 class TestTruncationErrorBound:
-    def test_zero_tail(self):
-        assert cb.truncation_error_bound(uniform_output_channel(4), 4, 0.5) == 0.0
-
     def test_reference_magnitude_8db(self):
         base = cb.poisson_channel(10**0.8, 1.0)
         err = cb.truncation_error_bound(base, 36, 0.5)
@@ -124,11 +104,9 @@ class TestTruncationErrorBound:
     def test_dominates_measured_difference(self):
         base = cb.poisson_channel(1.0, 1.0)
         M = 8
-        t_small = cb.truncate(base, M, quad_nodes=64)
-        t_big = cb.truncate(base, 4 * M, quad_nodes=64)
         xs = np.linspace(0.0, 1.0, 50)
-        rows_small = t_small.kernel_rows(xs)
-        rows_big = t_big.kernel_rows(xs)
+        rows_small = _truncated_rows(base, xs, M)
+        rows_big = _truncated_rows(base, xs, 4 * M)
         bound = (cb.truncation_error_bound(base, M, 0.5)
                  + cb.truncation_error_bound(base, 4 * M, 0.5))
         rng = np.random.default_rng(40)
@@ -152,9 +130,9 @@ class TestSchedule:
         trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 16, quad_nodes=128)
         t1, t2, l_f = _lipschitz_terms(trunc, None)
         assert t2 == 0.0
-        assert t1 == pytest.approx(l_f * trunc.rho, rel=1e-12)
+        assert t1 == pytest.approx(l_f * trunc.base.peak, rel=1e-12)
         nu = 1e-3
-        want = nu * (math.log2(l_f * trunc.rho / nu) + 1.0)
+        want = nu * (math.log2(l_f * trunc.base.peak / nu) + 1.0)
         assert cb.smoothing_gap_bound(nu, t1, t2) == pytest.approx(want, rel=1e-12)
 
     def test_lipschitz_terms_cost_requires_interior_budget(self):
@@ -166,8 +144,13 @@ class TestSchedule:
 
 class TestEvalGnuContinuous:
     def test_constant_kernel_degenerate(self):
-        base = uniform_output_channel(4, peak=2.0)
-        trunc = cb.truncate(base, 4, quad_nodes=64)
+        # Rows that do not depend on x: every input has the same f, so the
+        # smoothed term is that constant and the density is uniform on [0, 2].
+        nodes, weights = _gl_grid(0.0, 2.0, 64)
+        trunc = cb.TruncatedChannel(
+            base=cb.poisson_channel(2.0, 1.0), M=4, gamma_M=0.25, nodes=nodes,
+            weights=weights, kernel_nodes=np.full((nodes.size, 4), 0.25),
+            r_nodes=np.full(nodes.size, 2.0))
         lam = np.array([0.1, -0.3, 0.7, 0.2])
         const = 0.25 * lam.sum() - math.log2(4)
         for nu in (1.0, 0.01):
@@ -282,6 +265,17 @@ class TestSolvePoisson:
         free = cb.solve_poisson(1.0, 1.0, M=12, iterations=600, nu=0.02)
         assert rep.mutual_info <= free.dual_value + 1e-6
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
+    def test_nu_outside_positive_reals_rejected(self, monkeypatch, nu):
+        # Refused before any grid is built: an infinite nu used to run four
+        # node doublings and return a NaN bound.
+        def no_grid(*args):
+            raise AssertionError("grid built for a refused nu")
+
+        monkeypatch.setattr(continuous, "_fold_on_grid", no_grid)
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            cb.solve_poisson(1.0, 1.0, M=16, iterations=10, nu=nu)
+
     def test_each_truncation_built_once(self, monkeypatch):
         # Node doubling folds each (M, nodes) grid once, and only the grid
         # the solve keeps gets the dense floor scan.
@@ -309,11 +303,50 @@ class TestSolvePoisson:
     def test_refined_sup_tracks_node_max(self, peak, M, data):
         trunc = cb.truncate(cb.poisson_channel(peak, 1.0), M, quad_nodes=128)
         lam = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=M, max_size=M)))
-        K = trunc.kernel_rows(np.linspace(0.0, peak, 8193))
+        K = _truncated_rows(trunc.base, np.linspace(0.0, peak, 8193), M)
         scan_max = float((K @ lam - _neg_xlogx_nats(K).sum(axis=1) / LN2).max())
         sup = refined_sup_f(trunc, lam)
         assert sup >= float(trunc.f_values(lam).max())
         assert sup >= scan_max
+
+
+class TestReproducedNumbers:
+    # Every field but wall_time, as computed before the continuous module
+    # was narrowed to the Poisson channel; refactors must keep them (to
+    # rounding, rel 1e-12).
+    SOLVE = {
+        "peak": 1.0, "dark_current": 1.0, "M": 16, "nu": 0.01, "iterations": 300,
+        "tail_order": 0.5, "trunc_error": 0.000932010044376853,
+        "mutual_info": 0.09684390011748611, "dual_value": 0.15421815574754127,
+        "g_sup": -6.301321157629703, "g_nu": -6.342107144806732,
+        "iota": 0.21361282246864885, "c_lb": 0.0385376344430541,
+        "c_ub": 0.21252442142197328, "c_lb_certified": 0.09591189007310927,
+        "c_ub_certified": 0.3279770010835375, "lapidoth": -1.522897959841617,
+        "gamma_M": 1.1673521644800382e-15, "quad_nodes": 512,
+        "quadrature_converged": True,
+    }
+    GRID = {
+        "peak": 1.0, "dark_current": 1.0, "M": 14, "tail_order": 0.95,
+        "trunc_error": 1.9490730835847594e-05, "iterations": 1302,
+        "stop_reason": "gap<=eps", "c_lb": 0.11301757264635093,
+        "c_ub": 0.11391359376013939, "lapidoth": -1.522897959841617,
+    }
+
+    @staticmethod
+    def check(rep, want):
+        got = {k: v for k, v in vars(rep).items() if k != "wall_time"}
+        assert set(got) == set(want)
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+            else:
+                assert got[key] == value, key
+
+    def test_solve_poisson(self):
+        self.check(cb.solve_poisson(1.0, 1.0, M=16, iterations=300, nu=0.01), self.SOLVE)
+
+    def test_solve_poisson_grid(self):
+        self.check(cb.solve_poisson_grid(1.0, 1.0), self.GRID)
 
 
 class TestSweep:

@@ -61,6 +61,8 @@ def test_perturbed_solve_rejects_inverted_bounds():
 
 def test_poisson_report_rejects_inverted_bounds():
     rep = cb.solve_poisson(1.0, 1.0, M=8, iterations=200, nu=0.05)
-    fields = dict(vars(rep), c_lb=rep.c_ub + 1.0)
-    with pytest.raises(CertificateViolated):
-        cb.PoissonReport(**fields)
+    for broken in (dict(c_lb=rep.c_ub + 1.0),
+                   dict(c_lb_certified=rep.c_ub_certified + 1.0),
+                   dict(c_ub_certified=float("nan"))):
+        with pytest.raises(CertificateViolated):
+            cb.PoissonReport(**dict(vars(rep), **broken))
