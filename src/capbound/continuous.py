@@ -202,12 +202,16 @@ def _fold_on_grid(base: PoissonChannel, M: int, quad_nodes: int) -> TruncatedCha
 
 
 def _kernel_floor(trunc: TruncatedChannel) -> TruncatedChannel:
-    """Fill in gamma_M from a dense scan with 10x the grid's nodes (once)."""
+    """Fill in gamma_M from a dense scan with 10x the grid's nodes (once).
+
+    The scan's rows are built ``_SCAN_BLOCK`` at a time, as in ``_f_scan``.
+    """
     if not math.isnan(trunc.gamma_M):
         return trunc
     base, M, quad_nodes = trunc.base, trunc.M, trunc.nodes.size
     dense = np.linspace(0.0, base.peak, 10 * quad_nodes + 1)
-    grid_min = float(_truncated_rows(base, dense, M).min())
+    grid_min = min(float(_truncated_rows(base, dense[lo:lo + _SCAN_BLOCK], M).min())
+                   for lo in range(0, dense.size, _SCAN_BLOCK))
     tail_lb = float(np.min(base.tail_mass(dense, M))) / M
     dip = 2.0 * _KERNEL_LIPSCHITZ * (base.peak / (10 * quad_nodes))
     gamma = max(tail_lb, grid_min - dip)

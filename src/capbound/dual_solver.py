@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .blahut_arimoto import STOP_REASONS, ba_solve
+from .blahut_arimoto import _LADDER_FIRST, STOP_REASONS, _next_checkpoint, ba_solve
 from .errors import (
     AssumptionViolated,
     CertificateViolated,
@@ -64,13 +64,6 @@ S_MAX_GUARD = 1e-4
 _SMAX_SOLVE_EPS = 1e-6
 
 _MU_NEWTON_MAX_ITER = 200
-
-# Default checkpoint ladder of the fast-gradient loop: the certificate is
-# evaluated after 10 steps, then whenever the step count reaches
-# ceil(1.25 * the previous one), so a run that hits its cap checks about
-# 4.5*ln(n/10) times.
-_LADDER_FIRST = 10
-_LADDER_GROWTH = 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +440,7 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
     averages the input masses with weights k+1.  The certificate
     I(mass_hat) <= C <= F(y) + exact_G(y) is evaluated when a ``target`` gap
     or a ``progress`` callback is given, on the geometric ladder of
-    ``_LADDER_FIRST`` and ``_LADDER_GROWTH``, and always at step n.  Every
+    ``blahut_arimoto._next_checkpoint``, and always at step n.  Every
     checkpoint is a full certificate, so the run stops at step n or at the
     first checkpoint whose gap is at most ``target``.  With a cost, each
     step's multiplier solve starts from the previous step's m2.  The work
@@ -475,7 +468,7 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
         y = state.step(gG)
 
         if k == n or (watch and k + 1 == due):
-            due = math.ceil(_LADDER_GROWTH * due)
+            due = _next_checkpoint(due)
             mass_hat = acc * (2.0 / ((k + 1) * (k + 2)))
             q_hat = K.T @ mass_hat
             c_lb = float(-(r @ mass_hat) + _entropy_bits(q_hat))

@@ -6,7 +6,9 @@ every intermediate as a new array; the tests require the two to agree bit
 for bit.  ``_eval_F_direct`` and ``_eval_G_nu_direct`` evaluate the dual
 terms without the max shift (criterion 10's reference), and
 ``poisson_tail_direct`` sums the Poisson tail series that ``tail_Rk`` bounds
-in closed form (criterion 7's oracle).
+in closed form (criterion 7's oracle).  ``kernel_floor`` takes the dense
+kernel-floor scan in one block, where ``continuous._kernel_floor`` builds it
+in row blocks.
 """
 
 import math
@@ -15,8 +17,10 @@ import time
 import numpy as np
 from scipy.special import gammaln
 
-from capbound.blahut_arimoto import _LOG_Q_FLOOR, BAReport, ba_iterations
-from capbound.dual_solver import _LADDER_FIRST, _LADDER_GROWTH, _as_values
+from capbound.blahut_arimoto import (_LADDER_FIRST, _LADDER_GROWTH, _LOG_Q_FLOOR, _OVERRELAX,
+                                     BAReport, ba_iterations)
+from capbound.continuous import _KERNEL_LIPSCHITZ, _truncated_rows
+from capbound.dual_solver import _as_values
 from capbound.errors import NewtonStall
 from capbound.info_theory import LN2, ProbVector, _entropy_bits
 
@@ -38,6 +42,11 @@ def _eval_G_nu_direct(lam, W, nu):
     p = t / s
     value = nu * np.log2(s) - nu * math.log2(W.rows)
     return float(value), W.entries.T @ p, p
+
+
+def logsumexp(a):
+    m = float(a.max())
+    return m + math.log(float(np.exp(a - m).sum()))
 
 
 def softmax(a):
@@ -164,7 +173,7 @@ def fast_gradient(K, r, logw, radius, nu, n, s, budget, exact_G, target, progres
 
 
 def ba_solve(W, epsilon, stopping="apriori"):
-    """Reference for ``blahut_arimoto.ba_solve``."""
+    """Reference for ``blahut_arimoto.ba_solve``: same ladder, step and safeguard."""
     t0 = time.perf_counter()
     N = W.rows
     n = ba_iterations(N, epsilon)
@@ -176,6 +185,10 @@ def ba_solve(W, epsilon, stopping="apriori"):
     reachable = mask.any(axis=0)
 
     logp = np.full(N, -math.log(N))
+    watch = stopping == "aposteriori"
+    step = _OVERRELAX if watch else 1.0
+    kept, kept_lb, kept_gain = None, -math.inf, 0.0
+    due = _LADDER_FIRST
     it = 0
     while True:
         p = np.exp(logp - logp.max())
@@ -185,7 +198,9 @@ def ba_solve(W, epsilon, stopping="apriori"):
         nz = q > 0.0
         logq[nz] = np.log(q[nz])
         div = row_neg_ent - Wm @ logq
-        if it == n or stopping == "aposteriori":
+        if it == n or (watch and (it == 0 or it + 1 == due)):
+            if it + 1 == due:
+                due = math.ceil(_LADDER_GROWTH * due)
             c_lb = float(-(W.r @ p) + _entropy_bits(q))
             bound = div
             if not nz[reachable].all():
@@ -193,11 +208,18 @@ def ba_solve(W, epsilon, stopping="apriori"):
             c_ub = float(bound.max()) / LN2
             if it == n or c_ub - c_lb <= epsilon:
                 break
-        logp = logp + div
+            if step != 1.0:
+                if c_lb - kept_lb < kept_gain:
+                    (logp, div), step = kept, 1.0
+                else:
+                    kept, kept_lb = (logp, div), c_lb
+                    kept_gain = max((logsumexp(logp + div) - logsumexp(logp)) / LN2 - c_lb, 0.0)
+        logp = logp + step * div
         logp -= logp.max()
         it += 1
 
-    return BAReport(c_lb=c_lb, c_ub=c_ub, apriori_err=math.log2(N) / max(it, 1),
+    return BAReport(c_lb=c_lb, c_ub=c_ub,
+                    apriori_err=c_ub - c_lb if watch else math.log2(N) / max(it, 1),
                     iterations=it, p=ProbVector(p), wall_time=time.perf_counter() - t0)
 
 
@@ -227,3 +249,12 @@ def poisson_tail_direct(base, M, k):
                 return total + term * ratio / (1.0 - ratio)
         prev = term
     raise AssertionError(f"direct tail sum from M = {M} did not converge")
+
+
+def kernel_floor(base, M, quad_nodes):
+    """gamma_M of ``continuous._kernel_floor`` from one unblocked dense scan."""
+    dense = np.linspace(0.0, base.peak, 10 * quad_nodes + 1)
+    grid_min = float(_truncated_rows(base, dense, M).min())
+    tail_lb = float(np.min(base.tail_mass(dense, M))) / M
+    dip = 2.0 * _KERNEL_LIPSCHITZ * (base.peak / (10 * quad_nodes))
+    return min(max(tail_lb, grid_min - dip), grid_min)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capbound as cb
+from capbound import blahut_arimoto
 
 
 def binary_entropy(p):
@@ -90,6 +93,63 @@ def test_uniform_optimal_stops_at_zero_iterations():
     assert rep.iterations == 0
     assert math.isfinite(rep.apriori_err)
     assert rep.c_ub - rep.c_lb <= 1e-6
+
+
+def test_aposteriori_apriori_err_is_the_certified_gap():
+    W = cb.make_random(20, 9, seed=4)
+    for cap in (None, 5):
+        rep = cb.ba_solve(W, 1e-3, "aposteriori", iteration_cap=cap)
+        assert rep.apriori_err == rep.c_ub - rep.c_lb
+
+
+def test_overrelaxed_cycle_falls_back_to_plain_steps():
+    # Inputs 0 and 2 are noiseless, and the step log p += 2 D maps their
+    # weights (a, b) to (b, a): a 2-cycle that never reaches (1/2, 1/2).
+    # I(p) still rises between the checkpoints at 9 and 12 iterations while
+    # input 1 dies out, so no fall of c_lb gives it away; it rises less than
+    # one plain step from the checkpoint at 9 would, and the run goes back
+    # there and certifies with plain steps.
+    W = cb.ChannelMatrix([[1.0, 0.0], [0.75, 0.25], [0.0, 1.0]])
+    at9, at12 = (cb.ba_solve(W, 1e-3, "aposteriori", iteration_cap=k) for k in (9, 12))
+    assert at9.c_lb < at12.c_lb
+    assert at12.c_ub - at12.c_lb > 0.01
+    rep = cb.ba_solve(W, 1e-3, "aposteriori")
+    assert rep.stop_reason == "gap<=eps" and rep.c_ub - rep.c_lb <= 1e-3
+    assert rep.iterations == 16
+    assert rep.c_lb <= 1.0 <= rep.c_ub
+
+
+@pytest.mark.parametrize("db", [6, 14])
+def test_safeguard_rescues_a_divergent_step(monkeypatch, db):
+    # Alone, the step log p += 3 D diverges on the Poisson grid at 6 and
+    # 14 dB; the safeguard falls back to plain steps and still certifies.
+    monkeypatch.setattr(blahut_arimoto, "_OVERRELAX", 3.0)
+    rep = cb.solve_poisson_grid(10.0 ** (db / 10.0), 1.0)
+    assert rep.stop_reason == "gap<=eps"
+    assert rep.c_ub - rep.c_lb <= 1e-3
+
+
+@st.composite
+def sparse_channels(draw, max_size=6):
+    """Channels with zero entries, noiseless rows included."""
+    n, m = draw(st.integers(2, max_size)), draw(st.integers(2, max_size))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m).filter(any),
+                         min_size=n, max_size=n))
+    V = np.array(rows)
+    return cb.ChannelMatrix(V / V.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(W=sparse_channels(), eps=st.sampled_from([1e-2, 1e-3]))
+def test_aposteriori_certifies_within_the_apriori_count(W, eps):
+    rep = cb.ba_solve(W, eps, stopping="aposteriori")
+    assert rep.stop_reason == "gap<=eps"
+    assert rep.c_ub - rep.c_lb <= eps
+    assert rep.iterations <= cb.ba_iterations(W.rows, eps)
+    # Both intervals contain the capacity.
+    apriori = cb.ba_solve(W, eps)
+    assert max(rep.c_lb, apriori.c_lb) <= min(rep.c_ub, apriori.c_lb + apriori.apriori_err) + 1e-9
 
 
 def test_unknown_stopping_mode():

@@ -3,19 +3,22 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import poisson_tail_direct
+from reference import kernel_floor, poisson_tail_direct
 
 import capbound as cb
 from capbound import continuous
 from capbound.continuous import (
     _converged_truncation,
+    _fold_on_grid,
     _gl_grid,
+    _kernel_floor,
     _lipschitz_terms,
     _truncated_rows,
     refined_sup_f,
@@ -54,6 +57,29 @@ class TestTruncate:
         assert trunc.gamma_M >= series / 16 * (1 - 1e-12)
         dense = _truncated_rows(base, np.linspace(0.0, 1.0, 10 * 128 + 1), 16)
         assert trunc.gamma_M <= dense.min()
+
+
+    # Reference levels 0, 5 and 14 dB (M from criterion 8's settings) on
+    # grids whose 10x dense scan takes one, two and ten row blocks.
+    @pytest.mark.parametrize("db, M, nodes",
+                             [(0, 16, 512), (0, 16, 1024), (5, 25, 1024),
+                              (14, 104, 1024), (14, 104, 8192)])
+    def test_blocked_floor_matches_unblocked_scan(self, db, M, nodes):
+        base = cb.poisson_channel(10.0 ** (db / 10.0), 1.0)
+        gamma = _kernel_floor(_fold_on_grid(base, M, nodes)).gamma_M
+        assert gamma.hex() == kernel_floor(base, M, nodes).hex()
+
+    def test_floor_scan_memory_is_blocked(self):
+        # The 14 dB scan has 81,921 rows of 104 entries (68 MB as one
+        # block); built in blocks it peaks far below that.
+        trunc = _fold_on_grid(cb.poisson_channel(10.0 ** 1.4, 1.0), 104, 8192)
+        tracemalloc.start()
+        try:
+            _kernel_floor(trunc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestTailBounds:
@@ -313,7 +339,9 @@ class TestSolvePoisson:
 class TestReproducedNumbers:
     # Every field but wall_time, as computed before the continuous module
     # was narrowed to the Poisson channel; refactors must keep them (to
-    # rounding, rel 1e-12).
+    # rounding, rel 1e-12).  GRID is the a posteriori Blahut-Arimoto solve
+    # with the over-relaxed step and the checkpoint ladder (1302 plain
+    # iterations gave [0.11301757264635093, 0.11391359376013939]).
     SOLVE = {
         "peak": 1.0, "dark_current": 1.0, "M": 16, "nu": 0.01, "iterations": 300,
         "tail_order": 0.5, "trunc_error": 0.000932010044376853,
@@ -327,9 +355,9 @@ class TestReproducedNumbers:
     }
     GRID = {
         "peak": 1.0, "dark_current": 1.0, "M": 14, "tail_order": 0.95,
-        "trunc_error": 1.9490730835847594e-05, "iterations": 1302,
-        "stop_reason": "gap<=eps", "c_lb": 0.11301757264635093,
-        "c_ub": 0.11391359376013939, "lapidoth": -1.522897959841617,
+        "trunc_error": 1.9490730835847594e-05, "iterations": 659,
+        "stop_reason": "gap<=eps", "c_lb": 0.11303039039346396,
+        "c_ub": 0.11391341699836333, "lapidoth": -1.522897959841617,
     }
 
     @staticmethod

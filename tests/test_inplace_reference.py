@@ -85,6 +85,9 @@ BA_CHANNELS = {
     # Output 2's only input underflows: the masked log and the q floor run.
     "underflow": cb.ChannelMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                    [(1 - 5e-4) / 2, (1 - 5e-4) / 2, 5e-4]]),
+    # The over-relaxed step cycles on the noiseless inputs: the a posteriori
+    # run goes back to a checkpoint and finishes with plain steps.
+    "noiseless-cycle": cb.ChannelMatrix([[1.0, 0.0], [0.75, 0.25], [0.0, 1.0]]),
 }
 
 
