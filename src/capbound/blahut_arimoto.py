@@ -17,7 +17,8 @@ p_i proportional to p_i * exp(t * D_i) with t = 2 and to check the gap only
 on a geometric ladder of iterations.  Unlike the dual solver's averaged
 iterate, the gap of this sandwich is first order in the distance of p from
 the capacity-achieving input, which makes BA the cheap way to estimate that
-input (the S_max pre-solve of a cost-constrained dual solve).
+input (the S_max pre-solve of a cost-constrained dual solve, and the start
+of an unconstrained a posteriori one).
 
 Used as an independent cross-check of the dual smoothing solver.
 """
@@ -136,11 +137,7 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     n_apriori = ba_iterations(N, epsilon)
     n = n_apriori if iteration_cap is None else min(n_apriori, iteration_cap)
     Wm = W.entries
-    wlogw = np.zeros_like(Wm)
-    mask = Wm > 0.0
-    wlogw[mask] = Wm[mask] * np.log(Wm[mask])
-    row_neg_ent = wlogw.sum(axis=1)  # sum_j W_ij ln W_ij
-    reachable = mask.any(axis=0)
+    row_neg_ent = W.neg_ent  # sum_j W_ij ln W_ij
 
     # Work vectors, allocated once and overwritten by every iterate.
     logp = np.full(N, -math.log(N))
@@ -177,12 +174,15 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
                 due = _next_checkpoint(due)
             c_lb = float(-(W.r @ p) + _entropy_bits(q))
             bound = div
-            if nz is not None and not nz[reachable].all():
-                # Every p_i feeding a reachable output underflowed, so q_j = 0
-                # there and the dropped terms W_ij ln(W_ij / q_j) are infinite.
-                # Arimoto's bound holds for any output law: raise those q_j
-                # to 1e-300, which adds less than M * 1e-300 of mass.
-                bound = row_neg_ent - Wm @ np.where(reachable & ~nz, _LOG_Q_FLOOR, logq)
+            if nz is not None:
+                # Outputs with a positive entry whose every feeding p_i
+                # underflowed have q_j = 0, so the dropped terms
+                # W_ij ln(W_ij / q_j) are infinite.  Arimoto's bound holds for
+                # any output law: raise those q_j to 1e-300, which adds less
+                # than M * 1e-300 of mass.
+                lost = (Wm > 0.0).any(axis=0) & ~nz
+                if lost.any():
+                    bound = row_neg_ent - Wm @ np.where(lost, _LOG_Q_FLOOR, logq)
             c_ub = float(bound.max()) / LN2
             if it == n or c_ub - c_lb <= epsilon:
                 break

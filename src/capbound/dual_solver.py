@@ -393,18 +393,21 @@ def apriori_error_bound(n: int, d1: float, d2: float) -> float:
 class FastGradientState:
     """Iterate bookkeeping for the optimal scheme on a centered ball, in place.
 
-    Per step k (starting from x_0 = 0, the ball center):
+    Per step k, starting from x_0 = c, the prox-centre (the ball centre 0,
+    or a ``centre`` inside the ball):
         y_k = proj(x_k - grad/L)
-        z_k = proj(-(1/L) * sum_{i<=k} (i+1)/2 * grad_i)
+        z_k = proj(c - (1/L) * sum_{i<=k} (i+1)/2 * grad_i)
         x_{k+1} = 2/(k+3) * z_k + (k+1)/(k+3) * y_k
     The vectors are allocated once: each step overwrites ``x``, ``y`` and
     ``gsum`` in place and returns ``y``, the same array every step.
     """
 
-    def __init__(self, dim: int, radius: float, lipschitz: float):
+    def __init__(self, dim: int, radius: float, lipschitz: float,
+                 centre: Optional[np.ndarray] = None):
         self.radius = radius
         self.L = lipschitz
-        self.x = np.zeros(dim)
+        self.centre = centre
+        self.x = np.zeros(dim) if centre is None else centre.copy()
         self.y = np.zeros(dim)
         self.gsum = np.zeros(dim)
         self._z = np.zeros(dim)
@@ -420,6 +423,8 @@ class FastGradientState:
         self.gsum += z
         # gsum / -L rounds exactly as -gsum / L does: IEEE rounding is sign-symmetric.
         np.divide(self.gsum, -self.L, out=z)
+        if self.centre is not None:
+            z += self.centre  # c + (-gsum / L) rounds as c - gsum / L does
         project_ball(z, self.radius, inplace=True)
         np.multiply(z, 2.0 / (k + 3), out=x)
         np.multiply(y, (k + 1) / (k + 3), out=z)
@@ -433,11 +438,13 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
                    s: Optional[np.ndarray], budget: Optional[float],
                    exact_G: Callable[[np.ndarray], float],
                    target: Optional[float],
-                   progress: Optional[ProgressFn]):
+                   progress: Optional[ProgressFn],
+                   centre: Optional[np.ndarray] = None):
     """Fast-gradient solve of the smoothed dual over inputs with log-weights.
 
-    Runs steps k = 0..n on F + G_nu (see ``_smoothed_input_term``) and
-    averages the input masses with weights k+1.  The certificate
+    Runs steps k = 0..n on F + G_nu (see ``_smoothed_input_term``) from the
+    prox-centre ``centre`` (the ball centre when None) and averages the
+    input masses with weights k+1.  The certificate
     I(mass_hat) <= C <= F(y) + exact_G(y) is evaluated when a ``target`` gap
     or a ``progress`` callback is given, on the geometric ladder of
     ``blahut_arimoto._next_checkpoint``, and always at step n.  Every
@@ -449,7 +456,7 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
     mass_hat belong to this solve alone.
     """
     N, M = K.shape
-    state = FastGradientState(M, radius, 1.0 + 1.0 / nu)
+    state = FastGradientState(M, radius, 1.0 + 1.0 / nu, centre)
     acc = np.zeros(N)
     work = (np.empty(N), np.empty(N), np.empty(M))
     weighted = np.empty(N)
@@ -501,6 +508,7 @@ class SolveReport:
     constrained: bool = False
     s_max_estimate: Optional[float] = None
     stop_reason: str = "gap<=eps"
+    warm_start_iterations: int = 0
 
     def __post_init__(self):
         require_sandwich(self.c_lb, self.c_ub, "SolveReport")
@@ -533,6 +541,14 @@ def solve_capacity(W: ChannelMatrix,
     it, or above it, drop the constraint, unless the unconstrained p_hat
     then spends more than the budget; every other budget is enforced with
     equality (report.constrained is True).
+
+    An unconstrained a posteriori solve starts at a Blahut-Arimoto point:
+    certified BA to epsilon/3 gives an input p, and x_0 = -log2(W^T p),
+    shifted to mean 0, is both the first iterate and the prox-centre; there
+    F(x_0) + G(x_0) is Arimoto's bound max_i D(W_i || W^T p).
+    report.warm_start_iterations counts the BA iterations spent on it.  A
+    priori and constrained solves start at x_0 = 0, the ball centre, with
+    warm_start_iterations 0.
 
     The certificate is checked on a geometric ladder of step counts (10, 13,
     17, 22, ..., each ceil(1.25 * the previous)); an a priori solve without
@@ -577,6 +593,17 @@ def solve_capacity(W: ChannelMatrix,
     return report
 
 
+def _arimoto_point(W: ChannelMatrix, p: ProbVector) -> np.ndarray:
+    """-log2(W^T p) shifted to mean 0, where F + G is max_i D(W_i || W^T p).
+
+    F + G does not change when lambda moves by a constant, and q_j >= gamma
+    puts every entry within log2(1/gamma) of the others, inside the ball.
+    """
+    x = -np.log2(W.entries.T @ p.weights)
+    x -= x.mean()
+    return x
+
+
 def _solve_core(W: ChannelMatrix,
                 cost: Optional[CostConstraint],
                 epsilon: float,
@@ -597,16 +624,22 @@ def _solve_core(W: ChannelMatrix,
     d1, d2 = smoothing_constants(W)
     n_eps = scheduled_iterations(epsilon, d1, d2)
     nu = (2.0 / (n_eps + 1)) * math.sqrt(d1 / d2)
+    centre, warm = None, 0
     if cost is None:
         s = budget = None
         exact_G = lambda y: exact_G_unconstrained(y, W)
+        if stopping == "aposteriori":
+            ba = ba_solve(W, epsilon / 3.0, stopping="aposteriori")
+            centre, warm = _arimoto_point(W, ba.p), ba.iterations
+            # The a priori bound takes max over the ball of |lambda - x_0|^2 / 2.
+            d1 = 0.5 * (radius + math.sqrt(centre.dot(centre))) ** 2
     else:
         s, budget = cost.costs, cost.budget
         exact_G = lambda y: exact_G_constrained(y, W, cost)
 
     k, y, p_hat, c_lb, c_ub = _fast_gradient(
         W.entries, W.r, None, radius, nu, n_eps, s, budget, exact_G,
-        epsilon if stopping == "aposteriori" else None, progress,
+        epsilon if stopping == "aposteriori" else None, progress, centre,
     )
     apriori = nu * d2 + 4.0 * d1 * (1.0 + 1.0 / nu) / (k + 1) ** 2
     if stopping == "apriori":
@@ -625,5 +658,6 @@ def _solve_core(W: ChannelMatrix,
         nu=nu,
         constrained=cost is not None,
         stop_reason=stop_reason,
+        warm_start_iterations=warm,
     )
 

@@ -86,11 +86,13 @@ class ProbVector:
 class ChannelMatrix:
     """Row-stochastic channel law W with cached per-row entropies.
 
-    entries[i, j] = P(output j | input i).  ``r`` holds the conditional
-    output entropy of each row in bits, ``gamma`` the exact minimum entry.
+    entries[i, j] = P(output j | input i).  ``neg_ent`` holds
+    sum_j W_ij ln W_ij of each row (minus its entropy in nats, zero entries
+    left out), ``r`` the conditional output entropy of each row in bits
+    (-neg_ent / ln 2), ``gamma`` the exact minimum entry.
     """
 
-    __slots__ = ("entries", "r", "gamma")
+    __slots__ = ("entries", "neg_ent", "r", "gamma")
 
     def __init__(self, entries):
         W = np.array(entries, dtype=float)
@@ -110,7 +112,13 @@ class ChannelMatrix:
             W = W / sums[:, None]
         W.setflags(write=False)
         self.entries = W
-        r = _neg_xlogx_nats(W).sum(axis=1) / LN2
+        wlogw = np.zeros_like(W)
+        mask = W > 0.0
+        wlogw[mask] = W[mask] * np.log(W[mask])
+        neg_ent = wlogw.sum(axis=1)
+        neg_ent.setflags(write=False)
+        self.neg_ent = neg_ent
+        r = -neg_ent / LN2
         r.setflags(write=False)
         self.r = r
         self.gamma = float(W.min())

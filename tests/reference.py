@@ -126,10 +126,11 @@ def smoothed_input_term(K, r, lam, nu, logw=None, s=None, budget=None, m2=0.0):
 
 
 class FastGradientState:
-    def __init__(self, dim, radius, lipschitz):
+    def __init__(self, dim, radius, lipschitz, centre=None):
         self.radius = radius
         self.L = lipschitz
-        self.x = np.zeros(dim)
+        self.centre = centre
+        self.x = np.zeros(dim) if centre is None else centre.copy()
         self.gsum = np.zeros(dim)
         self.k = 0
 
@@ -137,15 +138,17 @@ class FastGradientState:
         k = self.k
         y = project_ball(self.x - grad / self.L, self.radius)
         self.gsum += (0.5 * (k + 1)) * grad
-        z = project_ball(-self.gsum / self.L, self.radius)
+        z = -self.gsum / self.L if self.centre is None else self.centre - self.gsum / self.L
+        z = project_ball(z, self.radius)
         self.x = (2.0 / (k + 3)) * z + ((k + 1) / (k + 3)) * y
         self.k = k + 1
         return y
 
 
-def fast_gradient(K, r, logw, radius, nu, n, s, budget, exact_G, target, progress):
+def fast_gradient(K, r, logw, radius, nu, n, s, budget, exact_G, target, progress,
+                  centre=None):
     """Reference for ``dual_solver._fast_gradient``: same arguments and result."""
-    state = FastGradientState(K.shape[1], radius, 1.0 + 1.0 / nu)
+    state = FastGradientState(K.shape[1], radius, 1.0 + 1.0 / nu, centre)
     acc = np.zeros(K.shape[0])
     watch = target is not None or progress is not None
     due = _LADDER_FIRST

@@ -93,8 +93,11 @@ def test_criterion_03_cross_method_oracle():
         dual = cb.solve_capacity(W, epsilon=1e-3, stopping="aposteriori")
         ba = cb.ba_solve(W, epsilon=1e-3)
         # both intervals contain C, so they must intersect
+        assert dual.stop_reason == "gap<=eps"
         assert dual.c_lb - 1e-9 <= ba.c_lb + ba.apriori_err
         assert ba.c_lb - 1e-9 <= dual.c_ub
+        # the dual starts at a BA point: cross-check the two certificates too
+        assert dual.c_lb - 1e-9 <= ba.c_ub
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(f"\nPASS criterion 3: dual and BA agree on 50 channels ({elapsed:.1f}s)")

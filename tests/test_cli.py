@@ -375,7 +375,7 @@ class TestJsonReports:
     # the outer sandwich and compare nests the two solvers' reports.
     SOLVE = {"c_lb", "c_ub", "apriori_err", "aposteriori_err", "iterations", "nu",
              "constrained", "s_max_estimate", "stop_reason", "p_hat", "lambda_hat",
-             "wall_time"}
+             "wall_time", "warm_start_iterations"}
     BA = {"c_lb", "c_ub", "apriori_err", "iterations", "p", "wall_time", "stop_reason"}
     POISSON = {"peak", "dark_current", "M", "nu", "iterations", "tail_order",
                "trunc_error", "mutual_info", "dual_value", "g_sup", "g_nu", "iota",

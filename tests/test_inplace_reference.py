@@ -45,6 +45,12 @@ def _quadrature_args(cost, n):
             lambda lam: float(trunc.f_values(lam).max()))
 
 
+def _seeded_args(W, eps):
+    """_fast_gradient's arguments and prox-centre as a seeded _solve_core builds them."""
+    start = cb.ba_solve(W, eps / 3.0, "aposteriori").p
+    return _discrete_args(W, None, eps), dual_solver._arimoto_point(W, start)
+
+
 CASES = {
     "unconstrained-6x5": lambda: _discrete_args(cb.make_random(6, 5, 3), None, 0.05),
     "unconstrained-40x7": lambda: _discrete_args(cb.make_random(40, 7, 11), None, 0.2),
@@ -60,16 +66,28 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("target", ["aposteriori", "apriori", "apriori+progress"])
-@pytest.mark.parametrize("case", sorted(CASES))
+# Unconstrained a posteriori solves start at a Blahut-Arimoto point, which is
+# also their prox-centre.
+SEEDED = {
+    "seeded-6x5": lambda: _seeded_args(cb.make_random(6, 5, 3), 0.05),
+    "seeded-40x7": lambda: _seeded_args(cb.make_random(40, 7, 11), 0.2),
+    "seeded-3x4": lambda: _seeded_args(cb.make_random(3, 4, 5), 1e-3),
+}
+
+
+@pytest.mark.parametrize("case, target", [
+    *[(case, target) for case in sorted(CASES)
+      for target in ("aposteriori", "apriori", "apriori+progress")],
+    *[(case, "aposteriori") for case in sorted(SEEDED)],
+])
 def test_fast_gradient_matches_reference(case, target):
-    args = CASES[case]()
+    args, centre = (CASES[case](), None) if case in CASES else SEEDED[case]()
     seen = {"new": [], "ref": []}
     results = {}
     for key, fn in (("new", dual_solver._fast_gradient), ("ref", fast_gradient_reference)):
         progress = (lambda *a, key=key: seen[key].append(a)) \
             if target == "apriori+progress" else None
-        results[key] = fn(*args, 1e-3 if target == "aposteriori" else None, progress)
+        results[key] = fn(*args, 1e-3 if target == "aposteriori" else None, progress, centre)
     (k, y, mass, lb, ub), (rk, ry, rmass, rlb, rub) = results["new"], results["ref"]
     assert k == rk
     assert _same(y, ry) and _same(mass, rmass)

@@ -1,0 +1,108 @@
+"""Unconstrained a posteriori solves start at a Blahut-Arimoto point.
+
+The seeded fast-gradient run takes x_0 = -log2(W^T p_BA), shifted to mean
+0, as its first iterate and prox-centre.  A priori and constrained solves
+stay cold (x_0 = 0).
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import capbound as cb
+from capbound import dual_solver
+from capbound.cli import main
+
+# The first twelve criterion-3 channels (the perfbench dmc-small channels).
+_CRITERION_3 = np.random.default_rng(100)
+DMC_SMALL = [(int(_CRITERION_3.integers(2, 65)), int(_CRITERION_3.integers(2, 65)),
+              int(_CRITERION_3.integers(0, 1 << 30))) for _ in range(12)]
+
+
+def _cold(W, eps):
+    """The unseeded a posteriori run: _fast_gradient from the ball centre."""
+    radius = cb.dual_radius(W)
+    d1, d2 = cb.smoothing_constants(W)
+    n = cb.scheduled_iterations(eps, d1, d2)
+    nu = (2.0 / (n + 1)) * np.sqrt(d1 / d2)
+    _, _, _, c_lb, c_ub = dual_solver._fast_gradient(
+        W.entries, W.r, None, radius, nu, n, None, None,
+        lambda y: cb.exact_G_unconstrained(y, W), eps, None)
+    return c_lb, c_ub
+
+
+def test_dmc_small_dual_iterations():
+    # A deterministic count: 6,655 dual iterations from the ball centre.
+    reps = [cb.solve_capacity(cb.make_random(n, m, key), epsilon=1e-2)
+            for n, m, key in DMC_SMALL]
+    assert all(rep.stop_reason == "gap<=eps" for rep in reps)
+    assert all(rep.warm_start_iterations > 0 for rep in reps)
+    assert sum(rep.iterations for rep in reps) <= 1500
+
+
+def test_seeded_run_reports_its_start():
+    W = cb.make_random(6, 5, 3)
+    rep = cb.solve_capacity(W, epsilon=1e-3)
+    ba = cb.ba_solve(W, 1e-3 / 3.0, stopping="aposteriori")
+    assert rep.warm_start_iterations == ba.iterations > 0
+    # The a priori bound of an off-centre prox-centre x0 takes
+    # d1 = (R + |x0|)^2 / 2, the largest |lambda - x0|^2 / 2 over the ball.
+    x0 = dual_solver._arimoto_point(W, ba.p)
+    d1 = 0.5 * (cb.dual_radius(W) + np.linalg.norm(x0)) ** 2
+    d2 = cb.smoothing_constants(W)[1]
+    assert rep.apriori_err == pytest.approx(
+        rep.nu * d2 + 4.0 * d1 * (1.0 + 1.0 / rep.nu) / (rep.iterations + 1) ** 2, rel=1e-12)
+    assert cb.solve_capacity(W, epsilon=1e-2, stopping="apriori").warm_start_iterations == 0
+    cost = cb.CostConstraint(np.array([0.0, 0.5, 1.0, 2.0, 3.0, 0.2]), 0.4)
+    rep = cb.solve_capacity(W, cost=cost, epsilon=1e-2)
+    assert rep.constrained and rep.warm_start_iterations == 0
+
+
+@st.composite
+def positive_channels(draw, max_size=12):
+    """Random positive channels with every entry at least gamma in [1e-6, 1e-2]."""
+    n, m = draw(st.integers(2, max_size)), draw(st.integers(2, max_size))
+    gamma = 10.0 ** draw(st.floats(-6.0, -2.0))
+    rows = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    V = np.array(rows)
+    V[V.sum(axis=1) == 0.0] = 1.0
+    return cb.ChannelMatrix(gamma + (1.0 - m * gamma) * V / V.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=50, deadline=None)
+@given(W=positive_channels(), eps=st.sampled_from([1e-2, 1e-3]))
+def test_seeded_solve_certifies(W, eps):
+    rep = cb.solve_capacity(W, epsilon=eps)
+    assert rep.stop_reason == "gap<=eps" and rep.aposteriori_err <= eps
+    assert rep.apriori_err >= rep.aposteriori_err
+    c_lb, c_ub = _cold(W, eps)
+    assert max(rep.c_lb, c_lb) <= min(rep.c_ub, c_ub) + 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.tuples(st.integers(2, 6), st.integers(2, 6)), key=st.integers(0, 2**30),
+       zeros=st.floats(0.1, 0.5), eps=st.sampled_from([1e-2, 1e-3]))
+def test_perturb_solve_aposteriori_meets_ba(shape, key, zeros, eps):
+    # perturb-solve on a channel with zero entries: the outer sandwich, which
+    # certifies the original channel, meets Blahut-Arimoto's certificate there.
+    n, m = shape
+    rng = np.random.default_rng(key)
+    V = rng.random((n, m)) * (rng.random((n, m)) >= zeros)
+    V[np.arange(n), rng.integers(0, m, n)] += 1.0  # no empty row
+    W = cb.ChannelMatrix(V / V.sum(axis=1, keepdims=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        channel, out = Path(tmp) / "w.txt", Path(tmp) / "rep.json"
+        channel.write_text(f"{n} {m}\n" + "\n".join(" ".join(repr(float(x)) for x in row)
+                                                    for row in W.entries))
+        assert main(["perturb-solve", f"file:{channel}", "--stopping", "aposteriori",
+                     "--eps", repr(eps), "--quiet", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+    assert rep["stop_reason"] == "gap<=eps"
+    ba = cb.ba_solve(W, eps, stopping="aposteriori")
+    assert max(rep["c_lb"], ba.c_lb) <= min(rep["c_ub"], ba.c_ub) + 1e-9
