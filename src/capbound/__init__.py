@@ -12,7 +12,6 @@ from .channels import (
     solve_with_perturbation,
 )
 from .continuous import (
-    ContinuousCost,
     PoissonChannel,
     PoissonGridReport,
     PoissonReport,

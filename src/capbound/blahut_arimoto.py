@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import require_sandwich
-from .info_theory import LN2, ChannelMatrix, ProbVector, _entropy_bits
+from .info_theory import LN2, ChannelMatrix, ProbVector, _entropy_bits, _softmax
 
 
 # Log of the output probability (1e-300) standing in for an underflowed q_j
@@ -67,11 +67,6 @@ def _next_checkpoint(due: int) -> int:
     return math.ceil(_LADDER_GROWTH * due)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(a.max())
-    return m + math.log(float(np.exp(a - m).sum()))
-
-
 def _plain_step_gain(logp: np.ndarray, div: np.ndarray, value: float) -> float:
     """log2 sum_i p_i exp(D_i) - I(p) in bits, the least rise of one plain step.
 
@@ -79,7 +74,7 @@ def _plain_step_gain(logp: np.ndarray, div: np.ndarray, value: float) -> float:
     D(W^T p' || W^T p) >= ln Z in nats, by data processing.  Here
     p = exp(logp) / sum(exp(logp)) and ``value`` = I(p) in bits.
     """
-    return max((_logsumexp(logp + div) - _logsumexp(logp)) / LN2 - value, 0.0)
+    return max(float(_softmax(logp + div)[0] - _softmax(logp)[0]) / LN2 - value, 0.0)
 
 
 @dataclass
@@ -153,9 +148,7 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     due = _LADDER_FIRST
     it = 0
     while True:
-        np.subtract(logp, np.maximum.reduce(logp), out=p)
-        np.exp(p, out=p)
-        p /= np.add.reduce(p)
+        _softmax(logp, out=p)
         np.dot(Wm.T, p, out=q)
         nz = None
         if np.minimum.reduce(q) > 0.0:

@@ -4,8 +4,9 @@ Commands: solve-dmc, solve-ba, compare, perturb-solve, solve-poisson,
 poisson-sweep.  Human-readable reports go to stdout with 6 significant
 digits and are byte-identical across runs for a fixed configuration and
 seed; wall-clock timings and progress checkpoints go to stderr.  --out
-writes a machine-readable JSON report (full precision; the wall_time field
-is the one non-deterministic entry) or, for sweeps, a plot-ready CSV.
+writes a machine-readable JSON report (full precision, standard JSON with
+an infinite or NaN value written as null; the wall_time field is the one
+non-deterministic entry) or, for sweeps, a plot-ready CSV.
 
 Exit codes: 0 success, 1 argument/channel parse errors, 2 solver-reported
 errors (infeasible constraints, violated positivity assumptions, ...).
@@ -104,9 +105,20 @@ def _progress_printer(quiet: bool):
     return emit
 
 
+def _finite_or_null(value):
+    """``value`` with every infinite or NaN float, nested ones too, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -263,6 +275,10 @@ def _cmd_solve_poisson(args) -> int:
     return 0
 
 
+# The most points a --db-grid may name (the reproduced 0:14:2 sweep has 8).
+_MAX_DB_POINTS = 10_000
+
+
 def _parse_db_grid(text: str):
     try:
         parts = [float(v) for v in text.split(":")]
@@ -280,8 +296,10 @@ def _parse_db_grid(text: str):
         raise _ParseError(f"bad --db-grid {text!r}")
     if step <= 0 or stop < start:
         raise _ParseError(f"bad --db-grid {text!r}")
-    n = int(round((stop - start) / step))
-    return [start + i * step for i in range(n + 1)]
+    count = (stop - start) / step
+    if not math.isfinite(count) or round(count) >= _MAX_DB_POINTS:
+        raise _ParseError(f"bad --db-grid {text!r}: more than {_MAX_DB_POINTS} points")
+    return [start + i * step for i in range(round(count) + 1)]
 
 
 def _cmd_poisson_sweep(args) -> int:

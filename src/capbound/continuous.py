@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -40,7 +40,6 @@ from .blahut_arimoto import ba_solve
 from .dual_solver import _fast_gradient, _smoothed_input_term, ball_radius, eval_F
 from .errors import (
     AssumptionViolated,
-    Infeasible,
     InvalidChannel,
     InvalidOrder,
     NeedLargerM,
@@ -108,19 +107,6 @@ def poisson_channel(peak: float, dark_current: float = 1.0) -> PoissonChannel:
     """The Poisson channel on inputs [0, peak] with the given dark current."""
     _check_poisson_params(peak, dark_current)
     return PoissonChannel(peak=float(peak), dark_current=float(dark_current))
-
-
-@dataclass(frozen=True)
-class ContinuousCost:
-    """Average cost constraint E[s(X)] = budget with a Lipschitz cost s.
-
-    The quadrature solve has no S_max step (unlike the discrete solver), so
-    it enforces the budget with equality, not as E[s(X)] <= budget.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    budget: float
-    lipschitz: float
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +201,6 @@ def _kernel_floor(trunc: TruncatedChannel) -> TruncatedChannel:
     tail_lb = float(np.min(base.tail_mass(dense, M))) / M
     dip = 2.0 * _KERNEL_LIPSCHITZ * (base.peak / (10 * quad_nodes))
     gamma = max(tail_lb, grid_min - dip)
-    gamma = min(gamma, grid_min)
     if gamma <= 0.0:
         raise AssumptionViolated(
             "Assumption 3 violated: truncated kernel minimum could not be "
@@ -271,42 +256,21 @@ def truncation_error_bound(base: PoissonChannel, M: int, k: float) -> float:
 # Smoothing gap
 
 
-def _lipschitz_terms(trunc: TruncatedChannel,
-                     cost: Optional[ContinuousCost]) -> tuple[float, float, float]:
-    """(T1, T2, L_f) entering the uniform smoothing gap."""
+def _lipschitz_terms(trunc: TruncatedChannel) -> tuple[float, float]:
+    """(T1, L_f) entering the uniform smoothing gap: T1 = L_f * peak."""
     M = trunc.M
     g2 = math.log2(1.0 / trunc.gamma_M)
     L = _KERNEL_LIPSCHITZ
     l_f = L * M * M * max(g2, 1.0 / LN2) + M * L * abs(g2 - 1.0 / LN2)
-    rho = trunc.base.peak
-    if cost is None:
-        return l_f * rho, 0.0, l_f
-    xs = np.concatenate(([0.0], trunc.nodes, [rho]))
-    svals = np.asarray(cost.fn(xs), dtype=float)
-    s_lo = float(svals.min()) - cost.budget   # negative for an interior budget
-    s_hi = float(svals.max()) - cost.budget   # positive for an interior budget
-    if s_lo >= 0 or s_hi <= 0:
-        raise Infeasible("budget must lie strictly inside the attainable cost range")
-    ls = cost.lipschitz
-    mu_hi = (2.0 / s_hi) * math.log2(max(2.0 * ls * rho / s_hi, 1.0))
-    mu_lo = (2.0 / (-s_lo)) * math.log2(max(2.0 * ls * rho / (-s_lo), 1.0))
-    t1 = l_f * rho + 2.0 * l_f * ls * rho * rho * max(1.0 / (-s_lo), 1.0 / s_hi)
-    t2 = ls * rho * max(mu_lo, mu_hi)
-    return t1, t2, l_f
+    return l_f * trunc.base.peak, l_f
 
 
-def smoothing_gap_bound(nu: float, t1: float, t2: float) -> float:
+def smoothing_gap_bound(nu: float, t1: float) -> float:
     """Uniform gap iota(nu) between the exact and smoothed input terms."""
     if nu <= 0:
         raise ValueError("nu must be positive")
-    if t2 > 1.0:
-        branch1 = True
-    elif t2 == 1.0:
-        branch1 = t1 > 0.0
-    else:
-        branch1 = nu < t1 / (1.0 - t2)
-    if branch1:
-        return nu * (math.log2(t1 / nu + t2) + 1.0)
+    if nu < t1:
+        return nu * (math.log2(t1 / nu) + 1.0)
     return nu
 
 
@@ -314,35 +278,24 @@ def smoothing_gap_bound(nu: float, t1: float, t2: float) -> float:
 # Smoothed dual term on the grid
 
 
-def _node_cost(trunc: TruncatedChannel, cost: Optional[ContinuousCost]
-               ) -> tuple[Optional[np.ndarray], Optional[float]]:
-    """(cost at the grid nodes, budget), or (None, None) without a constraint."""
-    if cost is None:
-        return None, None
-    return np.asarray(cost.fn(trunc.nodes), dtype=float), cost.budget
-
-
-def eval_G_nu_continuous(lam, trunc: TruncatedChannel, nu: float,
-                         cost: Optional[ContinuousCost] = None
+def eval_G_nu_continuous(lam, trunc: TruncatedChannel, nu: float
                          ) -> tuple[float, np.ndarray, np.ndarray]:
     """Smoothed input term, its gradient, and the optimal density on the grid.
 
     The integrals run over the truncation's fixed Gauss-Legendre grid: the
     nodes are the inputs of the discrete smoothed term, each with the log of
     its quadrature weight added to its exponent, so the gradient integrates
-    the kernel against the returned density and sums to 1.  With a cost
-    constraint the two multipliers come from the bracketed Newton solve.
+    the kernel against the returned density and sums to 1.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     lam = np.asarray(lam, dtype=float)
     lse, grad, mass, _ = _smoothed_input_term(trunc.kernel_nodes, trunc.r_nodes, lam, nu,
-                                              np.log(trunc.weights), *_node_cost(trunc, cost))
+                                              np.log(trunc.weights))
     return float(nu * lse / LN2 - nu * math.log2(trunc.base.peak)), grad, mass / trunc.weights
 
 
-def _converged_truncation(trunc: TruncatedChannel, nu: float,
-                          cost: Optional[ContinuousCost], lam: np.ndarray
+def _converged_truncation(trunc: TruncatedChannel, nu: float, lam: np.ndarray
                           ) -> tuple[TruncatedChannel, bool]:
     """Double the grid until the smoothed value at lam stabilizes.
 
@@ -353,11 +306,11 @@ def _converged_truncation(trunc: TruncatedChannel, nu: float,
     legitimately continue with converged=False.  Only the returned grid gets
     the dense floor scan that sets gamma_M.
     """
-    value = eval_G_nu_continuous(lam, trunc, nu, cost)[0]
+    value = eval_G_nu_continuous(lam, trunc, nu)[0]
     for _ in range(4):
         tol = 1e-9 * (1.0 + abs(value))
         cand = _fold_on_grid(trunc.base, trunc.M, 2 * trunc.nodes.size)
-        v2 = eval_G_nu_continuous(lam, cand, nu, cost)[0]
+        v2 = eval_G_nu_continuous(lam, cand, nu)[0]
         if abs(v2 - value) <= tol:
             return _kernel_floor(trunc), True
         trunc, value = cand, v2
@@ -445,26 +398,23 @@ class PoissonReport:
 
 
 def _solve_truncated(trunc: TruncatedChannel, nu: float, n: int,
-                     cost: Optional[ContinuousCost],
                      progress=None) -> tuple[np.ndarray, float]:
     """Fast-gradient solve of the smoothed dual on the quadrature grid.
 
     Runs n + 1 steps and returns (lambda_hat, I(p_hat)).  A ``progress``
     callback gets the certificate on the default checkpoint ladder; its
-    upper bounds use the vertex maximum of f_lambda over the nodes, with or
-    without a cost constraint.
+    upper bounds use the vertex maximum of f_lambda over the nodes.
     """
     _, lam_hat, _, mutual, _ = _fast_gradient(
         trunc.kernel_nodes, trunc.r_nodes, np.log(trunc.weights),
-        ball_radius(trunc.M, trunc.gamma_M), nu, n, *_node_cost(trunc, cost),
+        ball_radius(trunc.M, trunc.gamma_M), nu, n, None, None,
         lambda lam: float(trunc.f_values(lam).max()), None, progress,
     )
     return lam_hat, mutual
 
 
 def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations: int,
-                  nu: float, cost: Optional[ContinuousCost] = None,
-                  tail_order: float = 0.5, progress=None) -> PoissonReport:
+                  nu: float, tail_order: float = 0.5, progress=None) -> PoissonReport:
     """The paper's Poisson capacity sandwich at a pinned M, iteration count and nu.
 
     This is the reproduction path: the truncation level, the fast-gradient
@@ -472,9 +422,8 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
     published reference runs.  ``solve_poisson_grid`` is the auto-tuned,
     certified path.  The primary bounds follow the doubled sandwich with the
     refined supremum estimate of the exact dual term; the certified pair
-    swaps in the uniform smoothing gap and is reported alongside.  A
-    ``cost`` is enforced as E[s(X)] = budget (see ContinuousCost), so the
-    sandwich is for that equality constraint.
+    swaps in the uniform smoothing gap and is reported alongside.  The only
+    constraint is the peak, which is the input interval.
     """
     t0 = time.perf_counter()
     if iterations < 0:
@@ -484,15 +433,15 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
     base = poisson_channel(peak, dark_current)
     err_trunc = truncation_error_bound(base, M, tail_order)
 
-    trunc, quad_ok = _converged_truncation(_fold_on_grid(base, M, _QUAD_NODES), nu, cost,
+    trunc, quad_ok = _converged_truncation(_fold_on_grid(base, M, _QUAD_NODES), nu,
                                            np.zeros(M))
-    lam_hat, mutual = _solve_truncated(trunc, nu, iterations, cost, progress=progress)
+    lam_hat, mutual = _solve_truncated(trunc, nu, iterations, progress=progress)
 
     Fv, _ = eval_F(lam_hat)
     g_sup = refined_sup_f(trunc, lam_hat)
-    g_nu, _, _ = eval_G_nu_continuous(lam_hat, trunc, nu, cost)
-    t1, t2, _ = _lipschitz_terms(trunc, cost)
-    iota = smoothing_gap_bound(nu, t1, t2)
+    g_nu, _, _ = eval_G_nu_continuous(lam_hat, trunc, nu)
+    t1, _ = _lipschitz_terms(trunc)
+    iota = smoothing_gap_bound(nu, t1)
 
     dual_value = Fv + g_sup
     c_lb = 2.0 * mutual - dual_value - err_trunc

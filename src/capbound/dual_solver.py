@@ -53,6 +53,7 @@ from .info_theory import (
     CostConstraint,
     ProbVector,
     _entropy_bits,
+    _softmax,
 )
 
 # S_max guard band: budgets within this of the unconstrained optimum are
@@ -133,19 +134,6 @@ def project_ball(x: np.ndarray, radius: float, inplace: bool = False) -> np.ndar
 # Dual objective pieces
 
 
-def _softmax(a: np.ndarray, out: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
-    """Log-sum-exp of a (natural log) and softmax(a), max-shifted so no exponent exceeds 0.
-
-    With ``out`` (which may be ``a``) the softmax is computed in place there.
-    """
-    m = np.maximum.reduce(a)
-    e = np.subtract(a, m, out=out)
-    np.exp(e, out=e)
-    s = np.add.reduce(e)
-    e /= s
-    return m + math.log(s), e
-
-
 def eval_F(lam) -> tuple[float, np.ndarray]:
     """Smooth dual term F(lambda) = log2 sum_j 2^(-lambda_j) and its gradient.
 
@@ -221,8 +209,7 @@ def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
     that end point: only the inputs at that cost are feasible, and the
     masses are the softmax of their log-masses, with m2 pinned to 0.
     Natural-log multipliers and the masses are returned, the masses in
-    ``out`` when it is given; a quadrature weight w_k enters as log(w_k) in
-    ``logmass``.
+    ``out`` when it is given.
     """
     smin, smax = float(s.min()), float(s.max())
     if budget < smin - 1e-12 or budget > smax + 1e-12:

@@ -7,7 +7,8 @@ treated as exact zeros.
 
 Everything here is a pure function over immutable inputs (the arrays inside
 ``ChannelMatrix``/``ProbVector`` are marked read-only), so concurrent use
-from multiple threads is safe.
+from multiple threads is safe; only ``_softmax`` writes, into the ``out``
+array its caller passes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -42,6 +44,19 @@ def _neg_xlogx_nats(w: np.ndarray) -> np.ndarray:
 
 def _entropy_bits(w: np.ndarray) -> float:
     return float(_neg_xlogx_nats(w).sum() / LN2)
+
+
+def _softmax(a: np.ndarray, out: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
+    """Log-sum-exp of a (natural log) and softmax(a), max-shifted so no exponent exceeds 0.
+
+    With ``out`` (which may be ``a``) the softmax is computed in place there.
+    """
+    m = np.maximum.reduce(a)
+    e = np.subtract(a, m, out=out)
+    np.exp(e, out=e)
+    s = np.add.reduce(e)
+    e /= s
+    return m + math.log(s), e
 
 
 class ProbVector:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from capbound import cli
 from capbound.cli import main
 
 
@@ -11,6 +12,15 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def load_strict(path):
+    """Parse a JSON report, refusing NaN, Infinity and -Infinity."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
 
 
 def grab(out, key):
@@ -162,6 +172,20 @@ class TestPoisson:
         assert out == ""
         assert err.startswith("error: Assumption 3 violated")
 
+    def test_infinite_bounds_are_null_in_json(self, capsys, tmp_path):
+        # At M = 1001 with dark current 1000 the tail bound is inf, so the
+        # report's pairs are infinite; --out writes them as null.
+        out_path = tmp_path / "rep.json"
+        code, out, _ = run_cli(capsys, ["solve-poisson", "--peak", "1", "--dark-current",
+                                        "1000", "--trunc-m", "1001", "--iterations", "1",
+                                        "--nu", "0.05", "--quiet", "--out", str(out_path)])
+        assert code == 0
+        assert grab(out, "c_ub_certified") == "inf"
+        payload = load_strict(out_path)
+        for key in ("trunc_error", "c_lb", "c_ub", "c_lb_certified", "c_ub_certified"):
+            assert payload[key] is None, key
+        assert math.isfinite(payload["mutual_info"])
+
     def test_sweep_csv(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, ["poisson-sweep", "--db-grid", "0:2:1", "--quiet",
@@ -288,7 +312,7 @@ class TestSizeOneAlphabets:
         code, _, _ = run_cli(capsys, [command, f"file:{spec}", "--eps", str(eps), "--quiet",
                                       "--out", str(out_path)])
         assert code == 0
-        payload = json.loads(out_path.read_text())
+        payload = load_strict(out_path)
         for rep in (payload["dual"], payload["ba"]) if command == "compare" else (payload,):
             assert rep["c_lb"] <= 1e-9
             assert rep["c_ub"] <= eps
@@ -368,6 +392,20 @@ class TestArgumentChecks:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_db_grid_count_overflow(self, capsys):
+        # (stop - start) / step is inf here: refused, not an OverflowError.
+        code, out, err = run_cli(capsys, ["poisson-sweep", "--db-grid", "0:1e308:1e-308",
+                                          "--quiet"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bad --db-grid")
+
+    def test_db_grid_point_cap(self):
+        cap = cli._MAX_DB_POINTS
+        assert len(cli._parse_db_grid(f"0:{cap - 1}:1")) == cap
+        with pytest.raises(cli._ParseError, match="bad --db-grid"):
+            cli._parse_db_grid(f"0:{cap}:1")
 
 
 class TestJsonReports:

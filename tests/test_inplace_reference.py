@@ -15,7 +15,6 @@ from reference import fast_gradient as fast_gradient_reference
 
 import capbound as cb
 from capbound import dual_solver
-from capbound.continuous import _node_cost
 from capbound.dual_solver import ball_radius, project_ball
 
 
@@ -38,10 +37,10 @@ def _discrete_args(W, cost, eps):
             lambda y: cb.exact_G_constrained(y, W, cost))
 
 
-def _quadrature_args(cost, n):
+def _quadrature_args(n):
     trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 8, quad_nodes=64)
     return (trunc.kernel_nodes, trunc.r_nodes, np.log(trunc.weights),
-            ball_radius(trunc.M, trunc.gamma_M), 0.05, n, *_node_cost(trunc, cost),
+            ball_radius(trunc.M, trunc.gamma_M), 0.05, n, None, None,
             lambda lam: float(trunc.f_values(lam).max()))
 
 
@@ -60,9 +59,7 @@ CASES = {
     "cost-5x4": lambda: _discrete_args(
         cb.make_random(5, 4, 7), cb.CostConstraint(np.array([0.0, 0.5, 1.0, 2.0, 3.0]), 0.8),
         0.05),
-    "quadrature": lambda: _quadrature_args(None, 400),
-    "quadrature-cost": lambda: _quadrature_args(
-        cb.ContinuousCost(fn=lambda x: x, budget=0.3, lipschitz=1.0), 400),
+    "quadrature": lambda: _quadrature_args(400),
 }
 
 
