@@ -1,4 +1,4 @@
-"""Classical Blahut-Arimoto baseline for unconstrained DMC capacity.
+"""Classical Blahut-Arimoto for DMC capacity, with or without an input cost.
 
 Alternating update from the uniform input distribution: given p, set
 q = W^T p and reweight p_i proportionally to p_i * exp(D(W(.|i) || q)).
@@ -17,10 +17,17 @@ p_i proportional to p_i * exp(t * D_i) with t = 2 and to check the gap only
 on a geometric ladder of iterations.  Unlike the dual solver's averaged
 iterate, the gap of this sandwich is first order in the distance of p from
 the capacity-achieving input, which makes BA the cheap way to estimate that
-input (the S_max pre-solve of a cost-constrained dual solve, and the start
-of an unconstrained a posteriori one).
+input.
 
-Used as an independent cross-check of the dual smoothing solver.
+With an average-cost constraint s . p = S, each plain update is followed
+by the exponential cost tilt, so every iterate is feasible, and the upper
+bound becomes the maximum of sum_i p_i D_i over the cost slice of the
+simplex (Blahut, IEEE T-IT 18(4), 1972).
+
+Uses: an independent cross-check of the dual smoothing solver; the S_max
+pre-solve of a cost-constrained dual solve; the start of every a posteriori
+dual solve (cost-tilted when the constraint binds); and the certified
+Poisson grid solve of ``continuous.solve_poisson_grid``.
 """
 
 from __future__ import annotations
@@ -32,8 +39,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import require_sandwich
-from .info_theory import LN2, ChannelMatrix, ProbVector, _entropy_bits, _softmax
+from .errors import DimensionMismatch, require_sandwich
+from .info_theory import (
+    LN2,
+    ChannelMatrix,
+    CostConstraint,
+    ProbVector,
+    _affordable_budget,
+    _entropy_bits,
+    _max_entropy_multipliers,
+    _segment_lp_max,
+    _softmax,
+)
 
 
 # Log of the output probability (1e-300) standing in for an underflowed q_j
@@ -101,7 +118,8 @@ def ba_iterations(N: int, epsilon: float) -> int:
 
 
 def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
-             iteration_cap: Optional[int] = None) -> BAReport:
+             iteration_cap: Optional[int] = None,
+             cost: Optional[CostConstraint] = None) -> BAReport:
     """Blahut-Arimoto capacity sandwich I(p) <= C <= max_i D(W(.|i) || W^T p).
 
     stopping="apriori" runs exactly ba_iterations(N, epsilon) plain updates
@@ -122,13 +140,33 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     entries are fine (0*log 0 terms vanish); the KL exponents are
     accumulated in nats and max-shifted before exponentiation.  All values
     are in bits.
+
+    With a ``cost`` (a posteriori only; a priori raises ValueError) the run
+    certifies the capacity-cost value at s . p = budget (Blahut, IEEE T-IT
+    18(4), 1972).  Each update is the plain step log p += D followed by the
+    cost tilt of ``_max_entropy_multipliers``, whose multiplier starts from
+    the previous iterate's; the tilt composes, so p = exp(log p + m2 s)/Z
+    and no log p or log 0 is ever taken.  The tilt aims at
+    ``_affordable_budget``, so every iterate spends the budget to within the
+    multiplier solve's tolerance and never more: c_lb = I(p) is feasible, and
+    c_ub = max {sum_i p'_i D_i : p' in the simplex, s . p' = budget}, the
+    hull LP ``_segment_lp_max`` of the dual's exact constrained G, bounds
+    every feasible I(p') because I(p') <= sum_i p'_i D(W(.|i) || q) for any
+    output law q.  No over-relaxation or safeguard is used on this path.
     """
     if stopping not in ("apriori", "aposteriori"):
         raise ValueError(f"unknown stopping mode {stopping!r}")
     if iteration_cap is not None and iteration_cap < 1:
         raise ValueError(f"iteration_cap must be >= 1, got {iteration_cap!r}")
+    if cost is not None and stopping != "aposteriori":
+        raise ValueError("a cost constraint needs stopping='aposteriori'")
     t0 = time.perf_counter()
     N = W.rows
+    if cost is not None:
+        s, budget = cost.costs, cost.budget
+        if s.size != N:
+            raise DimensionMismatch("cost vector length must equal channel rows")
+        spend = _affordable_budget(s, budget)
     n_apriori = ba_iterations(N, epsilon)
     n = n_apriori if iteration_cap is None else min(n_apriori, iteration_cap)
     Wm = W.entries
@@ -141,14 +179,20 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     logq = np.empty(W.cols)
     div = np.empty(N)
     watch = stopping == "aposteriori"
-    step = _OVERRELAX if watch else 1.0
+    step = _OVERRELAX if watch and cost is None else 1.0
+    m2 = 0.0
     # The over-relaxed iterate at its last checkpoint, restored if it stalls.
     kept_logp, kept_div = np.empty(N), np.empty(N)
     kept_lb, kept_gain = -math.inf, 0.0
     due = _LADDER_FIRST
     it = 0
     while True:
-        _softmax(logp, out=p)
+        if cost is None:
+            _softmax(logp, out=p)
+        else:
+            # The tilt composes: p = exp(logp + m2 s) / Z is the cost-tilted
+            # plain step from the previous p, with s . p <= budget.
+            _, m2, _ = _max_entropy_multipliers(logp, s, spend, m2, out=p)
         np.dot(Wm.T, p, out=q)
         nz = None
         if np.minimum.reduce(q) > 0.0:
@@ -176,7 +220,10 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
                 lost = (Wm > 0.0).any(axis=0) & ~nz
                 if lost.any():
                     bound = row_neg_ent - Wm @ np.where(lost, _LOG_Q_FLOOR, logq)
-            c_ub = float(bound.max()) / LN2
+            if cost is None:
+                c_ub = float(bound.max()) / LN2
+            else:
+                c_ub = _segment_lp_max(bound, s, budget) / LN2
             if it == n or c_ub - c_lb <= epsilon:
                 break
             if step != 1.0:

@@ -423,7 +423,9 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
     certified path.  The primary bounds follow the doubled sandwich with the
     refined supremum estimate of the exact dual term; the certified pair
     swaps in the uniform smoothing gap and is reported alongside.  The only
-    constraint is the peak, which is the input interval.
+    constraint is the peak, which is the input interval.  A level M whose
+    truncation error bound is infinite (the closed-form tail overflows) is
+    refused with AssumptionViolated before any grid is built.
     """
     t0 = time.perf_counter()
     if iterations < 0:
@@ -432,6 +434,13 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
         raise ValueError(f"nu must be positive and finite, got {nu!r}")
     base = poisson_channel(peak, dark_current)
     err_trunc = truncation_error_bound(base, M, tail_order)
+    if math.isinf(err_trunc):
+        # Every pair would be infinite: refuse before the grid is built.
+        tails = ", ".join(f"R_{k:g}({M}) = {tail_Rk(base, M, k):g}" for k in (1.0, tail_order))
+        raise AssumptionViolated(
+            f"truncation error bound is infinite at M = {M} ({tails}): "
+            "the closed-form tail bound overflows, so no finite sandwich exists"
+        )
 
     trunc, quad_ok = _converged_truncation(_fold_on_grid(base, M, _QUAD_NODES), nu,
                                            np.zeros(M))

@@ -44,7 +44,6 @@ from .errors import (
     CertificateViolated,
     DimensionMismatch,
     Infeasible,
-    NewtonStall,
     require_sandwich,
 )
 from .info_theory import (
@@ -52,7 +51,10 @@ from .info_theory import (
     ChannelMatrix,
     CostConstraint,
     ProbVector,
+    _affordable_budget,
     _entropy_bits,
+    _max_entropy_multipliers,
+    _segment_lp_max,
     _softmax,
 )
 
@@ -63,8 +65,6 @@ S_MAX_GUARD = 1e-4
 
 # Gap tolerance for the certified Blahut-Arimoto solve that estimates S_max.
 _SMAX_SOLVE_EPS = 1e-6
-
-_MU_NEWTON_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -190,95 +190,6 @@ def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
     return float(nu * lse / LN2 - nu * math.log2(W.rows)), grad, ProbVector(p)
 
 
-def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
-                             start: float = 0.0, out: Optional[np.ndarray] = None
-                             ) -> tuple[float, float, np.ndarray]:
-    """Newton solve for the multipliers of the tilted max-entropy problem.
-
-    Maximizes  m1 + budget*m2 - sum_k exp(m1 + logmass_k + m2*s_k)  over
-    (m1, m2); at the optimum the masses exp(m1 + logmass_k + m2 s_k) sum to 1
-    and meet sum s mass = budget exactly.  The normalization
-    multiplier m1 is eliminated in closed form (its coordinate maximization
-    is a log-sum-exp), leaving a 1-D strictly concave problem in m2 whose
-    stationarity is the cost constraint; that is solved by bracketed Newton
-    with bisection fallback, so convergence does not depend on the size of
-    the tilts (exponent ranges of ~1e3 occur routinely for small nu).  The
-    bracket grows from ``start`` by doubling steps, so a start near the root
-    (the previous fast-gradient step's m2) saves most of the expansion.
-    A budget within the solver tolerance of the cheapest (dearest) cost is
-    that end point: only the inputs at that cost are feasible, and the
-    masses are the softmax of their log-masses, with m2 pinned to 0.
-    Natural-log multipliers and the masses are returned, the masses in
-    ``out`` when it is given.
-    """
-    smin, smax = float(s.min()), float(s.max())
-    if budget < smin - 1e-12 or budget > smax + 1e-12:
-        raise Infeasible(
-            f"budget {budget!r} outside attainable cost range [{smin!r}, {smax!r}]"
-        )
-    tol = 1e-11 * max(1.0, abs(budget))
-
-    if smax - smin <= 1e-12 * max(1.0, abs(smax)):
-        # Degenerate cost (s constant): any m2 is optimal, pin it to 0.
-        lognorm, mass = _softmax(logmass, out=out)
-        return -lognorm, 0.0, mass
-    if budget - smin <= tol or smax - budget <= tol:
-        end = smin if budget - smin <= tol else smax
-        lognorm, mass = _softmax(np.where(s == end, logmass, -np.inf), out=out)
-        return -lognorm, 0.0, mass
-
-    buf = np.empty_like(logmass) if out is None else out
-    ss = s * s
-
-    def moments(m2):
-        np.multiply(s, m2, out=buf)
-        np.add(buf, logmass, out=buf)
-        lognorm, mass = _softmax(buf, out=buf)
-        mean = float(s @ mass)
-        var = float(ss @ mass) - mean * mean
-        return mean, var, lognorm, mass
-
-    # Bracket the root of  mean_cost(m2) = budget  (strictly increasing).
-    lo = hi = start
-    mean0, _, _, _ = moments(start)
-    step = 1.0
-    if mean0 > budget:
-        while True:
-            lo -= step
-            if moments(lo)[0] <= budget:
-                break
-            step *= 2.0
-            if step > 1e30:
-                raise NewtonStall("cost multiplier bracket expansion diverged")
-    else:
-        while True:
-            hi += step
-            if moments(hi)[0] >= budget:
-                break
-            step *= 2.0
-            if step > 1e30:
-                raise NewtonStall("cost multiplier bracket expansion diverged")
-
-    m2 = 0.5 * (lo + hi)
-    for _ in range(_MU_NEWTON_MAX_ITER):
-        mean, var, lognorm, prob = moments(m2)
-        g = mean - budget
-        if abs(g) <= tol:
-            return -lognorm, m2, prob
-        if g > 0:
-            hi = m2
-        else:
-            lo = m2
-        cand = m2 - g / var if var > 0 else math.nan
-        m2 = cand if lo < cand < hi else 0.5 * (lo + hi)
-    mean, var, lognorm, prob = moments(m2)
-    if abs(mean - budget) <= 100 * tol:
-        return -lognorm, m2, prob
-    raise NewtonStall(
-        f"cost multiplier Newton solve stalled (residual {abs(mean - budget):.3e})"
-    )
-
-
 def eval_G_nu_constrained(lam, W: ChannelMatrix, nu: float, cost: CostConstraint
                           ) -> tuple[float, np.ndarray, ProbVector]:
     """Smoothed input term under the cost equality constraint.
@@ -313,43 +224,6 @@ def exact_G_constrained(lam, W: ChannelMatrix, cost: CostConstraint) -> float:
     lam = _as_values(lam)
     f = W.entries @ lam - W.r
     return _segment_lp_max(f, cost.costs, cost.budget)
-
-
-def _segment_lp_max(f: np.ndarray, s: np.ndarray, budget: float) -> float:
-    smin, smax = float(s.min()), float(s.max())
-    if budget < smin - 1e-12 or budget > smax + 1e-12:
-        raise Infeasible(
-            f"budget {budget!r} outside attainable cost range [{smin!r}, {smax!r}]"
-        )
-    budget = min(max(budget, smin), smax)
-    order = np.lexsort((-f, s))
-    ss, fs = s[order], f[order]
-    # Keep only the best f for duplicate cost values.
-    keep = np.ones(ss.size, dtype=bool)
-    keep[1:] = np.diff(ss) > 0
-    ss, fs = ss[keep], fs[keep]
-    if ss.size == 1:
-        return float(fs[0])
-    # Monotone-chain upper hull over (cost, value) points.
-    hull: list[int] = []
-    for i in range(ss.size):
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (ss[a] - ss[o]) * (fs[i] - fs[o]) - (fs[a] - fs[o]) * (ss[i] - ss[o])
-            if cross >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    hx = ss[hull]
-    hy = fs[hull]
-    j = int(np.searchsorted(hx, budget, side="right"))
-    if j == 0:
-        return float(hy[0])
-    if j >= hx.size:
-        return float(hy[-1])
-    t = (budget - hx[j - 1]) / (hx[j] - hx[j - 1])
-    return float((1.0 - t) * hy[j - 1] + t * hy[j])
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +403,18 @@ def solve_capacity(W: ChannelMatrix,
     then spends more than the budget; every other budget is enforced with
     equality (report.constrained is True).
 
-    An unconstrained a posteriori solve starts at a Blahut-Arimoto point:
-    certified BA to epsilon/3 gives an input p, and x_0 = -log2(W^T p),
+    An a posteriori solve starts at a Blahut-Arimoto point: certified BA to
+    epsilon/3 (cost-tilted, ``ba_solve(..., cost=cost)``, when the
+    constraint is enforced) gives an input p, and x_0 = -log2(W^T p),
     shifted to mean 0, is both the first iterate and the prox-centre; there
-    F(x_0) + G(x_0) is Arimoto's bound max_i D(W_i || W^T p).
-    report.warm_start_iterations counts the BA iterations spent on it.  A
-    priori and constrained solves start at x_0 = 0, the ball centre, with
+    F(x_0) + G(x_0) is BA's upper bound at p (Arimoto's
+    max_i D(W_i || W^T p), or its hull LP over the cost slice).  The
+    guard-band re-solve starts the same way.  report.warm_start_iterations
+    counts the BA iterations spent on the start.  A constrained a
+    posteriori solve tilts its masses to ``_affordable_budget``, so p_hat
+    never overspends the budget, and a seeded run that certifies to
+    rounding (c_lb above c_ub by at most 1e-9) reports c_lb = c_ub.  A
+    priori solves start at x_0 = 0, the ball centre, with
     warm_start_iterations 0.
 
     The certificate is checked on a geometric ladder of step counts (10, 13,
@@ -611,23 +491,31 @@ def _solve_core(W: ChannelMatrix,
     d1, d2 = smoothing_constants(W)
     n_eps = scheduled_iterations(epsilon, d1, d2)
     nu = (2.0 / (n_eps + 1)) * math.sqrt(d1 / d2)
-    centre, warm = None, 0
     if cost is None:
         s = budget = None
         exact_G = lambda y: exact_G_unconstrained(y, W)
-        if stopping == "aposteriori":
-            ba = ba_solve(W, epsilon / 3.0, stopping="aposteriori")
-            centre, warm = _arimoto_point(W, ba.p), ba.iterations
-            # The a priori bound takes max over the ball of |lambda - x_0|^2 / 2.
-            d1 = 0.5 * (radius + math.sqrt(centre.dot(centre))) ** 2
     else:
         s, budget = cost.costs, cost.budget
         exact_G = lambda y: exact_G_constrained(y, W, cost)
+    centre, warm = None, 0
+    if stopping == "aposteriori":
+        if cost is not None:
+            # Aim below the budget by the multiplier tolerance: the averaged
+            # masses never overspend, so I(p_hat) bounds C(budget) from below.
+            budget = _affordable_budget(s, budget)
+        ba = ba_solve(W, epsilon / 3.0, stopping="aposteriori", cost=cost)
+        centre, warm = _arimoto_point(W, ba.p), ba.iterations
+        # The a priori bound takes max over the ball of |lambda - x_0|^2 / 2.
+        d1 = 0.5 * (radius + math.sqrt(centre.dot(centre))) ** 2
 
     k, y, p_hat, c_lb, c_ub = _fast_gradient(
         W.entries, W.r, None, radius, nu, n_eps, s, budget, exact_G,
         epsilon if stopping == "aposteriori" else None, progress, centre,
     )
+    if stopping == "aposteriori" and c_ub < c_lb <= c_ub + 1e-9:
+        # A seeded run can certify to rounding, and I(p_hat) and F + G then
+        # round apart.  Lowering a lower bound keeps it sound.
+        c_lb = c_ub
     apriori = nu * d2 + 4.0 * d1 * (1.0 + 1.0 / nu) / (k + 1) ** 2
     if stopping == "apriori":
         stop_reason = "apriori_n"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import capbound as cb
 from capbound import blahut_arimoto
+from capbound.info_theory import _segment_lp_max
 
 
 def binary_entropy(p):
@@ -187,3 +188,26 @@ def test_stop_reason_and_iteration_cap():
         cb.ba_solve(W, 1e-2, iteration_cap=0)
     with pytest.raises(ValueError):
         cb.BAReport(0.1, 0.2, 0.0, 1, free.p, 0.0, stop_reason="tired")
+
+
+def test_cost_needs_aposteriori():
+    cost = cb.CostConstraint(np.array([0.0, 1.0]), 0.25)
+    with pytest.raises(ValueError, match="aposteriori"):
+        cb.ba_solve(cb.make_random(2, 2, seed=32), 1e-3, stopping="apriori", cost=cost)
+
+
+def test_cost_iterates_spend_the_budget():
+    # Every cost-tilted iterate spends S to within the multiplier solve's
+    # tolerance and never more, so c_lb = I(p) is feasible, and c_ub is the
+    # hull LP over the cost slice at the same output law.
+    W = cb.make_random(16, 8, seed=103)
+    s = np.random.default_rng(0).random(16)
+    cost = cb.CostConstraint(s, float(np.quantile(s, 0.3)))
+    rep = cb.ba_solve(W, 1e-3, stopping="aposteriori", cost=cost)
+    assert rep.stop_reason == "gap<=eps" and rep.c_ub - rep.c_lb <= 1e-3
+    assert cost.budget - 1e-10 <= float(s @ rep.p.weights) <= cost.budget
+    assert rep.c_lb == pytest.approx(cb.mutual_information(rep.p, W), abs=1e-12)
+    q = W.entries.T @ rep.p.weights
+    div = (W.entries * np.log2(W.entries / q)).sum(axis=1)
+    assert rep.c_ub == pytest.approx(_segment_lp_max(div, s, cost.budget), abs=1e-12)
+    assert rep.c_ub < float(div.max())

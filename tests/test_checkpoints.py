@@ -184,6 +184,19 @@ def test_budget_at_cheapest_cost_stalls():
     assert cost.costs @ rep.p_hat.weights <= cost.budget + 1e-9
 
 
+def test_budget_just_above_cheapest_cost_uses_affordable_inputs():
+    # The budget is within the solver tolerance of the cheapest cost and
+    # above a cost of 1e-13: the end point keeps both inputs the budget
+    # affords.  With the cheapest input alone the lower bound stayed 0 while
+    # the cost-slice LP used both, and the run hit its cap with a gap of 0.19.
+    W = cb.ChannelMatrix([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
+    cost = cb.CostConstraint(np.array([0.0, 1.0, 1e-13]), 1.5e-13)
+    for stopping in ("aposteriori", "apriori"):
+        rep = cb.solve_capacity(W, cost=cost, epsilon=1e-2, stopping=stopping)
+        assert cost.costs @ rep.p_hat.weights <= cost.budget
+        assert rep.c_lb > 0.04 and rep.aposteriori_err <= 1e-2
+
+
 def test_budget_at_dearest_cost():
     # The mirror end point: a budget within the solver tolerance of the
     # dearest cost keeps only the inputs at that cost, weighted by their

@@ -164,27 +164,43 @@ class TestPoisson:
 
     def test_tail_overflow_is_not_a_crash(self, capsys):
         # At 30 dB and M = 1001 the closed-form tail bound is inf, not an
-        # OverflowError; the kernel floor then underflows, a solver error.
+        # OverflowError; the infinite truncation bound is then refused, a
+        # solver error.
         code, out, err = run_cli(capsys, ["solve-poisson", "--peak-db", "30", "--trunc-m",
                                           "1001", "--iterations", "1", "--nu", "0.05",
                                           "--quiet"])
         assert code == 2
         assert out == ""
-        assert err.startswith("error: Assumption 3 violated")
+        assert err.startswith("error: truncation error bound is infinite at M = 1001")
 
-    def test_infinite_bounds_are_null_in_json(self, capsys, tmp_path):
-        # At M = 1001 with dark current 1000 the tail bound is inf, so the
-        # report's pairs are infinite; --out writes them as null.
+    def test_infinite_tail_bound_refused(self, capsys, tmp_path):
+        # At M = 1001 with dark current 1000 the tail bounds overflow, so every
+        # pair would be infinite: the solve is refused before any grid is
+        # built, and no report is written.
         out_path = tmp_path / "rep.json"
-        code, out, _ = run_cli(capsys, ["solve-poisson", "--peak", "1", "--dark-current",
-                                        "1000", "--trunc-m", "1001", "--iterations", "1",
-                                        "--nu", "0.05", "--quiet", "--out", str(out_path)])
-        assert code == 0
-        assert grab(out, "c_ub_certified") == "inf"
+        code, out, err = run_cli(capsys, ["solve-poisson", "--peak", "1", "--dark-current",
+                                          "1000", "--trunc-m", "1001", "--iterations", "1",
+                                          "--nu", "0.05", "--quiet", "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: truncation error bound is infinite at M = 1001")
+        assert "R_1(1001) = inf" in err and "R_0.5(1001) = inf" in err
+        assert not out_path.exists()
+
+    def test_infinite_bounds_are_null_in_json(self, tmp_path):
+        # No solve reaches an infinite Poisson pair any more; the writer
+        # still turns every infinite or NaN float, nested ones too, into null.
+        out_path = tmp_path / "rep.json"
+        cli._write_json(str(out_path), {
+            "trunc_error": math.inf, "c_lb": -math.inf, "c_ub": math.inf,
+            "c_lb_certified": -math.inf, "c_ub_certified": math.nan,
+            "mutual_info": 0.5, "nested": {"c_ub": math.inf, "p": [0.5, math.inf]},
+        })
         payload = load_strict(out_path)
         for key in ("trunc_error", "c_lb", "c_ub", "c_lb_certified", "c_ub_certified"):
             assert payload[key] is None, key
-        assert math.isfinite(payload["mutual_info"])
+        assert payload["mutual_info"] == 0.5
+        assert payload["nested"] == {"c_ub": None, "p": [0.5, None]}
 
     def test_sweep_csv(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"

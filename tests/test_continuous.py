@@ -70,6 +70,13 @@ class TestTruncate:
         gamma = _kernel_floor(_fold_on_grid(base, M, nodes)).gamma_M
         assert gamma.hex() == kernel_floor(base, M, nodes).hex()
 
+    def test_unbounded_floor_refused(self):
+        # At 30 dB and M = 1001 the x = 0 row's far entries underflow to 0,
+        # so the kernel minimum cannot be bounded away from zero.
+        trunc = _fold_on_grid(cb.poisson_channel(1000.0, 1.0), 1001, 64)
+        with pytest.raises(AssumptionViolated, match="Assumption 3 violated"):
+            _kernel_floor(trunc)
+
     def test_floor_scan_memory_is_blocked(self):
         # The 14 dB scan has 81,921 rows of 104 entries (68 MB as one
         # block); built in blocks it peaks far below that.
@@ -268,6 +275,17 @@ class TestSolvePoisson:
         monkeypatch.setattr(continuous, "_fold_on_grid", no_grid)
         with pytest.raises(ValueError, match="nu must be positive and finite"):
             cb.solve_poisson(1.0, 1.0, M=16, iterations=10, nu=nu)
+
+    def test_infinite_truncation_bound_refused(self, monkeypatch):
+        # With dark current 1000 the closed-form tails overflow at M = 1001:
+        # every pair would be infinite, so the solve is refused before any
+        # grid is built.
+        def no_grid(*args):
+            raise AssertionError("grid built for an infinite truncation bound")
+
+        monkeypatch.setattr(continuous, "_fold_on_grid", no_grid)
+        with pytest.raises(AssumptionViolated, match=r"M = 1001 \(R_1\(1001\) = inf"):
+            cb.solve_poisson(1.0, 1000.0, M=1001, iterations=1, nu=0.05)
 
     def test_each_truncation_built_once(self, monkeypatch):
         # Node doubling folds each (M, nodes) grid once, and only the grid

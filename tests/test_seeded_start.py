@@ -1,8 +1,9 @@
-"""Unconstrained a posteriori solves start at a Blahut-Arimoto point.
+"""A posteriori solves start at a Blahut-Arimoto point.
 
 The seeded fast-gradient run takes x_0 = -log2(W^T p_BA), shifted to mean
-0, as its first iterate and prox-centre.  A priori and constrained solves
-stay cold (x_0 = 0).
+0, as its first iterate and prox-centre; p_BA comes from certified
+Blahut-Arimoto, cost-tilted when the solve enforces a cost constraint.
+A priori solves stay cold (x_0 = 0).
 """
 
 import json
@@ -11,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import capbound as cb
 from capbound import dual_solver
 from capbound.cli import main
+from capbound.info_theory import _affordable_budget
 
 # The first twelve criterion-3 channels (the perfbench dmc-small channels).
 _CRITERION_3 = np.random.default_rng(100)
@@ -24,15 +26,21 @@ DMC_SMALL = [(int(_CRITERION_3.integers(2, 65)), int(_CRITERION_3.integers(2, 65
               int(_CRITERION_3.integers(0, 1 << 30))) for _ in range(12)]
 
 
-def _cold(W, eps):
+def _cold(W, eps, cost=None):
     """The unseeded a posteriori run: _fast_gradient from the ball centre."""
     radius = cb.dual_radius(W)
     d1, d2 = cb.smoothing_constants(W)
     n = cb.scheduled_iterations(eps, d1, d2)
     nu = (2.0 / (n + 1)) * np.sqrt(d1 / d2)
+    if cost is None:
+        s = budget = None
+        exact_G = lambda y: cb.exact_G_unconstrained(y, W)
+    else:
+        # Masses that never overspend, so that c_lb bounds C(budget).
+        s, budget = cost.costs, _affordable_budget(cost.costs, cost.budget)
+        exact_G = lambda y: cb.exact_G_constrained(y, W, cost)
     _, _, _, c_lb, c_ub = dual_solver._fast_gradient(
-        W.entries, W.r, None, radius, nu, n, None, None,
-        lambda y: cb.exact_G_unconstrained(y, W), eps, None)
+        W.entries, W.r, None, radius, nu, n, s, budget, exact_G, eps, None)
     return c_lb, c_ub
 
 
@@ -60,7 +68,11 @@ def test_seeded_run_reports_its_start():
     assert cb.solve_capacity(W, epsilon=1e-2, stopping="apriori").warm_start_iterations == 0
     cost = cb.CostConstraint(np.array([0.0, 0.5, 1.0, 2.0, 3.0, 0.2]), 0.4)
     rep = cb.solve_capacity(W, cost=cost, epsilon=1e-2)
-    assert rep.constrained and rep.warm_start_iterations == 0
+    assert rep.constrained
+    assert rep.warm_start_iterations == cb.ba_solve(W, 1e-2 / 3.0, "aposteriori",
+                                                    cost=cost).iterations
+    assert cb.solve_capacity(W, cost=cost, epsilon=1e-2,
+                             stopping="apriori").warm_start_iterations == 0
 
 
 @st.composite
@@ -72,7 +84,9 @@ def positive_channels(draw, max_size=12):
                          min_size=n, max_size=n))
     V = np.array(rows)
     V[V.sum(axis=1) == 0.0] = 1.0
-    return cb.ChannelMatrix(gamma + (1.0 - m * gamma) * V / V.sum(axis=1, keepdims=True))
+    # Normalise before scaling: (1 - m*gamma) * V rounds a subnormal row
+    # back to itself, and dividing that by its sum would give a row sum > 1.
+    return cb.ChannelMatrix(gamma + (1.0 - m * gamma) * (V / V.sum(axis=1, keepdims=True)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -106,3 +120,37 @@ def test_perturb_solve_aposteriori_meets_ba(shape, key, zeros, eps):
     assert rep["stop_reason"] == "gap<=eps"
     ba = cb.ba_solve(W, eps, stopping="aposteriori")
     assert max(rep["c_lb"], ba.c_lb) <= min(rep["c_ub"], ba.c_ub) + 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(W=positive_channels(max_size=6), data=st.data(), eps=st.sampled_from([1e-2, 1e-3]))
+def test_cost_ba_meets_cold_constrained_dual(W, data, eps):
+    # Binding budgets: between the cheapest cost and S_max less twice the
+    # guard band, so solve_capacity enforces the constraint.
+    s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=W.rows, max_size=W.rows)))
+    pre = cb.ba_solve(W, dual_solver._SMAX_SOLVE_EPS, stopping="aposteriori")
+    top = float(s @ pre.p.weights) - 2.0 * dual_solver.S_MAX_GUARD
+    assume(top > s.min())
+    cost = cb.CostConstraint(s, s.min() + data.draw(st.floats(0.0, 1.0)) * (top - s.min()))
+    ba = cb.ba_solve(W, eps, stopping="aposteriori", cost=cost)
+    assert cost.budget - 1e-9 <= float(s @ ba.p.weights) <= cost.budget + 1e-12
+    c_lb, c_ub = _cold(W, eps, cost)
+    rep = cb.solve_capacity(W, cost=cost, epsilon=eps)
+    assert rep.constrained
+    assert cost.costs @ rep.p_hat.weights <= cost.budget + 1e-12
+    assert max(ba.c_lb, c_lb, rep.c_lb) <= min(ba.c_ub, c_ub, rep.c_ub) + 1e-9
+
+
+def test_item3_binding_budgets():
+    # make_random(16, 8, key) with costs U(0, 1) from default_rng(0) and the
+    # budget at their 30% quantile.  The budget binds on six of the seven
+    # channels, which took 10,258 dual steps from the ball centre.
+    s = np.random.default_rng(0).random(16)
+    cost = cb.CostConstraint(s, float(np.quantile(s, 0.3)))
+    reps = [cb.solve_capacity(cb.make_random(16, 8, key), cost=cost, epsilon=1e-3)
+            for key in range(101, 108)]
+    binding = [rep for rep in reps if rep.constrained]
+    assert len(binding) == 6
+    assert all(rep.stop_reason == "gap<=eps" for rep in binding)
+    assert all(rep.warm_start_iterations > 0 for rep in binding)
+    assert sum(rep.iterations for rep in binding) <= 1000
