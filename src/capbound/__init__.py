@@ -21,7 +21,6 @@ from .continuous import (
     lapidoth_lb,
     poisson_channel,
     poisson_sweep,
-    smoothing_gap_bound,
     solve_poisson,
     solve_poisson_grid,
     tail_Rk,

@@ -11,16 +11,19 @@ bounds on the polynomial-tail sums
 The truncated channel is then a finite-output problem whose dual can be
 smoothed and solved by the same fast-gradient scheme as the discrete case,
 with the input integrals discretized on a fixed composite Gauss-Legendre
-grid.  The final sandwich combines the primal value, the dual value and the
-truncation penalty:
+grid.  The paper's sandwich combines the primal value, the dual value and
+the truncation penalty:
 
     2*I - (F+G) - E  <=  C  <=  2*(F+G) - I + E.
 
-The sweep takes a second, certified path: Blahut-Arimoto on a uniform input
-grid gives I(p, W_M) <= C (the fold is a garbling of the output), and
-Arimoto's bound sup_x D(W_M(.|x) || q) + E, with the supremum over the whole
-input interval certified by a curvature bound, gives the upper side.  A
-classical explicit lower bound is reported next to both.
+Both certified pairs rest on two facts.  The fold is a garbling of the
+output, so I(p, W_M) <= C for any input p, with no -E.  And for any lambda,
+F(lambda) + sup_x f_lambda(x) + E >= C, with the supremum over the whole input
+interval certified by a curvature bound.  The pinned dual solve reports that
+pair at its final iterate next to the paper's; the sweep takes it from
+Blahut-Arimoto on a uniform input grid, where it is Arimoto's bound
+sup_x D(W_M(.|x) || q) + E.  A classical explicit lower bound is reported
+next to both.
 
 All values are in bits.
 """
@@ -58,9 +61,8 @@ _SUP_SCAN_NODES = 8192
 # 16,385-row scan raised a sweep's peak resident memory from 84 MB to 109 MB).
 _SCAN_BLOCK = 8193
 
-# Bound on |d/dx W(i|x)| uniformly in i: for the Poisson kernel
-# d/dx W(i|x) = W(i-1|x) - W(i|x), and |W(i-1|x) - W(i|x)| <= 1.
-_KERNEL_LIPSCHITZ = 1.0
+# Allowance of the certified supremum in the pinned solve's certified pair.
+_SUP_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +120,8 @@ class TruncatedChannel:
     """M-truncated channel on a fixed quadrature grid over [0, peak].
 
     Kept rows get the folded tail: W_M(i|x) = W(i|x) + tail(x)/M for i < M.
-    ``gamma_M`` is a positive lower estimate of min_{x,i} W_M(i|x), combining
-    a dense grid minimum (with a Lipschitz dip allowance) and the sound tail
-    bound min_x tail(x)/M.
+    ``gamma_M`` is the positive lower bound on min_{x,i} W_M(i|x) of
+    ``_kernel_floor_bound``.
     """
 
     base: PoissonChannel
@@ -154,19 +155,36 @@ def _truncated_rows(base: PoissonChannel, x: np.ndarray, M: int) -> np.ndarray:
     return K
 
 
+def _kernel_floor_bound(base: PoissonChannel, M: int) -> float:
+    """gamma = gammainc(M, eta)/M, a lower bound on every entry of W_M.
+
+    W_M(i|x) >= tail(x)/M >= tail(0)/M, as the tail grows with the mean.
+    Refuses (AssumptionViolated) a channel without dark current and a level
+    whose gamma underflows.  gamma falls as M grows, so a refusal at one
+    level holds for every larger one.
+    """
+    eta = base.dark_current
+    if eta <= 0.0:
+        raise AssumptionViolated(
+            "the truncated kernel has no positive floor without dark current: "
+            "the dark current must be positive")
+    gamma = float(gammainc(float(M), eta)) / M
+    if gamma <= 0.0:
+        raise AssumptionViolated(
+            f"gammainc(M, eta)/M underflows at M = {M}: no kernel floor for "
+            f"peak {base.peak:g}"
+        )
+    return gamma
+
+
 def truncate(base: PoissonChannel, M: int, quad_nodes: int = _QUAD_NODES) -> TruncatedChannel:
-    """Fold the output tail onto {0..M-1} and fix the integration grid."""
-    return _kernel_floor(_fold_on_grid(base, M, quad_nodes))
+    """Fold the output tail onto {0..M-1} and fix the integration grid.
 
-
-def _fold_on_grid(base: PoissonChannel, M: int, quad_nodes: int) -> TruncatedChannel:
-    """The truncation's rows and row entropies on its grid, without the floor scan.
-
-    ``gamma_M`` is NaN until ``_kernel_floor`` fills it in, so a grid that
-    is only compared against (node doubling) skips the dense scan.
+    The kernel floor is checked before any row is built.
     """
     if M < 1:
         raise InvalidChannel("truncation level M must be >= 1")
+    gamma = _kernel_floor_bound(base, M)
     nodes, weights = _gl_grid(0.0, base.peak, quad_nodes)
     K = _truncated_rows(base, nodes, M)
     sums = K.sum(axis=1)
@@ -179,35 +197,12 @@ def _fold_on_grid(base: PoissonChannel, M: int, quad_nodes: int) -> TruncatedCha
     return TruncatedChannel(
         base=base,
         M=M,
-        gamma_M=math.nan,
+        gamma_M=gamma,
         nodes=nodes,
         weights=weights,
         kernel_nodes=K,
         r_nodes=r,
     )
-
-
-def _kernel_floor(trunc: TruncatedChannel) -> TruncatedChannel:
-    """Fill in gamma_M from a dense scan with 10x the grid's nodes (once).
-
-    The scan's rows are built ``_SCAN_BLOCK`` at a time, as in ``_f_scan``.
-    """
-    if not math.isnan(trunc.gamma_M):
-        return trunc
-    base, M, quad_nodes = trunc.base, trunc.M, trunc.nodes.size
-    dense = np.linspace(0.0, base.peak, 10 * quad_nodes + 1)
-    grid_min = min(float(_truncated_rows(base, dense[lo:lo + _SCAN_BLOCK], M).min())
-                   for lo in range(0, dense.size, _SCAN_BLOCK))
-    tail_lb = float(np.min(base.tail_mass(dense, M))) / M
-    dip = 2.0 * _KERNEL_LIPSCHITZ * (base.peak / (10 * quad_nodes))
-    gamma = max(tail_lb, grid_min - dip)
-    if gamma <= 0.0:
-        raise AssumptionViolated(
-            "Assumption 3 violated: truncated kernel minimum could not be "
-            "bounded away from zero"
-        )
-    trunc.gamma_M = gamma
-    return trunc
 
 
 # ---------------------------------------------------------------------------
@@ -253,28 +248,6 @@ def truncation_error_bound(base: PoissonChannel, M: int, k: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Smoothing gap
-
-
-def _lipschitz_terms(trunc: TruncatedChannel) -> tuple[float, float]:
-    """(T1, L_f) entering the uniform smoothing gap: T1 = L_f * peak."""
-    M = trunc.M
-    g2 = math.log2(1.0 / trunc.gamma_M)
-    L = _KERNEL_LIPSCHITZ
-    l_f = L * M * M * max(g2, 1.0 / LN2) + M * L * abs(g2 - 1.0 / LN2)
-    return l_f * trunc.base.peak, l_f
-
-
-def smoothing_gap_bound(nu: float, t1: float) -> float:
-    """Uniform gap iota(nu) between the exact and smoothed input terms."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    if nu < t1:
-        return nu * (math.log2(t1 / nu) + 1.0)
-    return nu
-
-
-# ---------------------------------------------------------------------------
 # Smoothed dual term on the grid
 
 
@@ -303,18 +276,17 @@ def _converged_truncation(trunc: TruncatedChannel, nu: float, lam: np.ndarray
     grid only loosens the resulting sandwich (the primal value is the exact
     mutual information of the atomic input supported on the nodes, and the
     dual value is weak duality at the computed iterate), so callers may
-    legitimately continue with converged=False.  Only the returned grid gets
-    the dense floor scan that sets gamma_M.
+    legitimately continue with converged=False.
     """
     value = eval_G_nu_continuous(lam, trunc, nu)[0]
     for _ in range(4):
         tol = 1e-9 * (1.0 + abs(value))
-        cand = _fold_on_grid(trunc.base, trunc.M, 2 * trunc.nodes.size)
+        cand = truncate(trunc.base, trunc.M, 2 * trunc.nodes.size)
         v2 = eval_G_nu_continuous(lam, cand, nu)[0]
         if abs(v2 - value) <= tol:
-            return _kernel_floor(trunc), True
+            return trunc, True
         trunc, value = cand, v2
-    return _kernel_floor(trunc), False
+    return trunc, False
 
 
 def _f_scan(base: PoissonChannel, M: int, lam: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -377,15 +349,14 @@ class PoissonReport:
     iterations: int
     tail_order: float
     trunc_error: float
-    mutual_info: float       # I(p_hat, W_M), quadrature value
-    dual_value: float        # F(lambda_hat) + G_sup(lambda_hat)
-    g_sup: float             # refined supremum estimate of the exact G
-    g_nu: float              # smoothed G at lambda_hat
-    iota: float              # certified uniform gap G <= G_nu + iota
-    c_lb: float
-    c_ub: float
-    c_lb_certified: float    # I - E  (holds up to quadrature accuracy)
-    c_ub_certified: float    # F + G_nu + iota + E
+    mutual_info: float       # I(p_hat, W_M) of the atomic input on the nodes
+    dual_value: float        # F(lambda_hat) + g_sup
+    g_sup: float             # scan estimate of sup_x f_lambda_hat(x)
+    g_sup_certified: float   # certified upper bound on sup_x f_lambda_hat(x)
+    c_lb: float              # 2 I - dual_value - E (estimate)
+    c_ub: float              # 2 dual_value - I + E (estimate)
+    c_lb_certified: float    # I, as the fold garbles the output
+    c_ub_certified: float    # F(lambda_hat) + g_sup_certified + E
     lapidoth: float
     gamma_M: float
     quad_nodes: int
@@ -421,11 +392,14 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
     iteration count and the smoothing parameter are the caller's, as in the
     published reference runs.  ``solve_poisson_grid`` is the auto-tuned,
     certified path.  The primary bounds follow the doubled sandwich with the
-    refined supremum estimate of the exact dual term; the certified pair
-    swaps in the uniform smoothing gap and is reported alongside.  The only
+    refined supremum estimate of the exact dual term; they are estimates.
+    The certified pair is reported alongside: I(p_hat, W_M) below, as the
+    fold garbles the output, and F(lambda_hat) plus the certified supremum
+    of ``_certified_sup`` plus E above, by weak duality.  The only
     constraint is the peak, which is the input interval.  A level M whose
-    truncation error bound is infinite (the closed-form tail overflows) is
-    refused with AssumptionViolated before any grid is built.
+    truncation error bound is infinite (the closed-form tail overflows), or
+    whose kernel floor ``_kernel_floor_bound`` refuses, is refused with
+    AssumptionViolated before any grid is built.
     """
     t0 = time.perf_counter()
     if iterations < 0:
@@ -442,15 +416,12 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
             "the closed-form tail bound overflows, so no finite sandwich exists"
         )
 
-    trunc, quad_ok = _converged_truncation(_fold_on_grid(base, M, _QUAD_NODES), nu,
-                                           np.zeros(M))
+    trunc, quad_ok = _converged_truncation(truncate(base, M, _QUAD_NODES), nu, np.zeros(M))
     lam_hat, mutual = _solve_truncated(trunc, nu, iterations, progress=progress)
 
     Fv, _ = eval_F(lam_hat)
     g_sup = refined_sup_f(trunc, lam_hat)
-    g_nu, _, _ = eval_G_nu_continuous(lam_hat, trunc, nu)
-    t1, _ = _lipschitz_terms(trunc)
-    iota = smoothing_gap_bound(nu, t1)
+    g_sup_certified = _certified_sup(base, M, lam_hat, _SUP_TOL)
 
     dual_value = Fv + g_sup
     c_lb = 2.0 * mutual - dual_value - err_trunc
@@ -466,12 +437,11 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
         mutual_info=mutual,
         dual_value=dual_value,
         g_sup=g_sup,
-        g_nu=g_nu,
-        iota=iota,
+        g_sup_certified=g_sup_certified,
         c_lb=c_lb,
         c_ub=c_ub,
-        c_lb_certified=mutual - err_trunc,
-        c_ub_certified=Fv + g_nu + iota + err_trunc,
+        c_lb_certified=mutual,
+        c_ub_certified=Fv + g_sup_certified + err_trunc,
         lapidoth=lapidoth_lb(peak, dark_current),
         gamma_M=trunc.gamma_M,
         quad_nodes=trunc.nodes.size,
@@ -501,25 +471,6 @@ def choose_truncation_level(base: PoissonChannel, target: float
         if err <= target:
             return M, err, k
         M += 1
-
-
-def _kernel_floor_bound(base: PoissonChannel, M: int) -> float:
-    """gamma = gammainc(M, eta)/M, a lower bound on every entry of W_M.
-
-    Refuses (AssumptionViolated) a channel without dark current and a level
-    whose gamma underflows.  gamma falls as M grows, so a refusal at one
-    level holds for every larger one.
-    """
-    eta = base.dark_current
-    if eta <= 0.0:
-        raise AssumptionViolated("the certified supremum needs a positive dark current")
-    gamma = gammainc(float(M), eta) / M
-    if gamma <= 0.0:
-        raise AssumptionViolated(
-            f"gammainc(M, eta)/M underflows at M = {M}: no curvature bound for "
-            f"peak {base.peak:g}"
-        )
-    return gamma
 
 
 def _curvature_bound(base: PoissonChannel, M: int, lam: np.ndarray) -> float:

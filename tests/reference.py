@@ -6,9 +6,9 @@ every intermediate as a new array; the tests require the two to agree bit
 for bit.  ``_eval_F_direct`` and ``_eval_G_nu_direct`` evaluate the dual
 terms without the max shift (criterion 10's reference), and
 ``poisson_tail_direct`` sums the Poisson tail series that ``tail_Rk`` bounds
-in closed form (criterion 7's oracle).  ``kernel_floor`` takes the dense
-kernel-floor scan in one block, where ``continuous._kernel_floor`` builds it
-in row blocks.
+in closed form (criterion 7's oracle).  ``kernel_floor`` is the dense
+kernel-floor scan that set ``TruncatedChannel.gamma_M`` before the closed
+form ``continuous._kernel_floor_bound`` did.
 """
 
 import math
@@ -19,7 +19,7 @@ from scipy.special import gammaln
 
 from capbound.blahut_arimoto import (_LADDER_FIRST, _LADDER_GROWTH, _LOG_Q_FLOOR, _OVERRELAX,
                                      BAReport, ba_iterations)
-from capbound.continuous import _KERNEL_LIPSCHITZ, _truncated_rows
+from capbound.continuous import _truncated_rows
 from capbound.dual_solver import _as_values
 from capbound.errors import NewtonStall
 from capbound.info_theory import LN2, ProbVector, _entropy_bits
@@ -255,9 +255,14 @@ def poisson_tail_direct(base, M, k):
 
 
 def kernel_floor(base, M, quad_nodes):
-    """gamma_M of ``continuous._kernel_floor`` from one unblocked dense scan."""
+    """Kernel floor from a dense scan with 10x the grid's nodes.
+
+    The larger of the tail bound min tail(x)/M and the scan minimum less a
+    dip allowance of twice the spacing (|d/dx W(i|x)| <= 1 for the Poisson
+    kernel).
+    """
     dense = np.linspace(0.0, base.peak, 10 * quad_nodes + 1)
     grid_min = float(_truncated_rows(base, dense, M).min())
     tail_lb = float(np.min(base.tail_mass(dense, M))) / M
-    dip = 2.0 * _KERNEL_LIPSCHITZ * (base.peak / (10 * quad_nodes))
+    dip = 2.0 * (base.peak / (10 * quad_nodes))
     return min(max(tail_lb, grid_min - dip), grid_min)

@@ -261,6 +261,8 @@ def test_criterion_08_poisson_sandwich():
         # Both pairs are certificates, so they must meet.
         row = sweep[db]
         assert max(row["c_lb"], rep.c_lb_certified) <= min(row["c_ub"], rep.c_ub_certified), db
+        # The certified pair lies inside the paper pair.
+        assert rep.c_lb <= rep.c_lb_certified and rep.c_ub_certified <= rep.c_ub, db
 
     assert cb.lapidoth_lb(10.0, 1.0) == pytest.approx(0.2739, abs=1e-3)
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from capbound import cli
+from capbound import cli, continuous
 from capbound.cli import main
 
 
@@ -161,6 +161,20 @@ class TestPoisson:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "underflows" in err
+
+    def test_no_dark_current_refused_before_rows(self, capsys, monkeypatch):
+        # Without dark current the truncated kernel has no positive floor:
+        # a solver error naming the dark current, before any row is built.
+        def no_rows(*args):
+            raise AssertionError("rows built for a refused channel")
+
+        monkeypatch.setattr(continuous, "_truncated_rows", no_rows)
+        code, out, err = run_cli(capsys, ["solve-poisson", "--peak", "1", "--dark-current", "0",
+                                          "--trunc-m", "8", "--iterations", "10", "--nu", "0.05",
+                                          "--quiet"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "dark current" in err
 
     def test_tail_overflow_is_not_a_crash(self, capsys):
         # At 30 dB and M = 1001 the closed-form tail bound is inf, not an
@@ -432,7 +446,7 @@ class TestJsonReports:
              "wall_time", "warm_start_iterations"}
     BA = {"c_lb", "c_ub", "apriori_err", "iterations", "p", "wall_time", "stop_reason"}
     POISSON = {"peak", "dark_current", "M", "nu", "iterations", "tail_order",
-               "trunc_error", "mutual_info", "dual_value", "g_sup", "g_nu", "iota",
+               "trunc_error", "mutual_info", "dual_value", "g_sup", "g_sup_certified",
                "c_lb", "c_ub", "c_lb_certified", "c_ub_certified", "lapidoth",
                "gamma_M", "quad_nodes", "quadrature_converged", "wall_time"}
 

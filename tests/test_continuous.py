@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +15,7 @@ import capbound as cb
 from capbound import continuous
 from capbound.continuous import (
     _converged_truncation,
-    _fold_on_grid,
     _gl_grid,
-    _kernel_floor,
-    _lipschitz_terms,
     _truncated_rows,
     refined_sup_f,
 )
@@ -60,34 +56,22 @@ class TestTruncate:
         assert trunc.gamma_M <= dense.min()
 
 
-    # Reference levels 0, 5 and 14 dB (M from criterion 8's settings) on
-    # grids whose 10x dense scan takes one, two and ten row blocks.
+    # Reference levels 0, 5 and 14 dB (M from criterion 8's settings): the
+    # closed-form floor is bit for bit the one the dense 10x-node scan gave,
+    # so the ball radius of the reproduced solves is unchanged.
     @pytest.mark.parametrize("db, M, nodes",
                              [(0, 16, 512), (0, 16, 1024), (5, 25, 1024),
                               (14, 104, 1024), (14, 104, 8192)])
     def test_blocked_floor_matches_unblocked_scan(self, db, M, nodes):
         base = cb.poisson_channel(10.0 ** (db / 10.0), 1.0)
-        gamma = _kernel_floor(_fold_on_grid(base, M, nodes)).gamma_M
+        gamma = cb.truncate(base, M, nodes).gamma_M
         assert gamma.hex() == kernel_floor(base, M, nodes).hex()
 
     def test_unbounded_floor_refused(self):
-        # At 30 dB and M = 1001 the x = 0 row's far entries underflow to 0,
+        # At 30 dB and M = 1001 the floor gammainc(M, eta)/M underflows to 0,
         # so the kernel minimum cannot be bounded away from zero.
-        trunc = _fold_on_grid(cb.poisson_channel(1000.0, 1.0), 1001, 64)
-        with pytest.raises(AssumptionViolated, match="Assumption 3 violated"):
-            _kernel_floor(trunc)
-
-    def test_floor_scan_memory_is_blocked(self):
-        # The 14 dB scan has 81,921 rows of 104 entries (68 MB as one
-        # block); built in blocks it peaks far below that.
-        trunc = _fold_on_grid(cb.poisson_channel(10.0 ** 1.4, 1.0), 104, 8192)
-        tracemalloc.start()
-        try:
-            _kernel_floor(trunc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 30e6
+        with pytest.raises(AssumptionViolated, match="underflows"):
+            cb.truncate(cb.poisson_channel(1000.0, 1.0), 1001, 64)
 
 
 class TestTailBounds:
@@ -151,23 +135,6 @@ class TestTruncationErrorBound:
             assert measured <= bound
 
 
-class TestSchedule:
-    def test_gap_bound_continuous_at_branch(self):
-        t1 = 2.0
-        below = cb.smoothing_gap_bound(t1 * (1 - 1e-9), t1)
-        above = cb.smoothing_gap_bound(t1 * (1 + 1e-9), t1)
-        assert abs(below - above) < 1e-7 * (1 + abs(below))
-
-    def test_gap_bound_peak_only_reduction(self):
-        # the bound is nu*(log2(Lf*rho/nu)+1) below the branch
-        trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 16, quad_nodes=128)
-        t1, l_f = _lipschitz_terms(trunc)
-        assert t1 == pytest.approx(l_f * trunc.base.peak, rel=1e-12)
-        nu = 1e-3
-        want = nu * (math.log2(l_f * trunc.base.peak / nu) + 1.0)
-        assert cb.smoothing_gap_bound(nu, t1) == pytest.approx(want, rel=1e-12)
-
-
 class TestEvalGnuContinuous:
     def test_constant_kernel_degenerate(self):
         # Rows that do not depend on x: every input has the same f, so the
@@ -226,21 +193,6 @@ class TestEvalGnuContinuous:
         trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 16, quad_nodes=8)
         assert not _converged_truncation(trunc, 1e-4, np.full(16, 3.0))[1]
 
-    def test_kernel_lipschitz_sampled(self):
-        trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 16, quad_nodes=128)
-        _, l_f = _lipschitz_terms(trunc)
-        radius = 16 * max(math.log2(1 / trunc.gamma_M), 1 / math.log(2))
-        rng = np.random.default_rng(53)
-        for _ in range(20):
-            lam = rng.normal(size=16)
-            lam *= min(1.0, radius / np.linalg.norm(lam))
-            f = trunc.f_values(lam)
-            i, j = rng.integers(0, trunc.nodes.size, size=2)
-            if i == j:
-                continue
-            dx = abs(trunc.nodes[i] - trunc.nodes[j])
-            assert abs(f[i] - f[j]) <= l_f * dx * (1 + 1e-9)
-
 
 class TestLapidoth:
     def test_reference_point_10db(self):
@@ -261,7 +213,7 @@ class TestSolvePoisson:
         rep = cb.solve_poisson(1.0, 1.0, M=16, iterations=1500, nu=0.01)
         assert rep.c_lb <= rep.c_ub + 1e-9
         assert rep.mutual_info <= rep.dual_value + 1e-9
-        assert rep.g_nu - 1e-12 <= rep.g_sup <= rep.g_nu + rep.iota + 1e-9
+        assert rep.g_sup <= rep.g_sup_certified
         assert rep.c_lb_certified <= rep.c_ub_certified + 1e-9
         assert rep.c_ub >= rep.lapidoth  # lapidoth is far negative at 0 dB
 
@@ -272,7 +224,7 @@ class TestSolvePoisson:
         def no_grid(*args):
             raise AssertionError("grid built for a refused nu")
 
-        monkeypatch.setattr(continuous, "_fold_on_grid", no_grid)
+        monkeypatch.setattr(continuous, "truncate", no_grid)
         with pytest.raises(ValueError, match="nu must be positive and finite"):
             cb.solve_poisson(1.0, 1.0, M=16, iterations=10, nu=nu)
 
@@ -283,30 +235,24 @@ class TestSolvePoisson:
         def no_grid(*args):
             raise AssertionError("grid built for an infinite truncation bound")
 
-        monkeypatch.setattr(continuous, "_fold_on_grid", no_grid)
+        monkeypatch.setattr(continuous, "truncate", no_grid)
         with pytest.raises(AssumptionViolated, match=r"M = 1001 \(R_1\(1001\) = inf"):
             cb.solve_poisson(1.0, 1000.0, M=1001, iterations=1, nu=0.05)
 
     def test_each_truncation_built_once(self, monkeypatch):
-        # Node doubling folds each (M, nodes) grid once, and only the grid
-        # the solve keeps gets the dense floor scan.
-        folded, scanned = [], []
-        fold, floor = continuous._fold_on_grid, continuous._kernel_floor
+        # Node doubling folds each (M, nodes) grid once: here the default
+        # grid and the one doubling that confirms it.
+        folded = []
+        fold = continuous.truncate
 
         def spy_fold(base, M, quad_nodes):
             folded.append((M, quad_nodes))
             return fold(base, M, quad_nodes)
 
-        def spy_floor(trunc):
-            if math.isnan(trunc.gamma_M):
-                scanned.append((trunc.M, trunc.nodes.size))
-            return floor(trunc)
-
-        monkeypatch.setattr(continuous, "_fold_on_grid", spy_fold)
-        monkeypatch.setattr(continuous, "_kernel_floor", spy_floor)
+        monkeypatch.setattr(continuous, "truncate", spy_fold)
         rep = cb.solve_poisson(1.0, 1.0, M=16, iterations=300, nu=0.01)
         assert len(folded) == len(set(folded))
-        assert scanned == [(rep.M, rep.quad_nodes)]
+        assert folded == [(rep.M, rep.quad_nodes), (rep.M, 2 * rep.quad_nodes)]
 
     @settings(max_examples=40, deadline=None)
     @given(peak=st.sampled_from([0.5, 1.0, 5.0]), M=st.sampled_from([4, 8, 16]),
@@ -321,20 +267,36 @@ class TestSolvePoisson:
         assert sup >= scan_max
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(peak=st.floats(0.5, 10.0), extra=st.integers(0, 3), n=st.integers(20, 400),
+           log_nu=st.floats(-2.5, -1.0))
+    def test_certified_pair_meets_grid_pair(self, peak, extra, n, log_nu):
+        # Both certified pairs bound the same capacity, so they must meet,
+        # and the certified supremum dominates the scan estimate.
+        base = cb.poisson_channel(peak, 1.0)
+        M = cb.choose_truncation_level(base, 1e-3)[0] + extra
+        rep = cb.solve_poisson(peak, 1.0, M=M, iterations=n, nu=10.0 ** log_nu)
+        grid = cb.solve_poisson_grid(peak, 1.0)
+        assert max(rep.c_lb_certified, grid.c_lb) <= min(rep.c_ub_certified, grid.c_ub)
+        assert rep.g_sup <= rep.g_sup_certified + 1e-12
+
+
 class TestReproducedNumbers:
     # Every field but wall_time, as computed before the continuous module
     # was narrowed to the Poisson channel; refactors must keep them (to
-    # rounding, rel 1e-12).  GRID is the a posteriori Blahut-Arimoto solve
+    # rounding, rel 1e-12).  In SOLVE, c_*_certified and g_sup_certified are
+    # the pair of the curvature-certified supremum, c_lb_certified being
+    # mutual_info.  GRID is the a posteriori Blahut-Arimoto solve
     # with the over-relaxed step and the checkpoint ladder (1302 plain
     # iterations gave [0.11301757264635093, 0.11391359376013939]).
     SOLVE = {
         "peak": 1.0, "dark_current": 1.0, "M": 16, "nu": 0.01, "iterations": 300,
         "tail_order": 0.5, "trunc_error": 0.000932010044376853,
         "mutual_info": 0.09684390011748611, "dual_value": 0.15421815574754127,
-        "g_sup": -6.301321157629703, "g_nu": -6.342107144806732,
-        "iota": 0.21361282246864885, "c_lb": 0.0385376344430541,
-        "c_ub": 0.21252442142197328, "c_lb_certified": 0.09591189007310927,
-        "c_ub_certified": 0.3279770010835375, "lapidoth": -1.522897959841617,
+        "g_sup": -6.301321157629703, "g_sup_certified": -6.301320803715282,
+        "c_lb": 0.0385376344430541,
+        "c_ub": 0.21252442142197328, "c_lb_certified": 0.09684390011748611,
+        "c_ub_certified": 0.15515051970633856, "lapidoth": -1.522897959841617,
         "gamma_M": 1.1673521644800382e-15, "quad_nodes": 512,
         "quadrature_converged": True,
     }
@@ -442,17 +404,20 @@ class TestGridSandwich:
         assert max(rep.c_lb, full.c_lb) <= min(rep.c_ub, full.c_ub)
 
     def test_uncertifiable_channels_refused(self, monkeypatch):
-        # No dark current leaves f'' unbounded at x = 0; from about 18 dB
-        # the kernel floor gammainc(M, eta)/M underflows.  Either is refused
-        # before a row is built: at 20 dB at the chosen M, at 30 dB (where
-        # the closed-form tail overflows) and 300 dB (M about 1e30) at the
-        # least level.
+        # No dark current leaves f'' unbounded at x = 0 and the kernel
+        # without a positive floor; from about 18 dB the kernel floor
+        # gammainc(M, eta)/M underflows.  Either is refused before a row is
+        # built: at 20 dB at the chosen M, at 30 dB (where the closed-form
+        # tail overflows) and 300 dB (M about 1e30) at the least level.  The
+        # pinned dual solve refuses a channel without dark current as early.
         def no_rows(*args):
             raise AssertionError("rows built for a refused channel")
 
         monkeypatch.setattr(continuous, "_truncated_rows", no_rows)
         with pytest.raises(AssumptionViolated):
             cb.solve_poisson_grid(1.0, 0.0)
+        with pytest.raises(AssumptionViolated, match="dark current"):
+            cb.solve_poisson(1.0, 0.0, M=8, iterations=10, nu=0.05)
         for db in (20, 30, 300):
             with pytest.raises(AssumptionViolated, match="underflows"):
                 cb.solve_poisson_grid(10.0 ** (db / 10.0), 1.0)

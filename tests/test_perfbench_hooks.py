@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import capbound as cb
+from capbound import continuous
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,6 +40,31 @@ def test_tracer_targets_resolve_and_count():
                 "continuous.iterations"):
         assert metrics[key] > 0, key
     assert not hasattr(cb.solve_capacity, "__wrapped__")
+
+
+def test_every_truncation_grid_is_a_span(monkeypatch):
+    # Node doubling builds its candidate grids through truncate, so the
+    # traced span count is the number of grids built, candidates included.
+    grids = []
+    gl_grid = continuous._gl_grid
+
+    def counted(*args):
+        grids.append(args)
+        return gl_grid(*args)
+
+    monkeypatch.setattr(continuous, "_gl_grid", counted)
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rep = cb.solve_poisson(1.0, 1.0, M=8, iterations=200, nu=0.05)
+    finally:
+        tracer.uninstall()
+    tracer.passes = 1
+    metrics = tracer.layer_metrics()
+    assert len(grids) >= 2
+    assert metrics["continuous.truncate.calls"] == len(grids)
+    assert rep.quad_nodes in {args[2] for args in grids}
 
 
 def test_inner_loop_layers_are_traced():
