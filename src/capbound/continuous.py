@@ -16,13 +16,16 @@ the truncation penalty:
 
     2*I - (F+G) - E  <=  C  <=  2*(F+G) - I + E.
 
-Both certified pairs rest on two facts.  The fold is a garbling of the
-output, so I(p, W_M) <= C for any input p, with no -E.  And for any lambda,
+Every pair rests on two facts.  The fold is a garbling of the output, so
+I(p, W_M) <= C for any input p, with no -E.  And for any lambda,
 F(lambda) + sup_x f_lambda(x) + E >= C, with the supremum over the whole input
-interval certified by a curvature bound.  The pinned dual solve reports that
-pair at its final iterate next to the paper's; the sweep takes it from
-Blahut-Arimoto on a uniform input grid, where it is Arimoto's bound
-sup_x D(W_M(.|x) || q) + E.  A classical explicit lower bound is reported
+interval certified by a curvature bound.  With G that certified supremum,
+weak duality gives I <= F + G, so the paper's sandwich is a certificate too
+and contains the pair [I, F + G + E]; the pinned dual solve reports both at
+its final iterate.  The sweep takes the pair from Blahut-Arimoto on a
+uniform input grid, where it is Arimoto's bound sup_x D(W_M(.|x) || q) + E.
+Like every bound in the package, the supremum is certified for f as
+computed in floating point.  A classical explicit lower bound is reported
 next to both.
 
 All values are in bits.
@@ -52,17 +55,16 @@ from .info_theory import LN2, ChannelMatrix, _neg_xlogx_nats
 
 _GL_ORDER = 8
 
-# Quadrature nodes of the default grid (the Poisson solve's, before node
-# doubling) and of the scan that estimates sup f.
+# Quadrature nodes of the Poisson solve's default grid, before node doubling.
 _QUAD_NODES = 512
-_SUP_SCAN_NODES = 8192
 
 # The most kernel rows one block of a sup scan builds at once (one
 # 16,385-row scan raised a sweep's peak resident memory from 84 MB to 109 MB).
 _SCAN_BLOCK = 8193
 
-# Allowance of the certified supremum in the pinned solve's certified pair.
-_SUP_TOL = 1e-6
+# Allowance of the certified supremum in the pinned solve, about the rounding
+# of f itself (|f| is near 11 at the reference runs, where one ulp is 1.8e-15).
+_SUP_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +303,6 @@ def _f_scan(base: PoissonChannel, M: int, lam: np.ndarray, xs: np.ndarray) -> np
     return f
 
 
-def refined_sup_f(trunc: TruncatedChannel, lam: np.ndarray) -> float:
-    """Estimate sup_x f_lambda(x) by its maximum over a uniform scan and the nodes.
-
-    f_lambda(x) = W_M(.|x) . lambda - r(x) is evaluated on 8193 equispaced
-    inputs spanning [0, peak], both ends included, and on the quadrature
-    nodes.  The node maximum is the grid-discretized problem's exact value,
-    so the estimate never falls below it and weak duality
-    (mutual_info <= dual_value) holds.  For the continuum it is a lower
-    estimate of the true supremum, not a certificate: a peak between scan
-    points is missed.
-    """
-    lam = np.asarray(lam, dtype=float)
-    xs = np.linspace(0.0, trunc.base.peak, _SUP_SCAN_NODES + 1)
-    scan = _f_scan(trunc.base, trunc.M, lam, xs)
-    return max(float(scan.max()), float(trunc.f_values(lam).max()))
-
-
 # ---------------------------------------------------------------------------
 # Poisson capacity sandwich
 
@@ -348,15 +333,14 @@ class PoissonReport:
     nu: float
     iterations: int
     tail_order: float
-    trunc_error: float
+    trunc_error: float       # E at (M, tail_order)
     mutual_info: float       # I(p_hat, W_M) of the atomic input on the nodes
     dual_value: float        # F(lambda_hat) + g_sup
-    g_sup: float             # scan estimate of sup_x f_lambda_hat(x)
-    g_sup_certified: float   # certified upper bound on sup_x f_lambda_hat(x)
-    c_lb: float              # 2 I - dual_value - E (estimate)
-    c_ub: float              # 2 dual_value - I + E (estimate)
+    g_sup: float             # certified upper bound on sup_x f_lambda_hat(x)
+    c_lb: float              # 2 I - dual_value - E
+    c_ub: float              # 2 dual_value - I + E
     c_lb_certified: float    # I, as the fold garbles the output
-    c_ub_certified: float    # F(lambda_hat) + g_sup_certified + E
+    c_ub_certified: float    # dual_value + least E over _TAIL_ORDERS and tail_order
     lapidoth: float
     gamma_M: float
     quad_nodes: int
@@ -391,11 +375,13 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
     This is the reproduction path: the truncation level, the fast-gradient
     iteration count and the smoothing parameter are the caller's, as in the
     published reference runs.  ``solve_poisson_grid`` is the auto-tuned,
-    certified path.  The primary bounds follow the doubled sandwich with the
-    refined supremum estimate of the exact dual term; they are estimates.
-    The certified pair is reported alongside: I(p_hat, W_M) below, as the
-    fold garbles the output, and F(lambda_hat) plus the certified supremum
-    of ``_certified_sup`` plus E above, by weak duality.  The only
+    certified path.  Both pairs rest on dual_value = F(lambda_hat) + g_sup,
+    with g_sup the certified supremum of ``refined_sup_f`` at allowance
+    _SUP_TOL, so I(p_hat, W_M) <= dual_value by weak duality.  The primary
+    pair is the paper's doubled sandwich with E at ``tail_order``.  The
+    certified pair inside it is I(p_hat, W_M) below, as the fold garbles
+    the output, and dual_value plus the least E over _TAIL_ORDERS and
+    ``tail_order`` above, each E bounding the truncation error.  The only
     constraint is the peak, which is the input interval.  A level M whose
     truncation error bound is infinite (the closed-form tail overflows), or
     whose kernel floor ``_kernel_floor_bound`` refuses, is refused with
@@ -420,8 +406,8 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
     lam_hat, mutual = _solve_truncated(trunc, nu, iterations, progress=progress)
 
     Fv, _ = eval_F(lam_hat)
-    g_sup = refined_sup_f(trunc, lam_hat)
-    g_sup_certified = _certified_sup(base, M, lam_hat, _SUP_TOL)
+    g_sup = refined_sup_f(base, M, lam_hat, _SUP_TOL)
+    err_least = min(err_trunc, *(truncation_error_bound(base, M, k) for k in _TAIL_ORDERS))
 
     dual_value = Fv + g_sup
     c_lb = 2.0 * mutual - dual_value - err_trunc
@@ -437,11 +423,10 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
         mutual_info=mutual,
         dual_value=dual_value,
         g_sup=g_sup,
-        g_sup_certified=g_sup_certified,
         c_lb=c_lb,
         c_ub=c_ub,
         c_lb_certified=mutual,
-        c_ub_certified=Fv + g_sup_certified + err_trunc,
+        c_ub_certified=dual_value + err_least,
         lapidoth=lapidoth_lb(peak, dark_current),
         gamma_M=trunc.gamma_M,
         quad_nodes=trunc.nodes.size,
@@ -453,8 +438,9 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
 # ---------------------------------------------------------------------------
 # Certified Blahut-Arimoto sandwich on a uniform input grid (the sweep's path)
 
-# Tail orders whose truncation bounds the sweep takes the least of, and the
-# size of the uniform input grid its Blahut-Arimoto solve runs on.
+# Tail orders whose truncation bounds the certified upper sides take the least
+# of, and the size of the uniform input grid the sweep's Blahut-Arimoto solve
+# and the certified supremum's first scan run on.
 _TAIL_ORDERS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 _GRID_INPUTS = 513
 
@@ -502,7 +488,7 @@ def _curvature_bound(base: PoissonChannel, M: int, lam: np.ndarray) -> float:
     return 2.5 * spread + 2.0 * (1.0 + M) / (base.dark_current * LN2)
 
 
-def _certified_sup(base: PoissonChannel, M: int, lam: np.ndarray, tol: float) -> float:
+def refined_sup_f(base: PoissonChannel, M: int, lam: np.ndarray, tol: float) -> float:
     """Upper bound on sup over [0, peak] of the f of ``_f_scan``, within tol of the scan.
 
     On a cell of width h the chord bound gives f <= max(f at its ends) +
@@ -510,7 +496,11 @@ def _certified_sup(base: PoissonChannel, M: int, lam: np.ndarray, tol: float) ->
     cells of the _GRID_INPUTS-point input grid and halves every cell whose
     bound still exceeds the largest f seen plus tol, until none is left; the
     result is the largest bound of any cell kept.  Halving only those cells
-    spends the scan where f comes within the allowance of its maximum.
+    spends the scan where f comes within the allowance of its maximum.  The
+    bound holds for f as computed here in floating point: an evaluation
+    blocked otherwise may differ by the rounding of the M-term sum, up to
+    about M eps (max|lam| + log2(1/gamma)), which exceeds a 1e-14 allowance
+    once |lam| reaches the hundreds.
     """
     L2 = _curvature_bound(base, M, lam)
     h = base.peak / (_GRID_INPUTS - 1)
@@ -568,7 +558,7 @@ def solve_poisson_grid(peak: float, dark_current: float = 1.0, epsilon: float = 
       processing I(p, W_M) <= I(p, W) <= C, with no -E term.
     * c_ub = sup_x D(W_M(.|x) || q) + E, Arimoto's bound for the continuum
       of inputs plus the truncation bound; the supremum comes from
-      ``_certified_sup`` at tolerance epsilon/10.
+      ``refined_sup_f`` at tolerance epsilon/10.
 
     epsilon is split in tenths: E takes at most one, the supremum's
     allowance one, and Blahut-Arimoto stops at a gap of 8 tenths - E, which
@@ -591,7 +581,7 @@ def solve_poisson_grid(peak: float, dark_current: float = 1.0, epsilon: float = 
     ba = ba_solve(W, 8.0 * tenth - err_trunc, stopping="aposteriori",
                   iteration_cap=iteration_cap)
     lam = -np.log2(W.entries.T @ ba.p.weights)
-    sup = _certified_sup(base, M, lam, tenth)
+    sup = refined_sup_f(base, M, lam, tenth)
     return PoissonGridReport(
         peak=base.peak,
         dark_current=float(dark_current),

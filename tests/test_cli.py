@@ -446,7 +446,7 @@ class TestJsonReports:
              "wall_time", "warm_start_iterations"}
     BA = {"c_lb", "c_ub", "apriori_err", "iterations", "p", "wall_time", "stop_reason"}
     POISSON = {"peak", "dark_current", "M", "nu", "iterations", "tail_order",
-               "trunc_error", "mutual_info", "dual_value", "g_sup", "g_sup_certified",
+               "trunc_error", "mutual_info", "dual_value", "g_sup",
                "c_lb", "c_ub", "c_lb_certified", "c_ub_certified", "lapidoth",
                "gamma_M", "quad_nodes", "quadrature_converged", "wall_time"}
 

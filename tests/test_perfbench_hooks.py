@@ -110,3 +110,21 @@ def test_smax_presolve_is_a_ba_span():
     assert names.count("blahut_arimoto.ba_solve") == 2
     assert children("dual_solver.solve_core") == ["dual_solver.solve_capacity"]
     assert names.count("dual_solver.solve_core") == 1
+
+
+def test_one_sup_span_per_poisson_solve():
+    # The pinned dual solve and each sweep point take their certified
+    # supremum from one refined_sup_f call, so its span times every sup.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cb.solve_poisson(1.0, 1.0, M=8, iterations=200, nu=0.05)
+        cb.poisson_sweep([0.0, 2.0])
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[s[0]] for s in tracer.spans]
+    parents = [names[s[3]] for sid, s in enumerate(tracer.spans)
+               if names[sid] == "continuous.refined_sup_f"]
+    assert parents == ["continuous.solve_poisson",
+                       "continuous.poisson_sweep", "continuous.poisson_sweep"]
