@@ -1,4 +1,12 @@
-"""Certified channel-capacity bounds via dual smoothing and fast gradients."""
+"""Certified channel-capacity bounds via dual smoothing and fast gradients.
+
+The discrete-channel names are imported with the package.  The Poisson
+names (``solve_poisson``, ``truncate``, ``PoissonReport``, ...) live in
+``capbound.continuous``, which loads ``scipy.special``; the package resolves
+them from that module on first use and again on every access, so that
+``import capbound`` stays free of scipy and a name rebound in
+``capbound.continuous`` is the one ``capbound.<name>`` returns.
+"""
 
 from .blahut_arimoto import BAReport, ba_iterations, ba_solve
 from .channels import (
@@ -10,22 +18,6 @@ from .channels import (
     parse_channel_spec,
     perturb_channel,
     solve_with_perturbation,
-)
-from .continuous import (
-    PoissonChannel,
-    PoissonGridReport,
-    PoissonReport,
-    TruncatedChannel,
-    choose_truncation_level,
-    eval_G_nu_continuous,
-    lapidoth_lb,
-    poisson_channel,
-    poisson_sweep,
-    solve_poisson,
-    solve_poisson_grid,
-    tail_Rk,
-    truncate,
-    truncation_error_bound,
 )
 from .dual_solver import (
     DualPoint,
@@ -62,3 +54,32 @@ from .info_theory import (
 )
 
 __version__ = "0.1.0"
+
+_POISSON_NAMES = frozenset({
+    "PoissonChannel",
+    "PoissonGridReport",
+    "PoissonReport",
+    "TruncatedChannel",
+    "choose_truncation_level",
+    "eval_G_nu_continuous",
+    "lapidoth_lb",
+    "poisson_channel",
+    "poisson_sweep",
+    "solve_poisson",
+    "solve_poisson_grid",
+    "tail_Rk",
+    "truncate",
+    "truncation_error_bound",
+})
+
+
+def __getattr__(name):
+    # Not cached in the package namespace: see the module docstring.
+    if name in _POISSON_NAMES:
+        from . import continuous
+        return getattr(continuous, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _POISSON_NAMES)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .dual_solver import SolveReport, solve_capacity
 from .errors import InvalidChannel, require_sandwich
@@ -69,6 +68,8 @@ def make_awgn_quantized(sigma: float, boundaries, input_grid) -> ChannelMatrix:
         raise InvalidChannel("boundaries must be strictly increasing")
     if x.ndim != 1 or x.size < 1:
         raise InvalidChannel("input grid must be a non-empty 1-D array")
+    from scipy.special import ndtr  # imported here: only awgnq: channels need scipy
+
     # cdf[i, k] = P(X_i + noise <= b_k); pad with 0 and 1 so rows telescope to 1.
     cdf = ndtr((b[None, :] - x[:, None]) / sigma)
     full = np.concatenate(

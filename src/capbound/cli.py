@@ -26,10 +26,12 @@ import numpy as np
 
 from .blahut_arimoto import ba_solve
 from .channels import parse_channel_spec, solve_with_perturbation
-from .continuous import _peak_from_db, poisson_sweep, solve_poisson
 from .dual_solver import DualPoint, solve_capacity
 from .errors import CapacityError, InvalidChannel
 from .info_theory import CostConstraint, ProbVector
+
+# The Poisson commands import .continuous, and with it scipy.special, when
+# they run, so that the discrete-channel commands start without scipy.
 
 
 class _ParseError(Exception):
@@ -233,11 +235,13 @@ def _peak_from_args(args) -> float:
     if args.peak is not None:
         return args.peak
     if args.peak_db is not None:
+        from .continuous import _peak_from_db
         return _peak_from_db(args.peak_db)
     raise _ParseError("one of --peak or --peak-db is required")
 
 
 def _cmd_solve_poisson(args) -> int:
+    from .continuous import solve_poisson
     peak = _peak_from_args(args)
     missing = [flag for flag, value in (("--trunc-m", args.trunc_m),
                                         ("--iterations", args.iterations),
@@ -303,6 +307,7 @@ def _parse_db_grid(text: str):
 
 
 def _cmd_poisson_sweep(args) -> int:
+    from .continuous import poisson_sweep
     dbs = _parse_db_grid(args.db_grid)
 
     def note(db, rep):
@@ -330,9 +335,9 @@ def _add_output(p: argparse.ArgumentParser) -> None:
                    help="suppress progress and timing on stderr")
 
 
-def _add_common(p: argparse.ArgumentParser, stopping: bool = True,
-                eps_help="target accuracy in bits (default 1e-3)") -> None:
-    p.add_argument("--eps", type=_positive_float, default=1e-3, help=eps_help)
+def _add_common(p: argparse.ArgumentParser, stopping: bool = True) -> None:
+    p.add_argument("--eps", type=_positive_float, default=1e-3,
+                   help="target accuracy in bits (default 1e-3)")
     if stopping:
         p.add_argument("--stopping", choices=["apriori", "aposteriori"],
                        default="aposteriori")
@@ -393,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poisson-sweep",
                        help="CSV sweep of the certified Poisson sandwich over peak powers")
-    _add_common(p, stopping=False,
-                eps_help="certified-gap target c_ub - c_lb in bits (default 1e-3)")
+    p.add_argument("--eps", type=_positive_float, default=1e-3,
+                   help="certified-gap target c_ub - c_lb in bits (default 1e-3)")
+    _add_output(p)
     p.add_argument("--db-grid", required=True,
                    help="start:stop:step peak powers in dB")
     p.add_argument("--dark-current", type=float, default=1.0)

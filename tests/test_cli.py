@@ -431,6 +431,18 @@ class TestArgumentChecks:
         assert out == ""
         assert err.startswith("error: bad --db-grid")
 
+    @pytest.mark.parametrize("argv", [
+        ["poisson-sweep", "--db-grid", "0:0:1"],
+        ["solve-poisson", "--peak-db", "0", "--trunc-m", "8", "--iterations", "50",
+         "--nu", "0.05"],
+    ])
+    def test_poisson_commands_take_no_seed(self, capsys, argv):
+        # --seed only completes a 'random:N,M' channel spec.
+        code, out, err = run_cli(capsys, argv + ["--seed", "1", "--quiet"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unrecognized arguments: --seed 1")
+
     def test_db_grid_point_cap(self):
         cap = cli._MAX_DB_POINTS
         assert len(cli._parse_db_grid(f"0:{cap - 1}:1")) == cap

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -429,13 +430,75 @@ class TestGridSandwich:
                 make(peak, eta)
 
 
-def test_import_leaves_out_scipy_optimize():
-    # scipy.optimize adds import time and resident memory to every CLI call;
-    # capbound needs only scipy.special.
+# The Poisson names capbound exported before it resolved them lazily.
+POISSON_EXPORTS = ("PoissonChannel", "PoissonGridReport", "PoissonReport",
+                   "TruncatedChannel", "choose_truncation_level", "eval_G_nu_continuous",
+                   "lapidoth_lb", "poisson_channel", "poisson_sweep", "solve_poisson",
+                   "solve_poisson_grid", "tail_Rk", "truncate", "truncation_error_bound")
+
+
+def test_poisson_exports_resolve_lazily():
+    listed = dir(cb)
+    for name in POISSON_EXPORTS:
+        obj = getattr(continuous, name)
+        assert getattr(cb, name) is obj, name
+        scope = {}
+        exec(f"from capbound import {name}", scope)
+        assert scope[name] is obj, name
+        assert name in listed, name
+        # Resolved on each access, never cached, so a rebinding in
+        # capbound.continuous shows through capbound.<name>.
+        assert name not in vars(cb), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cb.no_such_name
+    with pytest.raises(ImportError):
+        exec("from capbound import no_such_name", {})
+
+
+def _fresh_run(statement):
+    """Run ``statement`` in a fresh interpreter after ``import capbound, capbound.cli``.
+
+    Returns the lines it printed and the sorted names of the scipy modules
+    and of ``capbound.continuous`` that were loaded when it finished.
+    """
     env = dict(os.environ)
     src = str(Path(cb.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, capbound, capbound.cli; print('scipy.optimize' in sys.modules)"
+    code = "\n".join([
+        "import sys, capbound, capbound.cli",
+        "from capbound import cli",
+        statement,
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'"
+        " or m == 'capbound.continuous'))",
+    ])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+                         capture_output=True, text=True).stdout.splitlines()
+    return out[:-1], ast.literal_eval(out[-1])
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.special and capbound.continuous take most of a cold start, and
+    # only the Poisson commands and awgnq: channels use them; capbound never
+    # needs scipy.optimize.
+    assert _fresh_run("") == ([], [])
+    for argv in (["solve-dmc", "bsc:0.1", "--quiet"],
+                 ["perturb-solve", "bec:0.4", "--eps", "0.01", "--quiet"]):
+        lines, loaded = _fresh_run(f"assert cli.main({argv!r}) == 0")
+        assert loaded == [], argv
+        report = dict(line.split(": ", 1) for line in lines)
+        assert float(report["c_lb"]) <= float(report["c_ub"]), argv
+
+    lines, loaded = _fresh_run(
+        "assert cli.main(['poisson-sweep', '--db-grid', '0:0:1', '--quiet']) == 0")
+    assert {"scipy.special", "capbound.continuous"} <= set(loaded)
+    assert "scipy.optimize" not in loaded
+    header, row = lines
+    sweep = dict(zip(header.split(","), row.split(",")))
+    assert float(sweep["c_lb"]) <= float(sweep["c_ub"]) <= float(sweep["c_lb"]) + 1e-3
+
+    lines, loaded = _fresh_run(
+        "W = capbound.parse_channel_spec('awgnq:0.5,8,1').entries\n"
+        "print(W.shape, abs(W.sum(axis=1) - 1).max())")
+    assert "scipy.special" in loaded and "capbound.continuous" not in loaded
+    shape, err = lines[0].rsplit(" ", 1)
+    assert shape == "(8, 8)" and float(err) <= 1e-12

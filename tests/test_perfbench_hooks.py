@@ -24,6 +24,7 @@ def _load_spans():
 
 def test_tracer_targets_resolve_and_count():
     spans = _load_spans()
+    solve_poisson = continuous.solve_poisson
     for name, (owner, attr) in spans.TARGETS.items():
         assert callable(getattr(owner, attr, None)), name
 
@@ -31,6 +32,9 @@ def test_tracer_targets_resolve_and_count():
     tracer.install()
     try:
         cb.solve_capacity(cb.make_random(4, 3, seed=5), epsilon=1e-2)
+        # capbound resolves its Poisson names from capbound.continuous on
+        # each access, so a call through the package is traced too.
+        assert cb.solve_poisson.__wrapped__ is solve_poisson
         cb.solve_poisson(1.0, 1.0, M=8, iterations=200, nu=0.05)
     finally:
         tracer.uninstall()
@@ -40,6 +44,7 @@ def test_tracer_targets_resolve_and_count():
                 "continuous.iterations"):
         assert metrics[key] > 0, key
     assert not hasattr(cb.solve_capacity, "__wrapped__")
+    assert cb.solve_poisson is continuous.solve_poisson is solve_poisson
 
 
 def test_every_truncation_grid_is_a_span(monkeypatch):
