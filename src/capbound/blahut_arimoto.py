@@ -19,15 +19,14 @@ iterate, the gap of this sandwich is first order in the distance of p from
 the capacity-achieving input, which makes BA the cheap way to estimate that
 input.
 
-With an average-cost constraint s . p = S, each plain update is followed
+With an average-cost constraint s . p <= S, each plain update is followed
 by the exponential cost tilt, so every iterate is feasible, and the upper
-bound becomes the maximum of sum_i p_i D_i over the cost slice of the
+bound becomes the maximum of sum_i p_i D_i over the affordable part of the
 simplex (Blahut, IEEE T-IT 18(4), 1972).
 
-Uses: an independent cross-check of the dual smoothing solver; the S_max
-pre-solve of a cost-constrained dual solve; the start of every a posteriori
-dual solve (cost-tilted when the constraint binds); and the certified
-Poisson grid solve of ``continuous.solve_poisson_grid``.
+Uses: an independent cross-check of the dual smoothing solver; the start
+of every a posteriori dual solve (cost-tilted with a cost); and the
+certified Poisson grid solve of ``continuous.solve_poisson_grid``.
 """
 
 from __future__ import annotations
@@ -142,15 +141,17 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     are in bits.
 
     With a ``cost`` (a posteriori only; a priori raises ValueError) the run
-    certifies the capacity-cost value at s . p = budget (Blahut, IEEE T-IT
-    18(4), 1972).  Each update is the plain step log p += D followed by the
-    cost tilt of ``_max_entropy_multipliers``, whose multiplier starts from
-    the previous iterate's; the tilt composes, so p = exp(log p + m2 s)/Z
-    and no log p or log 0 is ever taken.  The tilt aims at
-    ``_affordable_budget``, so every iterate spends the budget to within the
-    multiplier solve's tolerance and never more: c_lb = I(p) is feasible, and
-    c_ub = max {sum_i p'_i D_i : p' in the simplex, s . p' = budget}, the
-    hull LP ``_segment_lp_max`` of the dual's exact constrained G, bounds
+    certifies the capacity-cost value max {I(p) : s . p <= budget} (Blahut,
+    IEEE T-IT 18(4), 1972).  Each update is the plain step log p += D
+    followed by the cost tilt of ``_max_entropy_multipliers``, whose
+    multiplier starts from the previous iterate's; the tilt composes, so
+    p = exp(log p + m2 u)/Z, u the costs rescaled to [0, 1], and no log p
+    or log 0 is ever taken.  The tilt
+    aims at ``_affordable_budget``, so every iterate spends at most the
+    budget (all of it, to within the multiplier solve's tolerance, when the
+    tilt binds): c_lb = I(p) is feasible, and
+    c_ub = max {sum_i p'_i D_i : p' in the simplex, s . p' <= budget}, the
+    LP ``_segment_lp_max`` of the dual's exact constrained G, bounds
     every feasible I(p') because I(p') <= sum_i p'_i D(W(.|i) || q) for any
     output law q.  No over-relaxation or safeguard is used on this path.
     """
@@ -190,7 +191,7 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
         if cost is None:
             _softmax(logp, out=p)
         else:
-            # The tilt composes: p = exp(logp + m2 s) / Z is the cost-tilted
+            # The tilt composes: p = exp(logp + m2 u) / Z is the cost-tilted
             # plain step from the previous p, with s . p <= budget.
             _, m2, _ = _max_entropy_multipliers(logp, s, spend, m2, out=p)
         np.dot(Wm.T, p, out=q)

@@ -1,16 +1,16 @@
 """Dual smoothing solver for discrete memoryless channel capacity.
 
-The capacity problem max_p I(p, W) (optionally with an average-cost equality
-constraint s^T p = S after preprocessing) is attacked through its Lagrange
-dual
+The capacity problem max_p I(p, W) (optionally with an average-cost
+constraint s^T p <= S) is attacked through its Lagrange dual
 
     min_{lambda in Q}  F(lambda) + G(lambda),
 
 where F(lambda) = log2 sum_j 2^(-lambda_j) is the smooth output-entropy term,
 G(lambda) = max_p { (W lambda - r)^T p : p feasible } is the non-smooth input
-term, and Q is the centered euclidean ball of radius
-R = M * max(log2(1/gamma), 1/ln2) that is known to contain a dual optimizer
-whenever every channel entry is positive (gamma > 0, "Assumption 1").
+term (feasible: p in the simplex, with s^T p <= S under a cost), and Q is
+the centered euclidean ball of radius R = M * max(log2(1/gamma), 1/ln2)
+that is known to contain a dual optimizer whenever every channel entry is
+positive (gamma > 0, "Assumption 1").
 
 G is replaced by the entropy-smoothed G_nu (uniform approximation within
 nu*log2(N)), making the objective gradient Lipschitz with constant
@@ -21,7 +21,9 @@ distribution p_hat, so every run returns a certified sandwich
     I(p_hat, W)  <=  C  <=  F(lambda_hat) + G(lambda_hat),
 
 where the upper bound uses the *exact* G (a vertex maximum, or a 1-D
-parametric LP over the cost slice of the simplex).
+parametric LP over the affordable part of the simplex).  The smoothing
+needs only a closed convex input set, so the entropy prox, L_nu, the
+nu*log2(N) error and the ball radius hold unchanged with a cost.
 
 All values are in bits.  Exponentials are always evaluated in the natural
 base after max-shifting, so that no intermediate exponent is positive; the
@@ -57,14 +59,6 @@ from .info_theory import (
     _segment_lp_max,
     _softmax,
 )
-
-# S_max guard band: budgets within this of the unconstrained optimum are
-# treated as non-binding (the constraint is dropped), unless the
-# unconstrained solution then spends more than the budget.
-S_MAX_GUARD = 1e-4
-
-# Gap tolerance for the certified Blahut-Arimoto solve that estimates S_max.
-_SMAX_SOLVE_EPS = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +148,12 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
 
     Input k carries the log-mass (K lambda - r)_k ln2/nu + logw_k (logw is 0
     for a discrete channel and the log quadrature weight on a grid).  The
-    masses are their softmax, tilted by the cost multiplier m2 when ``s`` is
-    given so that s . mass = budget, and
-    Phi = log sum_k exp(logmass_k + m2*(s_k - budget)) (m2 = 0 without a
-    cost), so G_nu = nu*Phi/ln2 - nu*log2(total weight).  The multiplier
-    solve brackets from the given ``m2``; the solved m2 is returned.
+    masses are their softmax, tilted by the cost multiplier m2 <= 0 when
+    ``s`` is given so that s . mass <= budget, and Phi is their
+    log-normaliser at the budget (``_max_entropy_multipliers``; the
+    log-sum-exp of the log-masses without a cost), so
+    G_nu = nu*Phi/ln2 - nu*log2(total weight).  The multiplier solve
+    starts from the given ``m2``; the solved m2 is returned.
     ``out`` = (log-masses, masses, K^T mass) are work arrays of sizes
     (N, N, M) that receive the results in place; without it every call
     allocates its own.
@@ -172,8 +167,7 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
     if s is None:
         lse, mass = _softmax(logmass, out=mass)
     else:
-        m1, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
-        lse = -(m1 + m2 * budget)
+        lse, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
     return lse, np.dot(K.T, mass, out=grad), mass, m2
 
 
@@ -192,11 +186,12 @@ def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
 
 def eval_G_nu_constrained(lam, W: ChannelMatrix, nu: float, cost: CostConstraint
                           ) -> tuple[float, np.ndarray, ProbVector]:
-    """Smoothed input term under the cost equality constraint.
+    """Smoothed input term under the cost constraint s . p <= budget.
 
     The optimizer is the tilted max-entropy density from the multiplier
-    solve; the value reduces to -nu*(mu1 + mu2*S) - nu*log2(N), which avoids
-    any 0*log(0) evaluation.
+    solve (the untilted one when that is affordable); the value is
+    nu*Phi/ln2 - nu*log2(N) with Phi the solve's log-normaliser at the
+    budget, which avoids any 0*log(0) evaluation.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -216,10 +211,11 @@ def exact_G_unconstrained(lam, W: ChannelMatrix) -> float:
 
 
 def exact_G_constrained(lam, W: ChannelMatrix, cost: CostConstraint) -> float:
-    """G(lambda) over {p in simplex : s^T p = budget} by upper concave hull.
+    """G(lambda) over {p in simplex : s^T p <= budget}.
 
-    The LP max f^T p over the cost slice equals the upper concave envelope of
-    the points (s_i, f_i) evaluated at the budget; O(N log N).
+    The LP max f^T p is the largest f_i when an input attaining it is
+    affordable, and otherwise the upper concave envelope of the points
+    (s_i, f_i) evaluated at the budget; O(N log N).
     """
     lam = _as_values(lam)
     f = W.entries @ lam - W.r
@@ -367,7 +363,6 @@ class SolveReport:
     wall_time: float
     nu: float
     constrained: bool = False
-    s_max_estimate: Optional[float] = None
     stop_reason: str = "gap<=eps"
     warm_start_iterations: int = 0
 
@@ -395,27 +390,21 @@ def solve_capacity(W: ChannelMatrix,
     the requested epsilon; stopping="aposteriori" uses the same smoothing but
     stops at the first checkpoint whose measured duality gap is below
     epsilon (the schedule length is a hard cap, so termination is
-    guaranteed).  With a cost constraint whose budget is below the largest
-    cost, the unconstrained capacity-achieving input is first estimated by
-    Blahut-Arimoto, stopped at a certified gap of _SMAX_SOLVE_EPS; its cost
-    is the largest useful budget S_max.  Budgets within S_MAX_GUARD below
-    it, or above it, drop the constraint, unless the unconstrained p_hat
-    then spends more than the budget; every other budget is enforced with
-    equality (report.constrained is True).
+    guaranteed).  A cost constraint bounds C(S) = max {I(p) : s . p <= S}.
+    It enters the solve when its budget is below the largest cost
+    (report.constrained is True); a larger budget affords every input and
+    is dropped.  A constrained solve tilts its masses to
+    ``_affordable_budget``, so p_hat never overspends the budget.
 
     An a posteriori solve starts at a Blahut-Arimoto point: certified BA to
-    epsilon/3 (cost-tilted, ``ba_solve(..., cost=cost)``, when the
-    constraint is enforced) gives an input p, and x_0 = -log2(W^T p),
-    shifted to mean 0, is both the first iterate and the prox-centre; there
-    F(x_0) + G(x_0) is BA's upper bound at p (Arimoto's
-    max_i D(W_i || W^T p), or its hull LP over the cost slice).  The
-    guard-band re-solve starts the same way.  report.warm_start_iterations
-    counts the BA iterations spent on the start.  A constrained a
-    posteriori solve tilts its masses to ``_affordable_budget``, so p_hat
-    never overspends the budget, and a seeded run that certifies to
-    rounding (c_lb above c_ub by at most 1e-9) reports c_lb = c_ub.  A
-    priori solves start at x_0 = 0, the ball centre, with
-    warm_start_iterations 0.
+    epsilon/3 (cost-tilted, ``ba_solve(..., cost=cost)``, with a cost)
+    gives an input p, and x_0 = -log2(W^T p), shifted to mean 0, is both
+    the first iterate and the prox-centre; there F(x_0) + G(x_0) is BA's
+    upper bound at p (Arimoto's max_i D(W_i || W^T p), or its hull LP over
+    the affordable inputs).  report.warm_start_iterations counts the BA
+    iterations spent on the start.  A seeded run that certifies to rounding
+    (c_lb above c_ub by at most 1e-9) reports c_lb = c_ub.  A priori solves
+    start at x_0 = 0, the ball centre, with warm_start_iterations 0.
 
     The certificate is checked on a geometric ladder of step counts (10, 13,
     17, 22, ..., each ceil(1.25 * the previous)); an a priori solve without
@@ -432,9 +421,6 @@ def solve_capacity(W: ChannelMatrix,
             "use the perturbation wrapper (perturb-solve)"
         )
 
-    t0 = time.perf_counter()
-    s_max_est = None
-    active_cost = None
     if cost is not None:
         s = cost.costs
         if s.size != W.rows:
@@ -443,21 +429,9 @@ def solve_capacity(W: ChannelMatrix,
             raise Infeasible(
                 f"budget {cost.budget!r} below minimum attainable cost {float(s.min())!r}"
             )
-        if cost.budget < float(s.max()):
-            pre = ba_solve(W, _SMAX_SOLVE_EPS, stopping="aposteriori")
-            s_max_est = float(s @ pre.p.weights)
-            if cost.budget < s_max_est - S_MAX_GUARD:
-                active_cost = cost
-
-    report = _solve_core(W, active_cost, epsilon, stopping, progress)
-    if s_max_est is not None and active_cost is None \
-            and float(s @ report.p_hat.weights) > cost.budget:
-        # The budget sits in the guard band and the unconstrained input
-        # overspends it: enforce the constraint after all.
-        report = _solve_core(W, cost, epsilon, stopping, progress)
-    report.wall_time = time.perf_counter() - t0
-    report.s_max_estimate = s_max_est
-    return report
+        if cost.budget >= float(s.max()):
+            cost = None
+    return _solve_core(W, cost, epsilon, stopping, progress)
 
 
 def _arimoto_point(W: ChannelMatrix, p: ProbVector) -> np.ndarray:
@@ -480,8 +454,10 @@ def _solve_core(W: ChannelMatrix,
     N, M = W.rows, W.cols
 
     if N == 1 or M == 1:
-        # Degenerate alphabets: capacity is exactly zero.
-        p = ProbVector.uniform(N)
+        # Degenerate alphabets: capacity is exactly zero, and the cheapest
+        # input meets any feasible budget.
+        p = ProbVector.uniform(N) if cost is None \
+            else ProbVector.point_mass(N, int(np.argmin(cost.costs)))
         lam = DualPoint(np.zeros(M), 0.0)
         return SolveReport(0.0, 0.0, 0.0, 0.0, 0, p, lam,
                            time.perf_counter() - t0, nu=math.inf,
@@ -495,14 +471,12 @@ def _solve_core(W: ChannelMatrix,
         s = budget = None
         exact_G = lambda y: exact_G_unconstrained(y, W)
     else:
-        s, budget = cost.costs, cost.budget
+        # Aim below the budget by the multiplier tolerance: the averaged
+        # masses never overspend, so I(p_hat) bounds C(budget) from below.
+        s, budget = cost.costs, _affordable_budget(cost.costs, cost.budget)
         exact_G = lambda y: exact_G_constrained(y, W, cost)
     centre, warm = None, 0
     if stopping == "aposteriori":
-        if cost is not None:
-            # Aim below the budget by the multiplier tolerance: the averaged
-            # masses never overspend, so I(p_hat) bounds C(budget) from below.
-            budget = _affordable_budget(s, budget)
         ba = ba_solve(W, epsilon / 3.0, stopping="aposteriori", cost=cost)
         centre, warm = _arimoto_point(W, ba.p), ba.iterations
         # The a priori bound takes max over the ball of |lambda - x_0|^2 / 2.

@@ -10,7 +10,7 @@ Everything here is a pure function over immutable inputs (the arrays inside
 from multiple threads is safe; only ``_softmax`` and
 ``_max_entropy_multipliers`` write, into the ``out`` array their caller
 passes.  Those two and ``_segment_lp_max`` (the linear program over the
-cost slice of the simplex) are shared by the dual solver and
+affordable part of the simplex) are shared by the dual solver and
 Blahut-Arimoto.
 """
 
@@ -36,7 +36,7 @@ SUM_TOL = 1e-12
 RENORM_TOL = 1e-9
 
 # Iteration cap of the cost-multiplier Newton solve, and its tolerance on
-# s . mass - budget, relative to max(1, |budget|).
+# s . mass - budget, relative to the cost range max s - min s.
 _MU_NEWTON_MAX_ITER = 200
 _COST_TOL = 1e-11
 
@@ -70,92 +70,90 @@ def _softmax(a: np.ndarray, out: Optional[np.ndarray] = None) -> tuple[float, np
 def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
                              start: float = 0.0, out: Optional[np.ndarray] = None
                              ) -> tuple[float, float, np.ndarray]:
-    """Newton solve for the multipliers of the tilted max-entropy problem.
+    """Newton solve for the cost multiplier of the tilted max-entropy problem.
 
-    Maximizes  m1 + budget*m2 - sum_k exp(m1 + logmass_k + m2*s_k)  over
-    (m1, m2); at the optimum the masses exp(m1 + logmass_k + m2 s_k) sum to 1
-    and meet sum s mass = budget exactly.  The normalization
+    The costs and the budget are rescaled to the cost range,
+    u = (s - min s)/(max s - min s) and b likewise, so that the solve does
+    not depend on the scale of the costs.  It maximizes
+    m1 + b*m2 - sum_k exp(m1 + logmass_k + m2*u_k)  over m1 and m2 <= 0; at
+    the optimum the masses exp(m1 + logmass_k + m2 u_k) sum to 1 and spend
+    s . mass <= budget, with equality unless m2 = 0.  The normalization
     multiplier m1 is eliminated in closed form (its coordinate maximization
-    is a log-sum-exp), leaving a 1-D strictly concave problem in m2 whose
-    stationarity is the cost constraint; that is solved by bracketed Newton
-    with bisection fallback, so convergence does not depend on the size of
-    the tilts (exponent ranges of ~1e3 occur routinely for small nu).  The
-    bracket grows from ``start`` by doubling steps, so a start near the root
-    (the previous fast-gradient step's m2) saves most of the expansion.
-    A budget within the solver tolerance of the cheapest (dearest) cost is
-    that end point, and the masses are the softmax of the log-masses over
-    a face, with m2 pinned to 0.  At the cheap end the face is every input
+    is a log-sum-exp), leaving a 1-D strictly concave problem in m2.  The
+    mean cost rises with m2, so m2 = 0 (the untilted softmax) when that is
+    affordable, and otherwise the root of mean cost = budget, which lies
+    below 0.  The root is found by bracketed Newton with bisection
+    fallback, so convergence does not depend on the size of the tilts
+    (exponent ranges of ~1e3 occur routinely for small nu).  The bracket
+    is [start, 0] when the start (clipped to 0) is affordable, and
+    otherwise grows down from it by doubling steps; the first Newton step
+    is taken from the start, so a start near the root (the previous
+    fast-gradient step's m2) saves most of the work.
+    A budget within the solver tolerance of the cheapest cost is that end
+    point: the masses are the softmax of the log-masses over every input
     whose cost is at most the budget (the cheapest alone for a budget just
-    below it), so the masses spend at most the budget; at the dear end it
-    is the inputs at the dearest cost.
-    Natural-log multipliers and the masses are returned, the masses in
-    ``out`` when it is given.
+    below it), with m2 pinned to 0, so they spend at most the budget.  So
+    is a budget at or above the dearest cost, whose face is every input.
+    Returns Phi = log sum_k exp(logmass_k + m2*(u_k - b)) = -(m1 + m2*b),
+    m2 and the masses, these in ``out`` when it is given.
     """
     smin, smax = float(s.min()), float(s.max())
-    if budget < smin - 1e-12 or budget > smax + 1e-12:
-        raise Infeasible(
-            f"budget {budget!r} outside attainable cost range [{smin!r}, {smax!r}]"
-        )
-    tol = _COST_TOL * max(1.0, abs(budget))
-
-    if smax - smin <= 1e-12 * max(1.0, abs(smax)):
-        # Degenerate cost (s constant): any m2 is optimal, pin it to 0.
-        lognorm, mass = _softmax(logmass, out=out)
-        return -lognorm, 0.0, mass
-    if budget - smin <= tol or smax - budget <= tol:
-        face = s <= max(budget, smin) if budget - smin <= tol else s == smax
+    if budget < smin - 1e-12:
+        raise Infeasible(f"budget {budget!r} below minimum attainable cost {smin!r}")
+    if budget - smin <= _COST_TOL * (smax - smin) or budget >= smax:
+        face = s <= max(budget, smin)
         lognorm, mass = _softmax(np.where(face, logmass, -np.inf), out=out)
-        return -lognorm, 0.0, mass
+        return lognorm, 0.0, mass
 
     buf = np.empty_like(logmass) if out is None else out
-    ss = s * s
+    u = (s - smin) / (smax - smin)
+    uu = u * u
+    b = (budget - smin) / (smax - smin)
 
     def moments(m2):
-        np.multiply(s, m2, out=buf)
+        np.multiply(u, m2, out=buf)
         np.add(buf, logmass, out=buf)
         lognorm, mass = _softmax(buf, out=buf)
-        mean = float(s @ mass)
-        var = float(ss @ mass) - mean * mean
+        mean = float(u @ mass)
+        var = float(uu @ mass) - mean * mean
         return mean, var, lognorm, mass
 
-    # Bracket the root of  mean_cost(m2) = budget  (strictly increasing).
-    lo = hi = start
-    mean0, _, _, _ = moments(start)
-    step = 1.0
-    if mean0 > budget:
+    m2 = lo = hi = min(start, 0.0)
+    mean, var, lognorm, mass = moments(m2)
+    first = m2 - (mean - b) / var if var > 0 else math.nan
+    if mean > b:
+        step = 1.0
         while True:
             lo -= step
-            if moments(lo)[0] <= budget:
+            if moments(lo)[0] <= b:
                 break
             step *= 2.0
             if step > 1e30:
                 raise NewtonStall("cost multiplier bracket expansion diverged")
     else:
-        while True:
-            hi += step
-            if moments(hi)[0] >= budget:
-                break
-            step *= 2.0
-            if step > 1e30:
-                raise NewtonStall("cost multiplier bracket expansion diverged")
+        if m2 < 0.0:
+            hi = 0.0
+            mean, _, lognorm, mass = moments(hi)
+        if mean <= b:
+            return lognorm, 0.0, mass
 
-    m2 = 0.5 * (lo + hi)
+    m2 = first if lo < first < hi else 0.5 * (lo + hi)
     for _ in range(_MU_NEWTON_MAX_ITER):
-        mean, var, lognorm, prob = moments(m2)
-        g = mean - budget
-        if abs(g) <= tol:
-            return -lognorm, m2, prob
+        mean, var, lognorm, mass = moments(m2)
+        g = mean - b
+        if abs(g) <= _COST_TOL:
+            return lognorm - m2 * b, m2, mass
         if g > 0:
             hi = m2
         else:
             lo = m2
         cand = m2 - g / var if var > 0 else math.nan
         m2 = cand if lo < cand < hi else 0.5 * (lo + hi)
-    mean, var, lognorm, prob = moments(m2)
-    if abs(mean - budget) <= 100 * tol:
-        return -lognorm, m2, prob
+    mean, var, lognorm, mass = moments(m2)
+    if abs(mean - b) <= 100 * _COST_TOL:
+        return lognorm - m2 * b, m2, mass
     raise NewtonStall(
-        f"cost multiplier Newton solve stalled (residual {abs(mean - budget):.3e})"
+        f"cost multiplier Newton solve stalled (residual {abs(mean - b):.3e} of the cost range)"
     )
 
 
@@ -167,30 +165,31 @@ def _affordable_budget(s: np.ndarray, budget: float) -> float:
     tolerance of the cheapest cost is kept: the end-point face there spends
     at most the budget.
     """
-    tol = _COST_TOL * max(1.0, abs(budget))
-    return budget if budget - float(s.min()) <= tol else budget - tol
+    smin = float(s.min())
+    tol = _COST_TOL * (float(s.max()) - smin)
+    return budget if budget - smin <= tol else budget - tol
 
 
 def _segment_lp_max(f: np.ndarray, s: np.ndarray, budget: float) -> float:
-    """max f^T p over the cost slice {p in simplex : s^T p = budget}.
+    """max f^T p over {p in simplex : s^T p <= budget}.
 
-    The value is the upper concave hull of the points (s_i, f_i) at the
-    budget; O(N log N).
+    The largest f when its cheapest maximiser is affordable; otherwise the
+    budget binds, and the value is the upper concave hull of the points
+    (s_i, f_i) at the budget; O(N log N).
     """
-    smin, smax = float(s.min()), float(s.max())
-    if budget < smin - 1e-12 or budget > smax + 1e-12:
-        raise Infeasible(
-            f"budget {budget!r} outside attainable cost range [{smin!r}, {smax!r}]"
-        )
-    budget = min(max(budget, smin), smax)
+    smin = float(s.min())
+    if budget < smin - 1e-12:
+        raise Infeasible(f"budget {budget!r} below minimum attainable cost {smin!r}")
+    budget = max(budget, smin)
+    top = float(f.max())
+    if float(s[f == top].min()) <= budget:
+        return top
     order = np.lexsort((-f, s))
     ss, fs = s[order], f[order]
     # Keep only the best f for duplicate cost values.
     keep = np.ones(ss.size, dtype=bool)
     keep[1:] = np.diff(ss) > 0
     ss, fs = ss[keep], fs[keep]
-    if ss.size == 1:
-        return float(fs[0])
     # Monotone-chain upper hull over (cost, value) points.
     hull: list[int] = []
     for i in range(ss.size):
@@ -204,11 +203,8 @@ def _segment_lp_max(f: np.ndarray, s: np.ndarray, budget: float) -> float:
         hull.append(i)
     hx = ss[hull]
     hy = fs[hull]
+    # smin = hx[0] <= budget < the maximiser's cost <= hx[-1].
     j = int(np.searchsorted(hx, budget, side="right"))
-    if j == 0:
-        return float(hy[0])
-    if j >= hx.size:
-        return float(hy[-1])
     t = (budget - hx[j - 1]) / (hx[j] - hx[j - 1])
     return float((1.0 - t) * hy[j - 1] + t * hy[j])
 

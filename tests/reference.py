@@ -65,51 +65,49 @@ def project_ball(x, radius):
 
 
 def max_entropy_multipliers(logmass, s, budget, start=0.0):
-    """The bracketed Newton solve for interior budgets (no end-point rule)."""
-    tol = 1e-11 * max(1.0, abs(budget))
-    if float(s.max()) - float(s.min()) <= 1e-12 * max(1.0, abs(float(s.max()))):
-        lognorm, mass = softmax(logmass)
-        return -lognorm, 0.0, mass
+    """The bracketed Newton solve with m2 <= 0, for budgets strictly between the end costs."""
+    u = (s - s.min()) / (s.max() - s.min())
+    b = (budget - s.min()) / (s.max() - s.min())
 
     def moments(m2):
-        lognorm, mass = softmax(logmass + m2 * s)
-        mean = float(s @ mass)
-        var = float((s * s) @ mass) - mean * mean
+        lognorm, mass = softmax(logmass + m2 * u)
+        mean = float(u @ mass)
+        var = float((u * u) @ mass) - mean * mean
         return mean, var, lognorm, mass
 
-    lo = hi = start
-    step = 1.0
-    if moments(start)[0] > budget:
+    m2 = lo = hi = min(start, 0.0)
+    mean, var, lognorm, mass = moments(m2)
+    first = m2 - (mean - b) / var if var > 0 else math.nan
+    if mean > b:
+        step = 1.0
         while True:
             lo -= step
-            if moments(lo)[0] <= budget:
+            if moments(lo)[0] <= b:
                 break
             step *= 2.0
             if step > 1e30:
                 raise NewtonStall("reference bracket expansion diverged")
     else:
-        while True:
-            hi += step
-            if moments(hi)[0] >= budget:
-                break
-            step *= 2.0
-            if step > 1e30:
-                raise NewtonStall("reference bracket expansion diverged")
-    m2 = 0.5 * (lo + hi)
+        if m2 < 0.0:
+            hi = 0.0
+            mean, _, lognorm, mass = moments(hi)
+        if mean <= b:
+            return lognorm, 0.0, mass
+    m2 = first if lo < first < hi else 0.5 * (lo + hi)
     for _ in range(200):
-        mean, var, lognorm, prob = moments(m2)
-        g = mean - budget
-        if abs(g) <= tol:
-            return -lognorm, m2, prob
+        mean, var, lognorm, mass = moments(m2)
+        g = mean - b
+        if abs(g) <= 1e-11:
+            return lognorm - m2 * b, m2, mass
         if g > 0:
             hi = m2
         else:
             lo = m2
         cand = m2 - g / var if var > 0 else math.nan
         m2 = cand if lo < cand < hi else 0.5 * (lo + hi)
-    mean, var, lognorm, prob = moments(m2)
-    if abs(mean - budget) <= 100 * tol:
-        return -lognorm, m2, prob
+    mean, var, lognorm, mass = moments(m2)
+    if abs(mean - b) <= 100 * 1e-11:
+        return lognorm - m2 * b, m2, mass
     raise NewtonStall("reference multiplier solve stalled")
 
 
@@ -120,8 +118,7 @@ def smoothed_input_term(K, r, lam, nu, logw=None, s=None, budget=None, m2=0.0):
     if s is None:
         lse, mass = softmax(logmass)
     else:
-        m1, m2, mass = max_entropy_multipliers(logmass, s, budget, m2)
-        lse = -(m1 + m2 * budget)
+        lse, m2, mass = max_entropy_multipliers(logmass, s, budget, m2)
     return lse, K.T @ mass, mass, m2
 
 

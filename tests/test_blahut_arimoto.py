@@ -199,7 +199,7 @@ def test_cost_needs_aposteriori():
 def test_cost_iterates_spend_the_budget():
     # Every cost-tilted iterate spends S to within the multiplier solve's
     # tolerance and never more, so c_lb = I(p) is feasible, and c_ub is the
-    # hull LP over the cost slice at the same output law.
+    # LP over the affordable inputs at the same output law.
     W = cb.make_random(16, 8, seed=103)
     s = np.random.default_rng(0).random(16)
     cost = cb.CostConstraint(s, float(np.quantile(s, 0.3)))

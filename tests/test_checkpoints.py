@@ -94,9 +94,9 @@ class TestWarmStartMultipliers:
     def test_starts_meet_budget(self):
         logmass, s, budget = self._problem()
         _, m2_star, _ = _max_entropy_multipliers(logmass, s, budget)
-        tol = 100 * 1e-11 * max(1.0, budget)
+        tol = 100 * 1e-11 * (s.max() - s.min())
         for delta in (0.0, 1.0, -1.0, 1e3, -1e3):
-            m1, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2_star + delta)
+            _, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2_star + delta)
             assert mass.sum() == pytest.approx(1.0, abs=1e-12)
             assert abs(s @ mass - budget) <= tol
             assert m2 == pytest.approx(m2_star, rel=1e-6, abs=1e-6)
@@ -198,21 +198,23 @@ def test_budget_just_above_cheapest_cost_uses_affordable_inputs():
 
 
 def test_budget_at_dearest_cost():
-    # The mirror end point: a budget within the solver tolerance of the
-    # dearest cost keeps only the inputs at that cost, weighted by their
-    # softmax, with the tilt pinned to 0.
-    logmass = np.array([0.3, -0.2, 0.1])
-    m1, m2, mass = _max_entropy_multipliers(logmass, np.array([1.0, 0.0, 1.0]), 1.0 - 5e-12)
-    w = np.exp([0.3, 0.1])
-    np.testing.assert_allclose(mass, [w[0] / w.sum(), 0.0, w[1] / w.sum()], rtol=1e-15, atol=0)
-    assert m2 == 0.0
-    assert -m1 == pytest.approx(math.log(w.sum()), rel=1e-15)
-    # The smoothed input term is then the one of the end face of the simplex.
+    # An affordable softmax is not tilted: at the dearest cost, and at any
+    # budget the untilted masses do not overspend, m2 = 0 and the masses
+    # are the softmax of the log-masses, whatever the start.
+    logmass, s = np.array([0.3, -0.2, 0.1]), np.array([1.0, 0.0, 1.0])
+    w = np.exp(logmass)
+    spend = float(s @ w) / w.sum()
+    for budget in (1.0, 1.0 - 5e-12, 0.5 * (spend + 1.0), spend * (1.0 + 1e-12)):
+        for start in (0.0, -3.0):
+            phi, m2, mass = _max_entropy_multipliers(logmass, s, budget, start)
+            assert m2 == 0.0
+            np.testing.assert_allclose(mass, w / w.sum(), rtol=1e-15, atol=0)
+            assert phi == pytest.approx(math.log(w.sum()), rel=1e-15)
+    # The smoothed input term is then the unconstrained one.
     W = cb.ChannelMatrix([[0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
-    nu = 0.1
-    value, _, p = cb.eval_G_nu_constrained(
-        np.zeros(2), W, nu, cb.CostConstraint(np.array([1.0, 0.0, 1.0]), 1.0))
-    assert p.weights[1] == 0.0
-    face = -W.r[[0, 2]] / nu
-    assert value == pytest.approx(nu * math.log2(np.exp2(face).sum()) - nu * math.log2(3),
-                                  abs=1e-12)
+    value, grad, p = cb.eval_G_nu_constrained(
+        np.zeros(2), W, 0.1, cb.CostConstraint(np.array([1.0, 0.0, 1.0]), 1.0))
+    free_value, free_grad, free_p = cb.eval_G_nu_unconstrained(np.zeros(2), W, 0.1)
+    assert value == free_value
+    np.testing.assert_array_equal(grad, free_grad)
+    np.testing.assert_array_equal(p.weights, free_p.weights)

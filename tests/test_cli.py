@@ -454,7 +454,7 @@ class TestJsonReports:
     # Each --out report is its result dataclass's fields; perturb-solve adds
     # the outer sandwich and compare nests the two solvers' reports.
     SOLVE = {"c_lb", "c_ub", "apriori_err", "aposteriori_err", "iterations", "nu",
-             "constrained", "s_max_estimate", "stop_reason", "p_hat", "lambda_hat",
+             "constrained", "stop_reason", "p_hat", "lambda_hat",
              "wall_time", "warm_start_iterations"}
     BA = {"c_lb", "c_ub", "apriori_err", "iterations", "p", "wall_time", "stop_reason"}
     POISSON = {"peak", "dark_current", "M", "nu", "iterations", "tail_order",

@@ -8,7 +8,6 @@ from scipy.special import rel_entr
 
 import capbound as cb
 from capbound.dual_solver import (
-    S_MAX_GUARD,
     _max_entropy_multipliers,
     apriori_error_bound,
     exact_G_constrained,
@@ -115,10 +114,13 @@ class TestEvalGnuUnconstrained:
 
 def _multipliers(lam, W, nu, cost):
     """Base-2 multipliers (mu1, mu2) making p_i = 2^(mu1 + (W lambda - r)_i/nu + mu2 s_i)
-    feasible, from the natural-log ones of the multiplier solve."""
+    feasible, from the multiplier solve's log-normaliser Phi at the budget
+    and its tilt m2 per unit of the cost range: mu1 = -Phi - m2 S in nats."""
+    s, S = cost.costs, cost.budget
     scores = (W.entries @ lam - W.r) * (math.log(2.0) / nu)
-    m1, m2, _ = _max_entropy_multipliers(scores, cost.costs, cost.budget)
-    return m1 / math.log(2.0), m2 / math.log(2.0)
+    phi, m2, _ = _max_entropy_multipliers(scores, s, S)
+    m2 = m2 / (s.max() - s.min()) if m2 else 0.0
+    return (-phi - m2 * S) / math.log(2.0), m2 / math.log(2.0)
 
 
 class TestSolveMu:
@@ -141,10 +143,14 @@ class TestSolveMu:
         np.testing.assert_allclose(p, [0.75, 0.25], atol=1e-10)
 
     def test_constraints_met(self):
+        # Complementary slackness: the masses spend at most S, all of it
+        # with mu2 < 0 where the untilted softmax overspends, and are that
+        # softmax (mu2 = 0) where it does not.
         rng = np.random.default_rng(13)
         W = cb.make_random(6, 4, seed=14)
         s = np.array([0.0, 0.3, 0.9, 1.4, 2.0, 3.0])
-        for _ in range(10):
+        binding = 0
+        for _ in range(20):
             lam = rng.normal(size=4)
             nu = 10 ** rng.uniform(-3, 0)
             S = rng.uniform(0.1, 2.5)
@@ -152,12 +158,24 @@ class TestSolveMu:
             mu1, mu2 = _multipliers(lam, W, nu, cost)
             f = W.entries @ lam - W.r
             p = 2.0 ** (mu1 + f / nu + mu2 * s)
+            untilted = np.exp2((f - f.max()) / nu)
+            untilted /= untilted.sum()
             assert p.sum() == pytest.approx(1.0, abs=1e-10)
-            assert s @ p == pytest.approx(S, abs=1e-8)
+            assert s @ p <= S + 1e-8
+            if s @ untilted > S:
+                binding += 1
+                assert mu2 < 0.0
+                assert s @ p == pytest.approx(S, abs=1e-8)
+            else:
+                assert mu2 == 0.0
+                np.testing.assert_allclose(p, untilted, rtol=1e-9, atol=1e-12)
+        assert 0 < binding < 20
 
     def test_brute_force_segment_oracle(self):
-        # feasible set of {p in simplex_3 : s^T p = S} is a segment between
+        # The cost slice {p in simplex_3 : s^T p = S} is a segment between
         # the two pair-support vertices; golden-section on it is the oracle.
+        # Each drawn lambda's untilted softmax overspends S, so the budget
+        # binds and the slice maximiser is the one over s^T p <= S.
         W = cb.make_random(3, 3, seed=15)
         s = np.array([0.0, 1.0, 2.0])
         S = 0.7
@@ -169,6 +187,8 @@ class TestSolveMu:
         for _ in range(3):
             lam = rng.normal(size=3)
             f = W.entries @ lam - W.r
+            untilted = np.exp2((f - f.max()) / nu)
+            assert s @ untilted / untilted.sum() > S
 
             def objective(t):
                 p = (1.0 - t) * v1 + t * v2
@@ -270,15 +290,20 @@ class TestExactG:
             cost = cb.CostConstraint(s, S)
             got = exact_G_constrained(lam, W, cost)
             f = W.entries @ lam - W.r
-            res = linprog(-f, A_eq=np.vstack([np.ones(n), s]), b_eq=[1.0, S],
+            res = linprog(-f, A_ub=s[None, :], b_ub=[S], A_eq=np.ones((1, n)), b_eq=[1.0],
                           bounds=[(0, None)] * n, method="highs")
             assert res.success
             assert got == pytest.approx(-res.fun, abs=1e-9)
 
     def test_constrained_infeasible(self):
+        # A budget below the cheapest cost affords nothing; one above the
+        # dearest affords every input, so G is the row maximum.
         W = cb.make_random(3, 3, seed=25)
+        s, lam = np.array([1.0, 1.5, 2.0]), np.array([0.3, -0.2, 1.0])
         with pytest.raises(Infeasible):
-            exact_G_constrained(np.zeros(3), W, cb.CostConstraint(np.array([1.0, 1.5, 2.0]), 5.0))
+            exact_G_constrained(lam, W, cb.CostConstraint(s, 0.5))
+        assert exact_G_constrained(lam, W, cb.CostConstraint(s, 5.0)) \
+            == exact_G_unconstrained(lam, W)
 
 
 class TestSchedules:
@@ -342,12 +367,26 @@ class TestSolveCapacity:
         assert rep.c_lb <= pre.c_ub + 1e-9  # constrained capacity cannot exceed C
 
     def test_loose_budget_drops_constraint(self):
+        # A budget at or above the dearest cost affords every input: the
+        # constraint is dropped and the solve is the free one.  A budget
+        # between S_max and the dearest cost enters the solve but does not
+        # bind, so both pairs bound the same capacity.
         W = cb.make_random(3, 3, seed=29)
-        cost = cb.CostConstraint(np.array([0.0, 1.0, 2.0]), 1.99)
-        rep = cb.solve_capacity(W, cost=cost, epsilon=1e-4)
+        s = np.array([0.0, 1.0, 2.0])
         free = cb.solve_capacity(W, epsilon=1e-4)
-        assert not rep.constrained
-        assert rep.c_lb == pytest.approx(free.c_lb, abs=1e-12)
+        for budget in (2.0, 3.5):
+            rep = cb.solve_capacity(W, cost=cb.CostConstraint(s, budget), epsilon=1e-4)
+            assert not rep.constrained
+            for field in ("c_lb", "c_ub", "apriori_err", "aposteriori_err", "iterations",
+                          "nu", "stop_reason", "warm_start_iterations"):
+                assert getattr(rep, field) == getattr(free, field), field
+            np.testing.assert_array_equal(rep.p_hat.weights, free.p_hat.weights)
+            np.testing.assert_array_equal(rep.lambda_hat.values, free.lambda_hat.values)
+        assert s @ free.p_hat.weights < 1.99
+        rep = cb.solve_capacity(W, cost=cb.CostConstraint(s, 1.99), epsilon=1e-4)
+        assert rep.constrained
+        assert s @ rep.p_hat.weights <= 1.99
+        assert max(rep.c_lb, free.c_lb) <= min(rep.c_ub, free.c_ub) + 1e-9
 
     def test_budget_below_min_cost_infeasible(self):
         W = cb.make_random(3, 3, seed=30)
@@ -381,28 +420,23 @@ def _binary_input_optimum(W):
 
 
 class TestSMaxPreSolve:
-    @pytest.mark.parametrize("spec", [(2, 2, 32), (2, 5, 2), (2, 3, 4), (2, 8, 0)])
-    def test_estimate_accuracy(self, spec):
-        W = cb.make_random(*spec)
-        rep = cb.solve_capacity(W, cost=cb.CostConstraint(np.array([0.0, 1.0]), 0.999),
-                                epsilon=1e-2)
-        assert abs(rep.s_max_estimate - _binary_input_optimum(W)) <= S_MAX_GUARD / 4
+    """Budgets near S_max, the cost of the unconstrained optimum, and degenerate channels."""
 
     @pytest.mark.parametrize("d", [-2e-4, -1e-4, -5e-5, 0.0, 5e-5])
     def test_guard_band_budget_is_met(self, d):
         W = cb.make_random(2, 2, seed=32)
         s = np.array([0.0, 1.0])
-        s_max = cb.solve_capacity(W, cost=cb.CostConstraint(s, 0.999),
-                                  epsilon=1e-2).s_max_estimate
-        budget = s_max + d
+        budget = _binary_input_optimum(W) + d
         rep = cb.solve_capacity(W, cost=cb.CostConstraint(s, budget), epsilon=1e-2)
-        assert s @ rep.p_hat.weights <= budget + 1e-9
+        assert rep.constrained
+        assert s @ rep.p_hat.weights <= budget
         assert rep.c_lb <= rep.c_ub
 
     def test_single_output_channel(self):
         W = cb.ChannelMatrix(np.ones((3, 1)))
         s = np.array([0.0, 1.0, 2.0])
-        rep = cb.solve_capacity(W, cost=cb.CostConstraint(s, 1.5), epsilon=1e-2)
-        assert rep.s_max_estimate == pytest.approx(1.0, abs=1e-15)
-        assert not rep.constrained
-        assert rep.c_lb == rep.c_ub == 0.0
+        for budget in (1.5, 0.5):
+            rep = cb.solve_capacity(W, cost=cb.CostConstraint(s, budget), epsilon=1e-2)
+            assert not rep.constrained
+            assert rep.c_lb == rep.c_ub == 0.0
+            assert s @ rep.p_hat.weights <= budget

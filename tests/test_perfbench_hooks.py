@@ -109,10 +109,10 @@ def test_smax_presolve_is_a_ba_span():
                 if names[sid] == layer and s[3] >= 0]
 
     assert names.count("dual_solver.solve_capacity") == 1
-    # The S_max pre-solve, then the cost-tilted start of the dual.
-    assert children("blahut_arimoto.ba_solve") == ["dual_solver.solve_capacity",
-                                                   "dual_solver.solve_core"]
-    assert names.count("blahut_arimoto.ba_solve") == 2
+    # The cost-tilted start of the dual is the one Blahut-Arimoto solve:
+    # no S_max pre-solve runs before it.
+    assert children("blahut_arimoto.ba_solve") == ["dual_solver.solve_core"]
+    assert names.count("blahut_arimoto.ba_solve") == 1
     assert children("dual_solver.solve_core") == ["dual_solver.solve_capacity"]
     assert names.count("dual_solver.solve_core") == 1
 

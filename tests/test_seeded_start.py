@@ -125,15 +125,16 @@ def test_perturb_solve_aposteriori_meets_ba(shape, key, zeros, eps):
 @settings(max_examples=25, deadline=None)
 @given(W=positive_channels(max_size=6), data=st.data(), eps=st.sampled_from([1e-2, 1e-3]))
 def test_cost_ba_meets_cold_constrained_dual(W, data, eps):
-    # Binding budgets: between the cheapest cost and S_max less twice the
-    # guard band, so solve_capacity enforces the constraint.
+    # Binding budgets: between the cheapest cost and S_max, the cost of the
+    # unconstrained optimum (estimated by certified BA to 1e-6), less 2e-4.
     s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=W.rows, max_size=W.rows)))
-    pre = cb.ba_solve(W, dual_solver._SMAX_SOLVE_EPS, stopping="aposteriori")
-    top = float(s @ pre.p.weights) - 2.0 * dual_solver.S_MAX_GUARD
+    pre = cb.ba_solve(W, 1e-6, stopping="aposteriori")
+    top = float(s @ pre.p.weights) - 2e-4
     assume(top > s.min())
     cost = cb.CostConstraint(s, s.min() + data.draw(st.floats(0.0, 1.0)) * (top - s.min()))
     ba = cb.ba_solve(W, eps, stopping="aposteriori", cost=cost)
-    assert cost.budget - 1e-9 <= float(s @ ba.p.weights) <= cost.budget + 1e-12
+    # An early BA iterate may not yet spend the whole budget.
+    assert float(s @ ba.p.weights) <= cost.budget + 1e-12
     c_lb, c_ub = _cold(W, eps, cost)
     rep = cb.solve_capacity(W, cost=cost, epsilon=eps)
     assert rep.constrained
@@ -143,13 +144,15 @@ def test_cost_ba_meets_cold_constrained_dual(W, data, eps):
 
 def test_item3_binding_budgets():
     # make_random(16, 8, key) with costs U(0, 1) from default_rng(0) and the
-    # budget at their 30% quantile.  The budget binds on six of the seven
-    # channels, which took 10,258 dual steps from the ball centre.
+    # budget at their 30% quantile.  The budget binds (p_hat spends it) on
+    # six of the seven channels, which took 10,258 dual steps from the ball
+    # centre.
     s = np.random.default_rng(0).random(16)
     cost = cb.CostConstraint(s, float(np.quantile(s, 0.3)))
     reps = [cb.solve_capacity(cb.make_random(16, 8, key), cost=cost, epsilon=1e-3)
             for key in range(101, 108)]
-    binding = [rep for rep in reps if rep.constrained]
+    assert all(s @ rep.p_hat.weights <= cost.budget for rep in reps)
+    binding = [rep for rep in reps if s @ rep.p_hat.weights > cost.budget - 1e-9]
     assert len(binding) == 6
     assert all(rep.stop_reason == "gap<=eps" for rep in binding)
     assert all(rep.warm_start_iterations > 0 for rep in binding)
