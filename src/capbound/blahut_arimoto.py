@@ -189,14 +189,16 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     it = 0
     while True:
         if cost is None:
-            _softmax(logp, out=p)
+            # Shifted by its log-sum-exp, logp becomes log p.
+            lse, _ = _softmax(logp, out=p)
+            logp -= lse
         else:
             # The tilt composes: p = exp(logp + m2 u) / Z is the cost-tilted
             # plain step from the previous p, with s . p <= budget.
             _, m2, _ = _max_entropy_multipliers(logp, s, spend, m2, out=p)
         np.dot(Wm.T, p, out=q)
         nz = None
-        if np.minimum.reduce(q) > 0.0:
+        if q[q.argmin()] > 0.0:
             np.log(q, out=logq)
         else:
             logq.fill(0.0)
@@ -243,7 +245,8 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
         if step != 1.0:
             div *= step
         logp += div
-        logp -= np.maximum.reduce(logp)
+        if cost is not None:
+            logp -= logp[logp.argmax()]
         it += 1
 
     if stopping == "aposteriori" and c_ub - c_lb <= epsilon:

@@ -251,41 +251,49 @@ class FastGradientState:
     """Iterate bookkeeping for the optimal scheme on a centered ball, in place.
 
     Per step k, starting from x_0 = c, the prox-centre (the ball centre 0,
-    or a ``centre`` inside the ball):
-        y_k = proj(x_k - grad/L)
+    or a ``centre`` inside the ball), with grad_k = gG_k - pF_k:
+        y_k = proj(x_k - grad_k/L)
         z_k = proj(c - (1/L) * sum_{i<=k} (i+1)/2 * grad_i)
         x_{k+1} = 2/(k+3) * z_k + (k+1)/(k+3) * y_k
-    The vectors are allocated once: each step overwrites ``x``, ``y`` and
-    ``gsum`` in place and returns ``y``, the same array every step.
+    The two rows of the 2 x M state ``S`` are x_k and c - gsum_{k-1}/L.
+    ``step`` takes the stacked gradient pieces HE = [gG_k; pF_k] and forms
+    both unprojected points at once,
+        T = C_k HE + S,   C_k = [[-1/L, 1/L], [-(k+1)/(2L), (k+1)/(2L)]],
+    keeps T's second row as the new S[1], projects the rows of T onto the
+    ball (y_k and z_k) and writes x_{k+1} = [(k+1)/(k+3), 2/(k+3)] T into
+    S[0]: two matrix products, one add, one copy and two projections per
+    step.  The arrays are allocated once; ``step`` returns y_k, the same
+    array (a row of ``T``) every step, and ``x`` is the row S[0].
     """
 
     def __init__(self, dim: int, radius: float, lipschitz: float,
                  centre: Optional[np.ndarray] = None):
         self.radius = radius
         self.L = lipschitz
-        self.centre = centre
-        self.x = np.zeros(dim) if centre is None else centre.copy()
-        self.y = np.zeros(dim)
-        self.gsum = np.zeros(dim)
-        self._z = np.zeros(dim)
+        self.S = np.zeros((2, dim))
+        if centre is not None:
+            self.S[:] = centre
+        self._T = np.empty((2, dim))
+        self._C = np.array([[-1.0 / lipschitz, 1.0 / lipschitz], [0.0, 0.0]])
+        self._w = np.empty(2)
+        # Row views, bound once so that a step indexes no array.
+        self.x, self._c_gsum = self.S
+        self._y, self._z = self._T
         self.k = 0
 
-    def step(self, grad: np.ndarray) -> np.ndarray:
-        k = self.k
-        x, y, z = self.x, self.y, self._z
-        np.divide(grad, self.L, out=y)
-        np.subtract(x, y, out=y)
+    def step(self, HE: np.ndarray) -> np.ndarray:
+        k, C, w, T, y, z = self.k, self._C, self._w, self._T, self._y, self._z
+        h = (k + 1) / (2.0 * self.L)
+        C[1, 0] = -h
+        C[1, 1] = h
+        np.dot(C, HE, out=T)
+        T += self.S
+        np.copyto(self._c_gsum, z)
         project_ball(y, self.radius, inplace=True)
-        np.multiply(grad, 0.5 * (k + 1), out=z)
-        self.gsum += z
-        # gsum / -L rounds exactly as -gsum / L does: IEEE rounding is sign-symmetric.
-        np.divide(self.gsum, -self.L, out=z)
-        if self.centre is not None:
-            z += self.centre  # c + (-gsum / L) rounds as c - gsum / L does
         project_ball(z, self.radius, inplace=True)
-        np.multiply(z, 2.0 / (k + 3), out=x)
-        np.multiply(y, (k + 1) / (k + 3), out=z)
-        x += z
+        w[0] = (k + 1) / (k + 3)
+        w[1] = 2.0 / (k + 3)
+        np.dot(w, T, out=self.x)
         self.k = k + 1
         return y
 
@@ -315,21 +323,23 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
     N, M = K.shape
     state = FastGradientState(M, radius, 1.0 + 1.0 / nu, centre)
     acc = np.zeros(N)
-    work = (np.empty(N), np.empty(N), np.empty(M))
+    # The step's stacked gradient pieces: row 0 takes grad G_nu = K^T mass,
+    # row 1 the softmax of -x ln2 (minus grad F).
+    HE = np.empty((2, M))
+    work = (np.empty(N), np.empty(N), HE[0])
     weighted = np.empty(N)
-    pF = np.empty(M)
+    pF = HE[1]
     watch = target is not None or progress is not None
     due = _LADDER_FIRST
     m2 = 0.0
     x = state.x
     for k in range(n + 1):
-        _, gG, mass, m2 = _smoothed_input_term(K, r, x, nu, logw, s, budget, m2, out=work)
+        _, _, mass, m2 = _smoothed_input_term(K, r, x, nu, logw, s, budget, m2, out=work)
         np.multiply(x, -LN2, out=pF)  # bit for bit -x * LN2
         _softmax(pF, out=pF)
         np.multiply(mass, float(k + 1), out=weighted)
         acc += weighted
-        gG -= pF
-        y = state.step(gG)
+        y = state.step(HE)
 
         if k == n or (watch and k + 1 == due):
             due = _next_checkpoint(due)

@@ -58,8 +58,10 @@ def _softmax(a: np.ndarray, out: Optional[np.ndarray] = None) -> tuple[float, np
     """Log-sum-exp of a (natural log) and softmax(a), max-shifted so no exponent exceeds 0.
 
     With ``out`` (which may be ``a``) the softmax is computed in place there.
+    The max is read as ``a[a.argmax()]``, which is exact and NaN when ``a``
+    holds a NaN, as ``np.maximum.reduce`` is, and cheaper on short vectors.
     """
-    m = np.maximum.reduce(a)
+    m = a[a.argmax()]
     e = np.subtract(a, m, out=out)
     np.exp(e, out=e)
     s = np.add.reduce(e)

@@ -1,10 +1,15 @@
 """Allocating reference implementations for the tests.
 
 The solvers in capbound reuse their work arrays from step to step.  The
-functions here are the straightforward versions they replaced, which build
-every intermediate as a new array; the tests require the two to agree bit
-for bit.  ``_eval_F_direct`` and ``_eval_G_nu_direct`` evaluate the dual
-terms without the max shift (criterion 10's reference), and
+functions here run the same floating-point operations in the same order but
+build every intermediate as a new array; the tests require the two to agree
+bit for bit.  So ``FastGradientState.step`` is the stacked step (one 2 x 2
+by 2 x M product for both unprojected points, one product for the next
+iterate) and ``ba_solve`` keeps log p normalised by its softmax's
+log-sum-exp, as the solvers do; ``tests/test_dual_solver.py`` checks the
+stacked step against the textbook one.  ``_eval_F_direct`` and
+``_eval_G_nu_direct`` evaluate the dual terms without the max shift
+(criterion 10's reference), and
 ``poisson_tail_direct`` sums the Poisson tail series that ``tail_Rk`` bounds
 in closed form (criterion 7's oracle).  ``kernel_floor`` is the dense
 kernel-floor scan that set ``TruncatedChannel.gamma_M`` before the closed
@@ -123,21 +128,27 @@ def smoothed_input_term(K, r, lam, nu, logw=None, s=None, budget=None, m2=0.0):
 
 
 class FastGradientState:
+    """The stacked fast-gradient step of ``dual_solver.FastGradientState``, allocating."""
+
     def __init__(self, dim, radius, lipschitz, centre=None):
         self.radius = radius
         self.L = lipschitz
-        self.centre = centre
-        self.x = np.zeros(dim) if centre is None else centre.copy()
-        self.gsum = np.zeros(dim)
+        c = np.zeros(dim) if centre is None else centre
+        self.S = np.array([c, c], dtype=float)
         self.k = 0
 
-    def step(self, grad):
-        k = self.k
-        y = project_ball(self.x - grad / self.L, self.radius)
-        self.gsum += (0.5 * (k + 1)) * grad
-        z = -self.gsum / self.L if self.centre is None else self.centre - self.gsum / self.L
-        z = project_ball(z, self.radius)
-        self.x = (2.0 / (k + 3)) * z + ((k + 1) / (k + 3)) * y
+    @property
+    def x(self):
+        return self.S[0]
+
+    def step(self, HE):
+        k, L = self.k, self.L
+        h = (k + 1) / (2.0 * L)
+        T = np.array([[-1.0 / L, 1.0 / L], [-h, h]]) @ HE + self.S
+        y = project_ball(T[0], self.radius)
+        z = project_ball(T[1], self.radius)
+        x = np.array([(k + 1) / (k + 3), 2.0 / (k + 3)]) @ np.array([y, z])
+        self.S = np.array([x, T[1]])
         self.k = k + 1
         return y
 
@@ -155,7 +166,7 @@ def fast_gradient(K, r, logw, radius, nu, n, s, budget, exact_G, target, progres
         _, gG, mass, m2 = smoothed_input_term(K, r, x, nu, logw, s, budget, m2)
         _, pF = softmax(-x * LN2)
         acc += (k + 1) * mass
-        y = state.step(gG - pF)
+        y = state.step(np.array([gG, pF]))
         x = state.x
 
         if k == n or (watch and k + 1 == due):
@@ -191,8 +202,8 @@ def ba_solve(W, epsilon, stopping="apriori"):
     due = _LADDER_FIRST
     it = 0
     while True:
-        p = np.exp(logp - logp.max())
-        p /= p.sum()
+        lse, p = softmax(logp)
+        logp = logp - lse
         q = Wm.T @ p
         logq = np.zeros_like(q)
         nz = q > 0.0
@@ -215,7 +226,6 @@ def ba_solve(W, epsilon, stopping="apriori"):
                     kept, kept_lb = (logp, div), c_lb
                     kept_gain = max((logsumexp(logp + div) - logsumexp(logp)) / LN2 - c_lb, 0.0)
         logp = logp + step * div
-        logp -= logp.max()
         it += 1
 
     return BAReport(c_lb=c_lb, c_ub=c_ub,

@@ -8,6 +8,7 @@ from scipy.special import rel_entr
 
 import capbound as cb
 from capbound.dual_solver import (
+    FastGradientState,
     _max_entropy_multipliers,
     apriori_error_bound,
     exact_G_constrained,
@@ -269,6 +270,41 @@ class TestProjectQ:
             r = float(rng.uniform(0.1, 5.0))
             x = rng.normal(size=4) * 10
             assert np.linalg.norm(project_ball(x, r)) <= r + 1e-12
+
+
+# Relative error allowed between the stacked step and the textbook step,
+# in norm: both run the same method, rounded in a different order.
+STEP_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("centred", [False, True])
+def test_stacked_step_is_textbook_step(centred):
+    rng = np.random.default_rng(20)
+    M, radius, L = 5, 4.0, 1.0 + 1.0 / 0.05
+    centre = rng.uniform(-1.0, 1.0, size=M) if centred else None
+    c = np.zeros(M) if centre is None else centre
+    state = FastGradientState(M, radius, L, centre)
+    x, gsum = c.copy(), np.zeros(M)
+    left_y = left_z = 0
+    for k in range(500):
+        gG = rng.normal(size=M) * 10.0 ** rng.uniform(-1.0, 2.5)
+        pF = rng.dirichlet(np.ones(M))
+        g = gG - pF
+        y_in = x - g / L
+        gsum += (k + 1) * g
+        z_in = c - gsum / (2.0 * L)
+        left_y += np.linalg.norm(y_in) > radius
+        left_z += np.linalg.norm(z_in) > radius
+        y = project_ball(y_in, radius)
+        z = project_ball(z_in, radius)
+        x = 2.0 * z / (k + 3) + (k + 1) * y / (k + 3)
+
+        y_state = state.step(np.array([gG, pF]))
+        assert np.linalg.norm(y_state - y) <= STEP_RTOL * np.linalg.norm(y), k
+        assert np.linalg.norm(state.x - x) <= STEP_RTOL * np.linalg.norm(x), k
+    # Both projections ran on some steps and were idle on others.
+    assert 0 < left_y < 500 and 0 < left_z < 500
+    assert state.k == 500
 
 
 class TestExactG:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import softmax as softmax_reference
 
 import capbound as cb
 from capbound.errors import DimensionMismatch, InvalidChannel
+from capbound.info_theory import _softmax
 
 
 def binary_entropy(p):
@@ -202,3 +206,34 @@ class TestChannelMatrix:
     def test_gamma_is_exact_min(self):
         W = cb.make_random(5, 4, seed=10)
         assert W.gamma == W.entries.min()
+
+
+@st.composite
+def softmax_inputs(draw):
+    """Entries in [-1e3, 1e3], some -inf (at least one entry finite), maybe one NaN."""
+    size = draw(st.integers(1, 40))
+    a = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+    keep = draw(st.integers(0, size - 1))
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=size)):
+        if i != keep:
+            a[i] = -np.inf
+    if draw(st.booleans()):
+        a[draw(st.integers(0, size - 1))] = np.nan
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=softmax_inputs(), inplace=st.booleans())
+def test_softmax_matches_reference_bit_for_bit(a, inplace):
+    ref_lse, ref_e = softmax_reference(a)
+    work = a.copy()
+    lse, e = _softmax(work, out=work if inplace else None)
+    assert np.float64(lse).tobytes() == np.float64(ref_lse).tobytes()
+    assert e.tobytes() == ref_e.tobytes()
+    if inplace:
+        assert e is work
+    if np.isnan(a).any():
+        # A NaN propagates to the log-sum-exp and to every weight.
+        assert math.isnan(lse) and np.isnan(e).all()
+    else:
+        assert math.isfinite(lse) and e.sum() == pytest.approx(1.0, abs=1e-12)

@@ -73,23 +73,26 @@ def test_every_truncation_grid_is_a_span(monkeypatch):
 
 
 def test_inner_loop_layers_are_traced():
-    # The in-place fast-gradient step still goes through the traced
+    # The stacked fast-gradient step still goes through the traced
     # FastGradientState.step, project_ball and _softmax, so the per-layer
-    # table keeps its rows for them.
+    # table keeps its rows for them, on the a posteriori path and on the
+    # a priori one that dmc-small's perturbed BEC solve takes.
     spans = _load_spans()
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        rep = cb.solve_capacity(cb.make_random(4, 3, seed=5), epsilon=1e-2)
-    finally:
-        tracer.uninstall()
-    tracer.passes = 1
-    metrics = tracer.layer_metrics()
-    steps = rep.iterations + 1
-    assert metrics["dual_solver.fgm_step.calls"] == steps
-    assert metrics["dual_solver.project_ball.calls"] == 2 * steps
-    names = [tracer.names[s[0]] for s in tracer.spans]
-    assert names.count("dual_solver.softmax") >= 2 * steps
+    for stopping, eps in (("aposteriori", 1e-2), ("apriori", 0.1)):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            rep = cb.solve_capacity(cb.make_random(4, 3, seed=5), epsilon=eps,
+                                    stopping=stopping)
+        finally:
+            tracer.uninstall()
+        tracer.passes = 1
+        metrics = tracer.layer_metrics()
+        steps = rep.iterations + 1
+        assert metrics["dual_solver.fgm_step.calls"] == steps, stopping
+        assert metrics["dual_solver.project_ball.calls"] == 2 * steps, stopping
+        names = [tracer.names[s[0]] for s in tracer.spans]
+        assert names.count("dual_solver.softmax") >= 2 * steps, stopping
 
 
 def test_smax_presolve_is_a_ba_span():
