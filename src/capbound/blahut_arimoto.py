@@ -25,8 +25,9 @@ bound becomes the maximum of sum_i p_i D_i over the affordable part of the
 simplex (Blahut, IEEE T-IT 18(4), 1972).
 
 Uses: an independent cross-check of the dual smoothing solver; the start
-of every a posteriori dual solve (cost-tilted with a cost); and the
-certified Poisson grid solve of ``continuous.solve_poisson_grid``.
+of every a posteriori dual solve (cost-tilted with a cost), whose pair is
+also half of that solve's certificate; and the certified Poisson grid
+solve of ``continuous.solve_poisson_grid``.
 """
 
 from __future__ import annotations
@@ -126,14 +127,15 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     capacity.  stopping="aposteriori" takes the over-relaxed step
     log p += 2 D and evaluates the certificate at iteration 0, at the
     iterations k with k + 1 on the checkpoint ladder it shares with the dual
-    solver (10, 13, 17, ...) and at the last iteration; it stops at the first checkpoint whose certified
-    gap c_ub - c_lb is at most epsilon (the a priori count stays the hard
-    cap).  If c_lb rose less over a rung than one plain step from the
-    previous checkpoint is sure to gain (``_plain_step_gain``), a fall
-    included, the iterate saved there is restored and the run finishes with
-    plain steps.  The log2(N)/n rate holds only for plain steps from the
-    uniform start, so in this mode apriori_err is the certified gap
-    c_ub - c_lb, which bounds C - c_lb just as well.  An ``iteration_cap``
+    solver (10, 13, 17, ...) and at the last iteration; it stops at the
+    first checkpoint whose certified gap c_ub - c_lb is at most epsilon (the
+    a priori count stays the hard cap).  If c_lb rose less over a rung than
+    one plain step from the previous checkpoint is sure to gain
+    (``_plain_step_gain``), a fall included, the iterate saved there is
+    restored and the run finishes with plain steps.  The log2(N)/n rate
+    holds only for plain steps from the uniform start, so in this mode
+    apriori_err is the certified gap c_ub - c_lb, which bounds C - c_lb
+    just as well.  An ``iteration_cap``
     below the a priori count stops the run there instead, and
     ``stop_reason`` then reads "cap" unless the gap was met.  Zero channel
     entries are fine (0*log 0 terms vanish); the KL exponents are

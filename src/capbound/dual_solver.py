@@ -25,6 +25,12 @@ parametric LP over the affordable part of the simplex).  The smoothing
 needs only a closed convex input set, so the entropy prox, L_nu, the
 nu*log2(N) error and the ball radius hold unchanged with a cost.
 
+An a posteriori solve starts at a certified Blahut-Arimoto point p, whose
+pair I(p) <= C <= F(x_0) + G(x_0) (x_0 the Arimoto point of p) bounds the
+same capacity.  The solve reports the intersection of that pair with the
+dual's own, each side with the input or dual point that attains it, so
+the sandwich above holds for the reported p_hat and lambda_hat.
+
 All values are in bits.  Exponentials are always evaluated in the natural
 base after max-shifting, so that no intermediate exponent is positive; the
 lambda iterates themselves stay in bit scale so the constants above apply
@@ -45,7 +51,6 @@ from .errors import (
     AssumptionViolated,
     CertificateViolated,
     DimensionMismatch,
-    Infeasible,
     require_sandwich,
 )
 from .info_theory import (
@@ -54,6 +59,7 @@ from .info_theory import (
     CostConstraint,
     ProbVector,
     _affordable_budget,
+    _cost_range,
     _entropy_bits,
     _max_entropy_multipliers,
     _segment_lp_max,
@@ -304,7 +310,8 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
                    exact_G: Callable[[np.ndarray], float],
                    target: Optional[float],
                    progress: Optional[ProgressFn],
-                   centre: Optional[np.ndarray] = None):
+                   centre: Optional[np.ndarray] = None,
+                   start: tuple[float, float] = (-math.inf, math.inf)):
     """Fast-gradient solve of the smoothed dual over inputs with log-weights.
 
     Runs steps k = 0..n on F + G_nu (see ``_smoothed_input_term``) from the
@@ -313,12 +320,15 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
     I(mass_hat) <= C <= F(y) + exact_G(y) is evaluated when a ``target`` gap
     or a ``progress`` callback is given, on the geometric ladder of
     ``blahut_arimoto._next_checkpoint``, and always at step n.  Every
-    checkpoint is a full certificate, so the run stops at step n or at the
-    first checkpoint whose gap is at most ``target``.  With a cost, each
-    step's multiplier solve starts from the previous step's m2.  The work
-    vectors are allocated once per solve and every step writes into them.
-    Returns (k, y, mass_hat, c_lb, c_ub) at the last checkpoint; y and
-    mass_hat belong to this solve alone.
+    checkpoint is a full certificate, and so is its intersection with the
+    ``start`` pair (lb_0, ub_0), another certificate of the same capacity:
+    the run stops at step n or at the first checkpoint where
+    min(c_ub, ub_0) - max(c_lb, lb_0) is at most ``target``, and
+    ``progress`` sees that intersection.  With a cost, each step's
+    multiplier solve starts from the previous step's m2.  The work vectors
+    are allocated once per solve and every step writes into them.  Returns
+    (k, y, mass_hat, c_lb, c_ub), the solve's own pair at the last
+    checkpoint; y and mass_hat belong to this solve alone.
     """
     N, M = K.shape
     state = FastGradientState(M, radius, 1.0 + 1.0 / nu, centre)
@@ -332,6 +342,7 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
     watch = target is not None or progress is not None
     due = _LADDER_FIRST
     m2 = 0.0
+    lb_0, ub_0 = start
     x = state.x
     for k in range(n + 1):
         _, _, mass, m2 = _smoothed_input_term(K, r, x, nu, logw, s, budget, m2, out=work)
@@ -348,9 +359,10 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
             c_lb = float(-(r @ mass_hat) + _entropy_bits(q_hat))
             Fv, _ = eval_F(y)
             c_ub = Fv + exact_G(y)
+            lb, ub = max(c_lb, lb_0), min(c_ub, ub_0)
             if progress is not None:
-                progress(k, c_lb, c_ub, c_ub - c_lb)
-            if k == n or (target is not None and c_ub - c_lb <= target):
+                progress(k, lb, ub, ub - lb)
+            if k == n or (target is not None and ub - lb <= target):
                 break
     return k, y, mass_hat, c_lb, c_ub
 
@@ -375,8 +387,16 @@ class SolveReport:
     constrained: bool = False
     stop_reason: str = "gap<=eps"
     warm_start_iterations: int = 0
+    # The fast-gradient solve's own pair (I(averaged masses), F + G at its
+    # last y); c_lb and c_ub when not given.
+    dual_c_lb: Optional[float] = None
+    dual_c_ub: Optional[float] = None
 
     def __post_init__(self):
+        if self.dual_c_lb is None:
+            self.dual_c_lb = self.c_lb
+        if self.dual_c_ub is None:
+            self.dual_c_ub = self.c_ub
         require_sandwich(self.c_lb, self.c_ub, "SolveReport")
         if self.stop_reason not in STOP_REASONS:
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
@@ -411,10 +431,17 @@ def solve_capacity(W: ChannelMatrix,
     gives an input p, and x_0 = -log2(W^T p), shifted to mean 0, is both
     the first iterate and the prox-centre; there F(x_0) + G(x_0) is BA's
     upper bound at p (Arimoto's max_i D(W_i || W^T p), or its hull LP over
-    the affordable inputs).  report.warm_start_iterations counts the BA
-    iterations spent on the start.  A seeded run that certifies to rounding
-    (c_lb above c_ub by at most 1e-9) reports c_lb = c_ub.  A priori solves
-    start at x_0 = 0, the ball centre, with warm_start_iterations 0.
+    the affordable inputs).  That start pair (I(p), F(x_0) + G(x_0)) and
+    the dual's own pair (report.dual_c_lb, report.dual_c_ub) bound the same
+    capacity, so report.c_lb is the larger lower side, with p_hat the input
+    attaining it (p or the averaged masses), and report.c_ub the smaller
+    upper side, with lambda_hat the point attaining it (x_0 or the last y).
+    The run stops at the first checkpoint where that intersection's gap is
+    at most epsilon; as BA has certified epsilon/3, that is the first rung.
+    report.warm_start_iterations counts the BA iterations spent on the
+    start.  A run that certifies to rounding (c_lb above c_ub by at most
+    1e-9) reports c_lb = c_ub.  A priori solves start at x_0 = 0, the ball
+    centre, with warm_start_iterations 0, and report the dual's own pair.
 
     The certificate is checked on a geometric ladder of step counts (10, 13,
     17, 22, ..., each ceil(1.25 * the previous)); an a priori solve without
@@ -435,11 +462,8 @@ def solve_capacity(W: ChannelMatrix,
         s = cost.costs
         if s.size != W.rows:
             raise DimensionMismatch("cost vector length must equal channel rows")
-        if cost.budget < float(s.min()) - 1e-12:
-            raise Infeasible(
-                f"budget {cost.budget!r} below minimum attainable cost {float(s.min())!r}"
-            )
-        if cost.budget >= float(s.max()):
+        _, smax = _cost_range(s, cost.budget)  # Infeasible below the cheapest cost
+        if cost.budget >= smax:
             cost = None
     return _solve_core(W, cost, epsilon, stopping, progress)
 
@@ -485,20 +509,29 @@ def _solve_core(W: ChannelMatrix,
         # masses never overspend, so I(p_hat) bounds C(budget) from below.
         s, budget = cost.costs, _affordable_budget(cost.costs, cost.budget)
         exact_G = lambda y: exact_G_constrained(y, W, cost)
-    centre, warm = None, 0
+    centre, warm, start = None, 0, (-math.inf, math.inf)
     if stopping == "aposteriori":
         ba = ba_solve(W, epsilon / 3.0, stopping="aposteriori", cost=cost)
         centre, warm = _arimoto_point(W, ba.p), ba.iterations
+        # BA's pair: I(p) and F + G at x_0, which is Arimoto's bound at p.
+        start = (ba.c_lb, eval_F(centre)[0] + exact_G(centre))
         # The a priori bound takes max over the ball of |lambda - x_0|^2 / 2.
         d1 = 0.5 * (radius + math.sqrt(centre.dot(centre))) ** 2
 
-    k, y, p_hat, c_lb, c_ub = _fast_gradient(
+    k, y, p_hat, dual_c_lb, dual_c_ub = _fast_gradient(
         W.entries, W.r, None, radius, nu, n_eps, s, budget, exact_G,
-        epsilon if stopping == "aposteriori" else None, progress, centre,
+        epsilon if stopping == "aposteriori" else None, progress, centre, start,
     )
+    # Both pairs bound the same capacity: report their intersection, each
+    # side with the point that attains it.
+    c_lb, c_ub = dual_c_lb, dual_c_ub
+    if start[0] > c_lb:
+        c_lb, p_hat = start[0], ba.p.weights
+    if start[1] < c_ub:
+        c_ub, y = start[1], centre
     if stopping == "aposteriori" and c_ub < c_lb <= c_ub + 1e-9:
-        # A seeded run can certify to rounding, and I(p_hat) and F + G then
-        # round apart.  Lowering a lower bound keeps it sound.
+        # A certificate to rounding: I(p_hat) and F + G round apart.
+        # Lowering a lower bound keeps it sound.
         c_lb = c_ub
     apriori = nu * d2 + 4.0 * d1 * (1.0 + 1.0 / nu) / (k + 1) ** 2
     if stopping == "apriori":
@@ -518,5 +551,7 @@ def _solve_core(W: ChannelMatrix,
         constrained=cost is not None,
         stop_reason=stop_reason,
         warm_start_iterations=warm,
+        dual_c_lb=dual_c_lb,
+        dual_c_ub=dual_c_ub,
     )
 

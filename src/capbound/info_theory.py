@@ -69,6 +69,19 @@ def _softmax(a: np.ndarray, out: Optional[np.ndarray] = None) -> tuple[float, np
     return m + math.log(s), e
 
 
+def _cost_range(s: np.ndarray, budget: float) -> tuple[float, float]:
+    """(min s, max s), once some input is affordable: raises Infeasible otherwise.
+
+    The budget may fall short of the cheapest cost by rounding, 1e-12 of
+    the costs' scale max(|min s|, max s - min s), so that the test means
+    the same at every cost scale.
+    """
+    smin, smax = float(s.min()), float(s.max())
+    if budget < smin - 1e-12 * max(abs(smin), smax - smin):
+        raise Infeasible(f"budget {budget!r} below minimum attainable cost {smin!r}")
+    return smin, smax
+
+
 def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
                              start: float = 0.0, out: Optional[np.ndarray] = None
                              ) -> tuple[float, float, np.ndarray]:
@@ -99,9 +112,7 @@ def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
     Returns Phi = log sum_k exp(logmass_k + m2*(u_k - b)) = -(m1 + m2*b),
     m2 and the masses, these in ``out`` when it is given.
     """
-    smin, smax = float(s.min()), float(s.max())
-    if budget < smin - 1e-12:
-        raise Infeasible(f"budget {budget!r} below minimum attainable cost {smin!r}")
+    smin, smax = _cost_range(s, budget)
     if budget - smin <= _COST_TOL * (smax - smin) or budget >= smax:
         face = s <= max(budget, smin)
         lognorm, mass = _softmax(np.where(face, logmass, -np.inf), out=out)
@@ -179,9 +190,7 @@ def _segment_lp_max(f: np.ndarray, s: np.ndarray, budget: float) -> float:
     budget binds, and the value is the upper concave hull of the points
     (s_i, f_i) at the budget; O(N log N).
     """
-    smin = float(s.min())
-    if budget < smin - 1e-12:
-        raise Infeasible(f"budget {budget!r} below minimum attainable cost {smin!r}")
+    smin, _ = _cost_range(s, budget)
     budget = max(budget, smin)
     top = float(f.max())
     if float(s[f == top].min()) <= budget:

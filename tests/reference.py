@@ -154,7 +154,7 @@ class FastGradientState:
 
 
 def fast_gradient(K, r, logw, radius, nu, n, s, budget, exact_G, target, progress,
-                  centre=None):
+                  centre=None, start=(-math.inf, math.inf)):
     """Reference for ``dual_solver._fast_gradient``: same arguments and result."""
     state = FastGradientState(K.shape[1], radius, 1.0 + 1.0 / nu, centre)
     acc = np.zeros(K.shape[0])
@@ -176,9 +176,10 @@ def fast_gradient(K, r, logw, radius, nu, n, s, budget, exact_G, target, progres
             c_lb = float(-(r @ mass_hat) + _entropy_bits(q_hat))
             lse, _ = softmax(-y * LN2)
             c_ub = float(lse / LN2) + exact_G(y)
+            lb, ub = max(c_lb, start[0]), min(c_ub, start[1])
             if progress is not None:
-                progress(k, c_lb, c_ub, c_ub - c_lb)
-            if k == n or (target is not None and c_ub - c_lb <= target):
+                progress(k, lb, ub, ub - lb)
+            if k == n or (target is not None and ub - lb <= target):
                 break
     return k, y, mass_hat, c_lb, c_ub
 

@@ -98,6 +98,11 @@ def test_criterion_03_cross_method_oracle():
         assert ba.c_lb - 1e-9 <= dual.c_ub
         # the dual starts at a BA point: cross-check the two certificates too
         assert dual.c_lb - 1e-9 <= ba.c_ub
+        # the report intersects the dual's pair with its BA start's, so the
+        # dual's own pair must meet BA on its own
+        assert dual.dual_c_lb - 1e-9 <= ba.c_lb + ba.apriori_err
+        assert ba.c_lb - 1e-9 <= dual.dual_c_ub
+        assert dual.dual_c_lb - 1e-9 <= ba.c_ub
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(f"\nPASS criterion 3: dual and BA agree on 50 channels ({elapsed:.1f}s)")

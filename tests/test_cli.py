@@ -455,7 +455,7 @@ class TestJsonReports:
     # the outer sandwich and compare nests the two solvers' reports.
     SOLVE = {"c_lb", "c_ub", "apriori_err", "aposteriori_err", "iterations", "nu",
              "constrained", "stop_reason", "p_hat", "lambda_hat",
-             "wall_time", "warm_start_iterations"}
+             "wall_time", "warm_start_iterations", "dual_c_lb", "dual_c_ub"}
     BA = {"c_lb", "c_ub", "apriori_err", "iterations", "p", "wall_time", "stop_reason"}
     POISSON = {"peak", "dark_current", "M", "nu", "iterations", "tail_order",
                "trunc_error", "mutual_info", "dual_value", "g_sup",

@@ -429,6 +429,23 @@ class TestSolveCapacity:
         with pytest.raises(Infeasible):
             cb.solve_capacity(W, cost=cb.CostConstraint(np.array([1.0, 2.0, 3.0]), 0.5))
 
+    def test_budget_below_tiny_costs_infeasible(self):
+        # The feasibility test scales with the costs: a budget of 0 affords
+        # none of these, whatever the stopping mode or solver, and an
+        # absolute 1e-12 allowance would have let an input spending 1e-20 in.
+        W = cb.make_random(3, 3, seed=30)
+        cost = cb.CostConstraint(np.array([1e-20, 2e-20, 3e-20]), 0.0)
+        for stopping in ("aposteriori", "apriori"):
+            with pytest.raises(Infeasible):
+                cb.solve_capacity(W, cost=cost, epsilon=1e-2, stopping=stopping)
+        with pytest.raises(Infeasible):
+            cb.ba_solve(W, 1e-2, "aposteriori", cost=cost)
+        with pytest.raises(Infeasible):
+            exact_G_constrained(np.zeros(3), W, cost)
+        # Costs in [0, 1] keep the 1e-12 allowance.
+        unit = cb.CostConstraint(np.array([5e-13, 0.5, 1.0]), 0.0)
+        assert cb.solve_capacity(W, cost=unit, epsilon=1e-2).constrained
+
     def test_zero_entry_channel_rejected(self):
         with pytest.raises(AssumptionViolated):
             cb.solve_capacity(cb.make_bec(0.4))

@@ -45,9 +45,11 @@ def _quadrature_args(n):
 
 
 def _seeded_args(W, eps):
-    """_fast_gradient's arguments and prox-centre as a seeded _solve_core builds them."""
-    start = cb.ba_solve(W, eps / 3.0, "aposteriori").p
-    return _discrete_args(W, None, eps), dual_solver._arimoto_point(W, start)
+    """_fast_gradient's arguments, prox-centre and start pair, as _solve_core builds them."""
+    ba = cb.ba_solve(W, eps / 3.0, "aposteriori")
+    centre = dual_solver._arimoto_point(W, ba.p)
+    ub_0 = cb.eval_F(centre)[0] + cb.exact_G_unconstrained(centre, W)
+    return _discrete_args(W, None, eps), centre, (ba.c_lb, ub_0)
 
 
 CASES = {
@@ -64,7 +66,7 @@ CASES = {
 
 
 # Unconstrained a posteriori solves start at a Blahut-Arimoto point, which is
-# also their prox-centre.
+# also their prox-centre, and stop on the intersection with BA's pair.
 SEEDED = {
     "seeded-6x5": lambda: _seeded_args(cb.make_random(6, 5, 3), 0.05),
     "seeded-40x7": lambda: _seeded_args(cb.make_random(40, 7, 11), 0.2),
@@ -78,13 +80,15 @@ SEEDED = {
     *[(case, "aposteriori") for case in sorted(SEEDED)],
 ])
 def test_fast_gradient_matches_reference(case, target):
-    args, centre = (CASES[case](), None) if case in CASES else SEEDED[case]()
+    args, centre, start = (CASES[case](), None, (-math.inf, math.inf)) if case in CASES \
+        else SEEDED[case]()
     seen = {"new": [], "ref": []}
     results = {}
     for key, fn in (("new", dual_solver._fast_gradient), ("ref", fast_gradient_reference)):
         progress = (lambda *a, key=key: seen[key].append(a)) \
             if target == "apriori+progress" else None
-        results[key] = fn(*args, 1e-3 if target == "aposteriori" else None, progress, centre)
+        results[key] = fn(*args, 1e-3 if target == "aposteriori" else None, progress, centre,
+                          start)
     (k, y, mass, lb, ub), (rk, ry, rmass, rlb, rub) = results["new"], results["ref"]
     assert k == rk
     assert _same(y, ry) and _same(mass, rmass)

@@ -3,7 +3,10 @@
 The seeded fast-gradient run takes x_0 = -log2(W^T p_BA), shifted to mean
 0, as its first iterate and prox-centre; p_BA comes from certified
 Blahut-Arimoto, cost-tilted when the solve enforces a cost constraint.
-A priori solves stay cold (x_0 = 0).
+BA's pair (I(p_BA), F(x_0) + G(x_0)) joins the certificate: the report is
+its intersection with the dual's own pair, and the run stops at the first
+checkpoint where that intersection meets epsilon.  A priori solves stay
+cold (x_0 = 0).
 """
 
 import json
@@ -44,13 +47,23 @@ def _cold(W, eps, cost=None):
     return c_lb, c_ub
 
 
+def _start_pair(W, eps, cost=None):
+    """The BA start's pair of a seeded solve: (I(p_BA), F(x_0) + G(x_0))."""
+    ba = cb.ba_solve(W, eps / 3.0, "aposteriori", cost=cost)
+    x0 = dual_solver._arimoto_point(W, ba.p)
+    G = cb.exact_G_unconstrained(x0, W) if cost is None else cb.exact_G_constrained(x0, W, cost)
+    return ba.c_lb, cb.eval_F(x0)[0] + G
+
+
 def test_dmc_small_dual_iterations():
-    # A deterministic count: 6,655 dual iterations from the ball centre.
+    # BA to eps/3 already certifies eps, so each solve stops at the first
+    # rung: 9 dual steps (k = 0..9), where the dual's own pair took 932 and
+    # the cold run 6,655 in all.
     reps = [cb.solve_capacity(cb.make_random(n, m, key), epsilon=1e-2)
             for n, m, key in DMC_SMALL]
     assert all(rep.stop_reason == "gap<=eps" for rep in reps)
     assert all(rep.warm_start_iterations > 0 for rep in reps)
-    assert sum(rep.iterations for rep in reps) <= 1500
+    assert all(rep.iterations == dual_solver._LADDER_FIRST - 1 for rep in reps)
 
 
 def test_seeded_run_reports_its_start():
@@ -146,7 +159,8 @@ def test_item3_binding_budgets():
     # make_random(16, 8, key) with costs U(0, 1) from default_rng(0) and the
     # budget at their 30% quantile.  The budget binds (p_hat spends it) on
     # six of the seven channels, which took 10,258 dual steps from the ball
-    # centre.
+    # centre and 86-136 each on the dual's own pair; with the cost-tilted
+    # BA start's pair each stops at the first rung.
     s = np.random.default_rng(0).random(16)
     cost = cb.CostConstraint(s, float(np.quantile(s, 0.3)))
     reps = [cb.solve_capacity(cb.make_random(16, 8, key), cost=cost, epsilon=1e-3)
@@ -156,4 +170,32 @@ def test_item3_binding_budgets():
     assert len(binding) == 6
     assert all(rep.stop_reason == "gap<=eps" for rep in binding)
     assert all(rep.warm_start_iterations > 0 for rep in binding)
-    assert sum(rep.iterations for rep in binding) <= 1000
+    assert all(rep.iterations == dual_solver._LADDER_FIRST - 1 for rep in binding)
+
+
+@settings(max_examples=50, deadline=None)
+@given(W=positive_channels(max_size=8), eps=st.sampled_from([1e-2, 1e-3]),
+       binding=st.booleans(), data=st.data())
+def test_report_is_intersection_of_start_and_dual(W, eps, binding, data):
+    # Each side of the report is the better of the two pairs' sides, with
+    # the input or dual point that attains it.
+    cost = None
+    if binding:
+        s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=W.rows,
+                                        max_size=W.rows)))
+        top = float(s @ cb.ba_solve(W, 1e-6, stopping="aposteriori").p.weights) - 2e-4
+        assume(top > s.min())
+        cost = cb.CostConstraint(s, s.min() + data.draw(st.floats(0.0, 1.0)) * (top - s.min()))
+    rep = cb.solve_capacity(W, cost=cost, epsilon=eps)
+    lb_0, ub_0 = _start_pair(W, eps, cost)
+    lam = rep.lambda_hat.values
+    G = cb.exact_G_unconstrained(lam, W) if cost is None \
+        else cb.exact_G_constrained(lam, W, cost)
+    assert rep.constrained == binding
+    assert rep.c_lb == pytest.approx(max(rep.dual_c_lb, lb_0), abs=1e-12)
+    assert rep.c_ub == pytest.approx(min(rep.dual_c_ub, ub_0), abs=1e-12)
+    assert rep.c_lb == pytest.approx(cb.mutual_information(rep.p_hat, W), abs=1e-12)
+    assert rep.c_ub == pytest.approx(cb.eval_F(lam)[0] + G, abs=1e-12)
+    assert rep.aposteriori_err <= eps
+    if cost is not None:
+        assert cost.costs @ rep.p_hat.weights <= cost.budget
