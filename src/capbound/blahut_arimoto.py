@@ -19,10 +19,11 @@ iterate, the gap of this sandwich is first order in the distance of p from
 the capacity-achieving input, which makes BA the cheap way to estimate that
 input.
 
-With an average-cost constraint s . p <= S, each plain update is followed
-by the exponential cost tilt, so every iterate is feasible, and the upper
-bound becomes the maximum of sum_i p_i D_i over the affordable part of the
-simplex (Blahut, IEEE T-IT 18(4), 1972).
+With an average-cost constraint s . p <= S, each update (the same step,
+under the same safeguard) is followed by the exponential cost tilt, so
+every iterate is feasible, and the upper bound becomes the maximum of
+sum_i p_i D_i over the affordable part of the simplex (Blahut, IEEE T-IT
+18(4), 1972).
 
 Uses: an independent cross-check of the dual smoothing solver; the start
 of every a posteriori dual solve (cost-tilted with a cost), whose pair is
@@ -84,16 +85,6 @@ def _next_checkpoint(due: int) -> int:
     return math.ceil(_LADDER_GROWTH * due)
 
 
-def _plain_step_gain(logp: np.ndarray, div: np.ndarray, value: float) -> float:
-    """log2 sum_i p_i exp(D_i) - I(p) in bits, the least rise of one plain step.
-
-    The plain update p' = p exp(D) / Z has I(p') = ln Z + KL(p' || p) -
-    D(W^T p' || W^T p) >= ln Z in nats, by data processing.  Here
-    p = exp(logp) / sum(exp(logp)) and ``value`` = I(p) in bits.
-    """
-    return max(float(_softmax(logp + div)[0] - _softmax(logp)[0]) / LN2 - value, 0.0)
-
-
 @dataclass
 class BAReport:
     c_lb: float
@@ -130,9 +121,10 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     solver (10, 13, 17, ...) and at the last iteration; it stops at the
     first checkpoint whose certified gap c_ub - c_lb is at most epsilon (the
     a priori count stays the hard cap).  If c_lb rose less over a rung than
-    one plain step from the previous checkpoint is sure to gain
-    (``_plain_step_gain``), a fall included, the iterate saved there is
-    restored and the run finishes with plain steps.  The log2(N)/n rate
+    one plain step from the previous checkpoint is sure to gain, Phi(logp +
+    D)/ln2 - I(p) (Phi the log-sum-exp, or that of the cost tilt, with
+    Phi(logp) = 0), a fall included, the iterate saved there is restored
+    and the run finishes with plain steps.  The log2(N)/n rate
     holds only for plain steps from the uniform start, so in this mode
     apriori_err is the certified gap c_ub - c_lb, which bounds C - c_lb
     just as well.  An ``iteration_cap``
@@ -144,18 +136,18 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
 
     With a ``cost`` (a posteriori only; a priori raises ValueError) the run
     certifies the capacity-cost value max {I(p) : s . p <= budget} (Blahut,
-    IEEE T-IT 18(4), 1972).  Each update is the plain step log p += D
-    followed by the cost tilt of ``_max_entropy_multipliers``, whose
-    multiplier starts from the previous iterate's; the tilt composes, so
-    p = exp(log p + m2 u)/Z, u the costs rescaled to [0, 1], and no log p
-    or log 0 is ever taken.  The tilt
+    IEEE T-IT 18(4), 1972).  Each step is followed by the cost tilt of
+    ``_max_entropy_multipliers``, whose multiplier starts from the previous
+    iterate's; the tilt composes, so p = exp(logp + m2 (u - b) - Phi), u
+    and b the costs and budget rescaled to [0, 1], and no log p or log 0
+    is ever taken.  The tilt
     aims at ``_affordable_budget``, so every iterate spends at most the
     budget (all of it, to within the multiplier solve's tolerance, when the
     tilt binds): c_lb = I(p) is feasible, and
     c_ub = max {sum_i p'_i D_i : p' in the simplex, s . p' <= budget}, the
     LP ``_segment_lp_max`` of the dual's exact constrained G, bounds
     every feasible I(p') because I(p') <= sum_i p'_i D(W(.|i) || q) for any
-    output law q.  No over-relaxation or safeguard is used on this path.
+    output law q.
     """
     if stopping not in ("apriori", "aposteriori"):
         raise ValueError(f"unknown stopping mode {stopping!r}")
@@ -182,7 +174,7 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     logq = np.empty(W.cols)
     div = np.empty(N)
     watch = stopping == "aposteriori"
-    step = _OVERRELAX if watch and cost is None else 1.0
+    step = _OVERRELAX if watch else 1.0
     m2 = 0.0
     # The over-relaxed iterate at its last checkpoint, restored if it stalls.
     kept_logp, kept_div = np.empty(N), np.empty(N)
@@ -190,14 +182,13 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     due = _LADDER_FIRST
     it = 0
     while True:
+        # p is the softmax of logp, or its cost tilt (which composes);
+        # shifted by the normaliser Phi of either, logp has Phi(logp) = 0.
         if cost is None:
-            # Shifted by its log-sum-exp, logp becomes log p.
-            lse, _ = _softmax(logp, out=p)
-            logp -= lse
+            phi, _ = _softmax(logp, out=p)
         else:
-            # The tilt composes: p = exp(logp + m2 u) / Z is the cost-tilted
-            # plain step from the previous p, with s . p <= budget.
-            _, m2, _ = _max_entropy_multipliers(logp, s, spend, m2, out=p)
+            phi, m2, _ = _max_entropy_multipliers(logp, s, spend, m2, out=p)
+        logp -= phi
         np.dot(Wm.T, p, out=q)
         nz = None
         if q[q.argmin()] > 0.0:
@@ -243,12 +234,16 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
                     np.copyto(kept_logp, logp)
                     np.copyto(kept_div, div)
                     kept_lb = c_lb
-                    kept_gain = _plain_step_gain(logp, div, c_lb)
+                    # A plain step p' = p exp(D + m'u)/Z' (m' the tilt's change)
+                    # has I(p') = ln Z' - m' u.p' + KL(p' || p) - D(q' || q) >=
+                    # ln Z' - m'b = Phi(logp + D), as u.p' = b while the tilt
+                    # binds, and u.p' <= b with m' >= 0 once it stops.
+                    phi = (_softmax(logp + div)[0] if cost is None
+                           else _max_entropy_multipliers(logp + div, s, spend, m2)[0])
+                    kept_gain = max(phi / LN2 - c_lb, 0.0)
         if step != 1.0:
             div *= step
         logp += div
-        if cost is not None:
-            logp -= logp[logp.argmax()]
         it += 1
 
     if stopping == "aposteriori" and c_ub - c_lb <= epsilon:

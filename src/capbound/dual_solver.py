@@ -431,8 +431,8 @@ def solve_capacity(W: ChannelMatrix,
     gives an input p, and x_0 = -log2(W^T p), shifted to mean 0, is both
     the first iterate and the prox-centre; there F(x_0) + G(x_0) is BA's
     upper bound at p (Arimoto's max_i D(W_i || W^T p), or its hull LP over
-    the affordable inputs).  That start pair (I(p), F(x_0) + G(x_0)) and
-    the dual's own pair (report.dual_c_lb, report.dual_c_ub) bound the same
+    the affordable inputs).  BA's own pair (I(p) and that bound, as BA
+    computed them) and the dual's own pair (report.dual_c_lb, report.dual_c_ub) bound the same
     capacity, so report.c_lb is the larger lower side, with p_hat the input
     attaining it (p or the averaged masses), and report.c_ub the smaller
     upper side, with lambda_hat the point attaining it (x_0 or the last y).
@@ -512,9 +512,8 @@ def _solve_core(W: ChannelMatrix,
     centre, warm, start = None, 0, (-math.inf, math.inf)
     if stopping == "aposteriori":
         ba = ba_solve(W, epsilon / 3.0, stopping="aposteriori", cost=cost)
-        centre, warm = _arimoto_point(W, ba.p), ba.iterations
-        # BA's pair: I(p) and F + G at x_0, which is Arimoto's bound at p.
-        start = (ba.c_lb, eval_F(centre)[0] + exact_G(centre))
+        # BA's pair: I(p) and Arimoto's bound at p, which is F + G at x_0.
+        centre, warm, start = _arimoto_point(W, ba.p), ba.iterations, (ba.c_lb, ba.c_ub)
         # The a priori bound takes max over the ball of |lambda - x_0|^2 / 2.
         d1 = 0.5 * (radius + math.sqrt(centre.dot(centre))) ** 2
 

@@ -5,8 +5,10 @@ functions here run the same floating-point operations in the same order but
 build every intermediate as a new array; the tests require the two to agree
 bit for bit.  So ``FastGradientState.step`` is the stacked step (one 2 x 2
 by 2 x M product for both unprojected points, one product for the next
-iterate) and ``ba_solve`` keeps log p normalised by its softmax's
-log-sum-exp, as the solvers do; ``tests/test_dual_solver.py`` checks the
+iterate) and ``ba_solve`` shifts log p by its normaliser, the softmax's
+log-sum-exp or, with a cost, the Phi of the cost tilt (computed by
+``_max_entropy_multipliers`` without ``out=``), as the solvers do;
+``tests/test_dual_solver.py`` checks the
 stacked step against the textbook one.  ``_eval_F_direct`` and
 ``_eval_G_nu_direct`` evaluate the dual terms without the max shift
 (criterion 10's reference), and
@@ -27,7 +29,8 @@ from capbound.blahut_arimoto import (_LADDER_FIRST, _LADDER_GROWTH, _LOG_Q_FLOOR
 from capbound.continuous import _truncated_rows
 from capbound.dual_solver import _as_values
 from capbound.errors import NewtonStall
-from capbound.info_theory import LN2, ProbVector, _entropy_bits
+from capbound.info_theory import (LN2, ProbVector, _affordable_budget, _entropy_bits,
+                                  _max_entropy_multipliers, _segment_lp_max)
 
 
 def _eval_F_direct(lam):
@@ -47,11 +50,6 @@ def _eval_G_nu_direct(lam, W, nu):
     p = t / s
     value = nu * np.log2(s) - nu * math.log2(W.rows)
     return float(value), W.entries.T @ p, p
-
-
-def logsumexp(a):
-    m = float(a.max())
-    return m + math.log(float(np.exp(a - m).sum()))
 
 
 def softmax(a):
@@ -184,8 +182,8 @@ def fast_gradient(K, r, logw, radius, nu, n, s, budget, exact_G, target, progres
     return k, y, mass_hat, c_lb, c_ub
 
 
-def ba_solve(W, epsilon, stopping="apriori"):
-    """Reference for ``blahut_arimoto.ba_solve``: same ladder, step and safeguard."""
+def ba_solve(W, epsilon, stopping="apriori", cost=None):
+    """Reference for ``blahut_arimoto.ba_solve``: same ladder, step, tilt and safeguard."""
     t0 = time.perf_counter()
     N = W.rows
     n = ba_iterations(N, epsilon)
@@ -196,15 +194,24 @@ def ba_solve(W, epsilon, stopping="apriori"):
     row_neg_ent = wlogw.sum(axis=1)
     reachable = mask.any(axis=0)
 
+    def tilt(a, m2):
+        """The normaliser Phi(a), the multiplier and the (cost-tilted) softmax."""
+        if cost is None:
+            lse, p = softmax(a)
+            return lse, m2, p
+        return _max_entropy_multipliers(a, cost.costs,
+                                        _affordable_budget(cost.costs, cost.budget), m2)
+
     logp = np.full(N, -math.log(N))
     watch = stopping == "aposteriori"
     step = _OVERRELAX if watch else 1.0
+    m2 = 0.0
     kept, kept_lb, kept_gain = None, -math.inf, 0.0
     due = _LADDER_FIRST
     it = 0
     while True:
-        lse, p = softmax(logp)
-        logp = logp - lse
+        phi, m2, p = tilt(logp, m2)
+        logp = logp - phi
         q = Wm.T @ p
         logq = np.zeros_like(q)
         nz = q > 0.0
@@ -217,7 +224,8 @@ def ba_solve(W, epsilon, stopping="apriori"):
             bound = div
             if not nz[reachable].all():
                 bound = row_neg_ent - Wm @ np.where(reachable & ~nz, _LOG_Q_FLOOR, logq)
-            c_ub = float(bound.max()) / LN2
+            c_ub = (float(bound.max()) if cost is None
+                    else _segment_lp_max(bound, cost.costs, cost.budget)) / LN2
             if it == n or c_ub - c_lb <= epsilon:
                 break
             if step != 1.0:
@@ -225,7 +233,7 @@ def ba_solve(W, epsilon, stopping="apriori"):
                     (logp, div), step = kept, 1.0
                 else:
                     kept, kept_lb = (logp, div), c_lb
-                    kept_gain = max((logsumexp(logp + div) - logsumexp(logp)) / LN2 - c_lb, 0.0)
+                    kept_gain = max(tilt(logp + div, m2)[0] / LN2 - c_lb, 0.0)
         logp = logp + step * div
         it += 1
 

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_seeded_start import positive_channels
 
 import capbound as cb
 from capbound import blahut_arimoto
-from capbound.info_theory import _segment_lp_max
+from capbound.info_theory import (_COST_TOL, LN2, _affordable_budget, _max_entropy_multipliers,
+                                  _segment_lp_max, _softmax)
 
 
 def binary_entropy(p):
@@ -109,15 +111,21 @@ def test_overrelaxed_cycle_falls_back_to_plain_steps():
     # I(p) still rises between the checkpoints at 9 and 12 iterations while
     # input 1 dies out, so no fall of c_lb gives it away; it rises less than
     # one plain step from the checkpoint at 9 would, and the run goes back
-    # there and certifies with plain steps.
+    # there and certifies with plain steps.  The same holds under costs
+    # (0, 0.5, 1) and budget 0.9, which the optimum (1/2, 0, 1/2) meets, on
+    # the cost-tilted path.
     W = cb.ChannelMatrix([[1.0, 0.0], [0.75, 0.25], [0.0, 1.0]])
-    at9, at12 = (cb.ba_solve(W, 1e-3, "aposteriori", iteration_cap=k) for k in (9, 12))
-    assert at9.c_lb < at12.c_lb
-    assert at12.c_ub - at12.c_lb > 0.01
-    rep = cb.ba_solve(W, 1e-3, "aposteriori")
-    assert rep.stop_reason == "gap<=eps" and rep.c_ub - rep.c_lb <= 1e-3
-    assert rep.iterations == 16
-    assert rep.c_lb <= 1.0 <= rep.c_ub
+    for cost in (None, cb.CostConstraint(np.array([0.0, 0.5, 1.0]), 0.9)):
+        at9, at12 = (cb.ba_solve(W, 1e-3, "aposteriori", iteration_cap=k, cost=cost)
+                     for k in (9, 12))
+        assert at9.c_lb < at12.c_lb
+        assert at12.c_ub - at12.c_lb > 0.01
+        rep = cb.ba_solve(W, 1e-3, "aposteriori", cost=cost)
+        assert rep.stop_reason == "gap<=eps" and rep.c_ub - rep.c_lb <= 1e-3
+        assert rep.iterations == 16
+        assert rep.c_lb <= 1.0 <= rep.c_ub
+        if cost is not None:
+            assert cost.costs @ rep.p.weights <= cost.budget
 
 
 @pytest.mark.parametrize("db", [6, 14])
@@ -128,6 +136,55 @@ def test_safeguard_rescues_a_divergent_step(monkeypatch, db):
     rep = cb.solve_poisson_grid(10.0 ** (db / 10.0), 1.0)
     assert rep.stop_reason == "gap<=eps"
     assert rep.c_ub - rep.c_lb <= 1e-3
+
+
+def test_safeguard_rescues_a_divergent_cost_step(monkeypatch):
+    # The cost-tilted step log p += 3 D still certifies make_random(16, 8,
+    # 101..107) under these costs without a fallback.  Alone, the step
+    # log p += 10 D runs to the a priori count on four of the seven (keys
+    # 102, 105, 106 and 107); the safeguard falls back to plain tilted
+    # steps and certifies all seven within the budget.
+    s = np.random.default_rng(0).random(16)
+    cost = cb.CostConstraint(s, float(np.quantile(s, 0.3)))
+    for overrelax in (3.0, 10.0):
+        monkeypatch.setattr(blahut_arimoto, "_OVERRELAX", overrelax)
+        for key in range(101, 108):
+            rep = cb.ba_solve(cb.make_random(16, 8, key), 1e-3, "aposteriori", cost=cost)
+            assert rep.stop_reason == "gap<=eps" and rep.c_ub - rep.c_lb <= 1e-3, key
+            assert cost.costs @ rep.p.weights <= cost.budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(W=positive_channels(max_size=8), data=st.data(), with_cost=st.booleans())
+def test_plain_step_gain_bound(W, data, with_cost):
+    # From log-weights whose normaliser Phi is 0, the plain (cost-tilted)
+    # step p' gains I(p') >= Phi(logp + D)/ln 2, the safeguard's bound.  A
+    # binding tilt spends the rescaled budget only to within the multiplier
+    # solve's tolerance (100 * _COST_TOL at most), which moves the bound by
+    # up to |m2' - m2| times that.
+    logw = np.array(data.draw(st.lists(st.floats(-30.0, 30.0), min_size=W.rows,
+                                       max_size=W.rows)))
+    if with_cost:
+        s = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=W.rows,
+                                        max_size=W.rows)))
+        assume(s.max() > s.min())
+        budget = s.min() + data.draw(st.floats(0.01, 0.99)) * (s.max() - s.min())
+        spend = _affordable_budget(s, budget)
+
+        def tilt(a, m2):
+            return _max_entropy_multipliers(a, s, spend, m2)
+    else:
+        def tilt(a, m2):
+            lse, mass = _softmax(a)
+            return lse, 0.0, mass
+    phi, m2, p = tilt(logw, 0.0)
+    logp = logw - phi
+    div = W.neg_ent - W.entries @ np.log(W.entries.T @ p)
+    phi_step, m2_step, p_step = tilt(logp + div, m2)
+    if with_cost:
+        assert s @ p_step <= budget
+    slack = 1e-12 + abs(m2_step - m2) * 100 * _COST_TOL / LN2
+    assert cb.mutual_information(cb.ProbVector(p_step), W) >= phi_step / LN2 - slack
 
 
 @st.composite

@@ -47,9 +47,7 @@ def _quadrature_args(n):
 def _seeded_args(W, eps):
     """_fast_gradient's arguments, prox-centre and start pair, as _solve_core builds them."""
     ba = cb.ba_solve(W, eps / 3.0, "aposteriori")
-    centre = dual_solver._arimoto_point(W, ba.p)
-    ub_0 = cb.eval_F(centre)[0] + cb.exact_G_unconstrained(centre, W)
-    return _discrete_args(W, None, eps), centre, (ba.c_lb, ub_0)
+    return _discrete_args(W, None, eps), dual_solver._arimoto_point(W, ba.p), (ba.c_lb, ba.c_ub)
 
 
 CASES = {
@@ -110,12 +108,28 @@ BA_CHANNELS = {
 }
 
 
-@pytest.mark.parametrize("stopping", ["apriori", "aposteriori"])
-@pytest.mark.parametrize("name", sorted(BA_CHANNELS))
+_ITEM_1_COSTS = np.random.default_rng(0).random(16)
+
+# Cost-tilted runs, a posteriori only.
+BA_COST_CHANNELS = {
+    # Costs U(0, 1) and the budget at their 30% quantile, where the tilt binds.
+    "cost-16x8": (cb.make_random(16, 8, 103),
+                  cb.CostConstraint(_ITEM_1_COSTS, float(np.quantile(_ITEM_1_COSTS, 0.3)))),
+    # The over-relaxed 2-cycle under a budget that the optimum meets: the
+    # tilt is 0, and the run falls back to plain steps as without a cost.
+    "noiseless-cycle-cost": (BA_CHANNELS["noiseless-cycle"],
+                             cb.CostConstraint(np.array([0.0, 0.5, 1.0]), 0.9)),
+}
+
+
+@pytest.mark.parametrize("name, stopping", [
+    *[(name, stopping) for name in sorted(BA_CHANNELS) for stopping in ("apriori", "aposteriori")],
+    *[(name, "aposteriori") for name in sorted(BA_COST_CHANNELS)],
+])
 def test_ba_solve_matches_reference(name, stopping):
-    W = BA_CHANNELS[name]
-    rep = cb.ba_solve(W, 1e-3, stopping)
-    ref = ba_solve_reference(W, 1e-3, stopping)
+    W, cost = BA_COST_CHANNELS[name] if name in BA_COST_CHANNELS else (BA_CHANNELS[name], None)
+    rep = cb.ba_solve(W, 1e-3, stopping, cost=cost)
+    ref = ba_solve_reference(W, 1e-3, stopping, cost=cost)
     assert rep.iterations == ref.iterations
     for field in ("c_lb", "c_ub", "apriori_err"):
         assert _same(getattr(rep, field), getattr(ref, field)), field
