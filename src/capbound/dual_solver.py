@@ -143,12 +143,34 @@ def eval_F(lam) -> tuple[float, np.ndarray]:
     return float(lse / LN2), -p
 
 
+# Bytes of K per row block of the unconstrained input term: a block stays in
+# a 2 MB L2 cache between its two products.
+_BLOCK_BYTES = 1 << 20
+
+
+def _input_term_work(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray] = None
+                     ) -> tuple:
+    """Work arrays of ``_smoothed_input_term`` over K, to allocate once per solve.
+
+    (log-masses, masses, K^T mass, block gradient, blocks): vectors of sizes
+    N, N, M and M, and for each row block of ``_BLOCK_BYTES`` of K (at least
+    one row) the views (K_b, K_b^T, r_b, logw_b, log-masses_b, masses_b).
+    """
+    N, M = K.shape
+    logmass, mass = np.empty(N), np.empty(N)
+    rows = max(1, _BLOCK_BYTES // (8 * M))
+    blocks = [(K[i:i + rows], K[i:i + rows].T, r[i:i + rows],
+               None if logw is None else logw[i:i + rows], logmass[i:i + rows],
+               mass[i:i + rows]) for i in range(0, N, rows)]
+    return logmass, mass, np.empty(M), np.empty(M), blocks
+
+
 def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: float,
                          logw: Optional[np.ndarray] = None,
                          s: Optional[np.ndarray] = None,
                          budget: Optional[float] = None,
                          m2: float = 0.0,
-                         out: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+                         out: Optional[tuple] = None
                          ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Smoothed input term over inputs with log-weights: (Phi, K^T mass, mass, m2).
 
@@ -160,21 +182,61 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
     log-sum-exp of the log-masses without a cost), so
     G_nu = nu*Phi/ln2 - nu*log2(total weight).  The multiplier solve
     starts from the given ``m2``; the solved m2 is returned.
-    ``out`` = (log-masses, masses, K^T mass) are work arrays of sizes
-    (N, N, M) that receive the results in place; without it every call
-    allocates its own.
+
+    Without a cost, K is read once: each row block forms its log-masses,
+    takes their softmax in place and adds K_b^T mass_b to the gradient
+    while the block is still in cache.  The block normalisers are combined
+    online, by a running max and sum (Milakov & Gimelshein,
+    arXiv:1805.02867): the gradient is rescaled when the max rises, and each
+    block's masses once at the end.  A K that fits in one block takes one
+    product each way and one softmax, with no rescaling.  With a cost, the
+    multiplier solve needs every log-mass first, so K is read twice.  K
+    should be C-ordered (``ChannelMatrix`` stores it so), or its row blocks
+    are strided.  ``out`` is ``_input_term_work(K, r, logw)``, whose arrays
+    receive the results in place; without it every call allocates its own.
     """
-    logmass, mass, grad = (None, None, None) if out is None else out
-    logmass = np.dot(K, lam, out=logmass)
-    logmass -= r
-    logmass *= LN2 / nu
-    if logw is not None:
-        logmass += logw
-    if s is None:
-        lse, mass = _softmax(logmass, out=mass)
-    else:
+    logmass, mass, grad, part, blocks = _input_term_work(K, r, logw) if out is None else out
+    scale = LN2 / nu
+    if s is not None:
+        np.dot(K, lam, out=logmass)
+        logmass -= r
+        logmass *= scale
+        if logw is not None:
+            logmass += logw
         lse, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
-    return lse, np.dot(K.T, mass, out=grad), mass, m2
+        return lse, np.dot(K.T, mass, out=grad), mass, m2
+
+    done = []
+    for Kb, KbT, rb, wb, lb, mb in blocks:
+        np.dot(Kb, lam, out=lb)
+        lb -= rb
+        lb *= scale
+        if wb is not None:
+            lb += wb
+        lse_b = _softmax(lb, out=mb)[0]
+        if not done:
+            np.dot(KbT, mb, out=grad)
+            top, total = lse_b, 1.0
+        elif lse_b <= top:
+            c = math.exp(lse_b - top)
+            total += c
+            np.dot(KbT, mb, out=part)
+            part *= c
+            grad += part
+        else:
+            c = math.exp(top - lse_b)
+            total = total * c + 1.0
+            top = lse_b
+            grad *= c
+            grad += np.dot(KbT, mb, out=part)
+        done.append((mb, lse_b))
+    lse = top + math.log(total)
+    if total != 1.0:
+        grad /= total
+    for mb, lse_b in done:
+        if lse_b != lse:
+            mb *= math.exp(lse_b - lse)
+    return lse, grad, mass, m2
 
 
 def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
@@ -336,7 +398,8 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
     # The step's stacked gradient pieces: row 0 takes grad G_nu = K^T mass,
     # row 1 the softmax of -x ln2 (minus grad F).
     HE = np.empty((2, M))
-    work = (np.empty(N), np.empty(N), HE[0])
+    logmass, mass, _, part, blocks = _input_term_work(K, r, logw)
+    work = (logmass, mass, HE[0], part, blocks)
     weighted = np.empty(N)
     pF = HE[1]
     watch = target is not None or progress is not None

@@ -16,6 +16,7 @@ Blahut-Arimoto.
 
 from __future__ import annotations
 
+import bisect
 import io
 import math
 from dataclasses import dataclass
@@ -191,7 +192,7 @@ def _segment_lp_max(f: np.ndarray, s: np.ndarray, budget: float) -> float:
     (s_i, f_i) at the budget; O(N log N).
     """
     smin, _ = _cost_range(s, budget)
-    budget = max(budget, smin)
+    budget = max(float(budget), smin)
     top = float(f.max())
     if float(s[f == top].min()) <= budget:
         return top
@@ -200,24 +201,20 @@ def _segment_lp_max(f: np.ndarray, s: np.ndarray, budget: float) -> float:
     # Keep only the best f for duplicate cost values.
     keep = np.ones(ss.size, dtype=bool)
     keep[1:] = np.diff(ss) > 0
-    ss, fs = ss[keep], fs[keep]
-    # Monotone-chain upper hull over (cost, value) points.
-    hull: list[int] = []
-    for i in range(ss.size):
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (ss[a] - ss[o]) * (fs[i] - fs[o]) - (fs[a] - fs[o]) * (ss[i] - ss[o])
-            if cross >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    hx = ss[hull]
-    hy = fs[hull]
+    # Monotone-chain upper hull over (cost, value) points, in Python floats.
+    hx: list[float] = []
+    hy: list[float] = []
+    for x, y in zip(ss[keep].tolist(), fs[keep].tolist()):
+        while len(hx) >= 2 and \
+                (hx[-1] - hx[-2]) * (y - hy[-2]) - (hy[-1] - hy[-2]) * (x - hx[-2]) >= 0:
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
     # smin = hx[0] <= budget < the maximiser's cost <= hx[-1].
-    j = int(np.searchsorted(hx, budget, side="right"))
+    j = bisect.bisect_right(hx, budget)
     t = (budget - hx[j - 1]) / (hx[j] - hx[j - 1])
-    return float((1.0 - t) * hy[j - 1] + t * hy[j])
+    return (1.0 - t) * hy[j - 1] + t * hy[j]
 
 
 class ProbVector:
@@ -262,7 +259,10 @@ class ProbVector:
 class ChannelMatrix:
     """Row-stochastic channel law W with cached per-row entropies.
 
-    entries[i, j] = P(output j | input i).  ``neg_ent`` holds
+    entries[i, j] = P(output j | input i), stored C-ordered (each row
+    contiguous) whatever the layout given, so that the solvers' row blocks
+    of W are contiguous; a relabelled channel such as ``W[rows][:, cols]``
+    arrives Fortran-ordered.  ``neg_ent`` holds
     sum_j W_ij ln W_ij of each row (minus its entropy in nats, zero entries
     left out), ``r`` the conditional output entropy of each row in bits
     (-neg_ent / ln 2), ``gamma`` the exact minimum entry.
@@ -271,7 +271,7 @@ class ChannelMatrix:
     __slots__ = ("entries", "neg_ent", "r", "gamma")
 
     def __init__(self, entries):
-        W = np.array(entries, dtype=float)
+        W = np.array(entries, dtype=float, order="C")
         if W.ndim != 2 or W.size == 0:
             raise InvalidChannel("channel matrix must be a non-empty 2-D array")
         if not np.all(np.isfinite(W)):

@@ -5,11 +5,15 @@ functions here run the same floating-point operations in the same order but
 build every intermediate as a new array; the tests require the two to agree
 bit for bit.  So ``FastGradientState.step`` is the stacked step (one 2 x 2
 by 2 x M product for both unprojected points, one product for the next
-iterate) and ``ba_solve`` shifts log p by its normaliser, the softmax's
-log-sum-exp or, with a cost, the Phi of the cost tilt (computed by
+iterate), ``smoothed_input_term`` walks the rows of K in blocks of
+``dual_solver._BLOCK_BYTES`` with the same running max and sum, and
+``ba_solve`` shifts log p by its normaliser, the softmax's log-sum-exp or,
+with a cost, the Phi of the cost tilt (computed by
 ``_max_entropy_multipliers`` without ``out=``), as the solvers do;
 ``tests/test_dual_solver.py`` checks the
-stacked step against the textbook one.  ``_eval_F_direct`` and
+stacked step against the textbook one.  ``segment_lp_max`` is the hull LP
+over numpy scalars that ``info_theory._segment_lp_max`` replaced with a
+loop over Python floats.  ``_eval_F_direct`` and
 ``_eval_G_nu_direct`` evaluate the dual terms without the max shift
 (criterion 10's reference), and
 ``poisson_tail_direct`` sums the Poisson tail series that ``tail_Rk`` bounds
@@ -24,13 +28,14 @@ import time
 import numpy as np
 from scipy.special import gammaln
 
+from capbound import dual_solver
 from capbound.blahut_arimoto import (_LADDER_FIRST, _LADDER_GROWTH, _LOG_Q_FLOOR, _OVERRELAX,
                                      BAReport, ba_iterations)
 from capbound.continuous import _truncated_rows
 from capbound.dual_solver import _as_values
 from capbound.errors import NewtonStall
-from capbound.info_theory import (LN2, ProbVector, _affordable_budget, _entropy_bits,
-                                  _max_entropy_multipliers, _segment_lp_max)
+from capbound.info_theory import (LN2, ProbVector, _affordable_budget, _cost_range,
+                                  _entropy_bits, _max_entropy_multipliers, _segment_lp_max)
 
 
 def _eval_F_direct(lam):
@@ -115,14 +120,61 @@ def max_entropy_multipliers(logmass, s, budget, start=0.0):
 
 
 def smoothed_input_term(K, r, lam, nu, logw=None, s=None, budget=None, m2=0.0):
-    logmass = (K @ lam - r) * (LN2 / nu)
-    if logw is not None:
-        logmass += logw
-    if s is None:
-        lse, mass = softmax(logmass)
-    else:
+    if s is not None:
+        logmass = (K @ lam - r) * (LN2 / nu)
+        if logw is not None:
+            logmass += logw
         lse, m2, mass = max_entropy_multipliers(logmass, s, budget, m2)
-    return lse, K.T @ mass, mass, m2
+        return lse, K.T @ mass, mass, m2
+    # Row blocks of dual_solver._BLOCK_BYTES, combined by a running max and sum.
+    rows = max(1, dual_solver._BLOCK_BYTES // (8 * K.shape[1]))
+    blocks = []
+    for i in range(0, K.shape[0], rows):
+        logmass = (K[i:i + rows] @ lam - r[i:i + rows]) * (LN2 / nu)
+        if logw is not None:
+            logmass += logw[i:i + rows]
+        lse_b, mass_b = softmax(logmass)
+        blocks.append((mass_b, lse_b))
+        if not i:
+            grad, top, total = K[:rows].T @ mass_b, lse_b, 1.0
+        elif lse_b <= top:
+            c = math.exp(lse_b - top)
+            grad, total = grad + (K[i:i + rows].T @ mass_b) * c, total + c
+        else:
+            c = math.exp(top - lse_b)
+            grad, top, total = grad * c + K[i:i + rows].T @ mass_b, lse_b, total * c + 1.0
+    lse = top + math.log(total)
+    mass = np.concatenate([mass_b * math.exp(lse_b - lse) for mass_b, lse_b in blocks])
+    return lse, grad / total, mass, m2
+
+
+def segment_lp_max(f, s, budget):
+    """max f^T p over {p in simplex : s^T p <= budget}, the hull walked over numpy scalars."""
+    smin, _ = _cost_range(s, budget)
+    budget = max(budget, smin)
+    top = float(f.max())
+    if float(s[f == top].min()) <= budget:
+        return top
+    order = np.lexsort((-f, s))
+    ss, fs = s[order], f[order]
+    keep = np.ones(ss.size, dtype=bool)
+    keep[1:] = np.diff(ss) > 0
+    ss, fs = ss[keep], fs[keep]
+    hull = []
+    for i in range(ss.size):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            cross = (ss[a] - ss[o]) * (fs[i] - fs[o]) - (fs[a] - fs[o]) * (ss[i] - ss[o])
+            if cross >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    hx = ss[hull]
+    hy = fs[hull]
+    j = int(np.searchsorted(hx, budget, side="right"))
+    t = (budget - hx[j - 1]) / (hx[j] - hx[j - 1])
+    return float((1.0 - t) * hy[j - 1] + t * hy[j])
 
 
 class FastGradientState:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import segment_lp_max as segment_lp_max_reference
 from reference import softmax as softmax_reference
+from scipy.optimize import linprog
 
 import capbound as cb
 from capbound.errors import DimensionMismatch, InvalidChannel
-from capbound.info_theory import _softmax
+from capbound.info_theory import _segment_lp_max, _softmax
 
 
 def binary_entropy(p):
@@ -207,6 +209,29 @@ class TestChannelMatrix:
         W = cb.make_random(5, 4, seed=10)
         assert W.gamma == W.entries.min()
 
+    def test_stores_c_ordered_entries(self):
+        # A relabelled channel (rows, then columns picked) is Fortran-ordered;
+        # the solvers walk row blocks of W, so it is stored C-ordered, and
+        # every solve sees the same array as for the C-ordered input.
+        entries = cb.make_random(40, 7, seed=11).entries
+        rng = np.random.default_rng(0)
+        picked = entries[rng.permutation(40)][:, rng.permutation(7)]
+        assert picked.flags.f_contiguous and not picked.flags.c_contiguous
+        W_f, W_c = cb.ChannelMatrix(picked), cb.ChannelMatrix(np.ascontiguousarray(picked))
+        assert W_f.entries.flags.c_contiguous
+        assert W_f.entries.tobytes() == W_c.entries.tobytes()
+        for stopping in ("apriori", "aposteriori"):
+            rep_f = cb.solve_capacity(W_f, epsilon=0.05, stopping=stopping)
+            rep_c = cb.solve_capacity(W_c, epsilon=0.05, stopping=stopping)
+            assert rep_f.iterations == rep_c.iterations
+            assert (rep_f.c_lb, rep_f.c_ub) == (rep_c.c_lb, rep_c.c_ub)
+            assert rep_f.p_hat.weights.tobytes() == rep_c.p_hat.weights.tobytes()
+            assert rep_f.lambda_hat.values.tobytes() == rep_c.lambda_hat.values.tobytes()
+            ba_f, ba_c = cb.ba_solve(W_f, 1e-3, stopping), cb.ba_solve(W_c, 1e-3, stopping)
+            assert ba_f.iterations == ba_c.iterations
+            assert (ba_f.c_lb, ba_f.c_ub) == (ba_c.c_lb, ba_c.c_ub)
+            assert ba_f.p.weights.tobytes() == ba_c.p.weights.tobytes()
+
 
 @st.composite
 def softmax_inputs(draw):
@@ -237,3 +262,42 @@ def test_softmax_matches_reference_bit_for_bit(a, inplace):
         assert math.isnan(lse) and np.isnan(e).all()
     else:
         assert math.isfinite(lse) and e.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def segment_lps(draw, costs=st.sampled_from([0.0, 1.0]) | st.floats(0, 5)):
+    """(f, s, budget) with N in [1, 16], some tied costs and values, budget in [min s, max s]."""
+    n = draw(st.integers(1, 16))
+    f = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 2.5]) | st.floats(-10, 10),
+                               min_size=n, max_size=n)))
+    s = np.array(draw(st.lists(costs, min_size=n, max_size=n)))
+    budget = float(s.min() + draw(st.floats(0, 1)) * (s.max() - s.min()))
+    return f, s, budget
+
+
+# HiGHS accepts a constraint violated by up to its feasibility tolerance
+# (1e-7 by default; sum p = 1 + 5e-10 once gave 2.50000000125 for a largest
+# value of 2.5), so the oracle runs at 1e-10, and costs that differ by less
+# are one cost to it: with costs (0, 0, 0, 0, 0, 1.5e-218), budget 0 and the
+# best value on the last input, it reports that value, which the budget does
+# not afford.  The oracle's costs lie on a grid of eighths.
+@settings(max_examples=300, deadline=None)
+@given(lp=segment_lps(costs=st.integers(0, 40).map(lambda k: k / 8)))
+def test_segment_lp_max_solves_the_lp(lp):
+    # An independent LP solver: max f.p over p >= 0, sum p = 1, s.p <= budget.
+    f, s, budget = lp
+    res = linprog(-f, A_ub=s[None, :], b_ub=[budget], A_eq=np.ones((1, f.size)), b_eq=[1.0],
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    assert _segment_lp_max(f, s, budget) == pytest.approx(-res.fun, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp=segment_lps())
+def test_segment_lp_max_matches_numpy_scalar_hull_bit_for_bit(lp):
+    f, s, budget = lp
+    got, want = _segment_lp_max(f, s, budget), segment_lp_max_reference(f, s, budget)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -72,12 +72,35 @@ SEEDED = {
 }
 
 
+# Row blocks of the unconstrained input term: _BLOCK_BYTES set so that these
+# channels stream through several blocks (2, 3 and 3 rows a block).
+BLOCKS = {
+    "unconstrained-6x5": 8 * 5 * 2,
+    "unconstrained-40x7": 8 * 7 * 3,
+    "seeded-40x7": 8 * 7 * 3,
+}
+
+
 @pytest.mark.parametrize("case, target", [
     *[(case, target) for case in sorted(CASES)
       for target in ("aposteriori", "apriori", "apriori+progress")],
     *[(case, "aposteriori") for case in sorted(SEEDED)],
 ])
 def test_fast_gradient_matches_reference(case, target):
+    _check_fast_gradient(case, target)
+
+
+@pytest.mark.parametrize("case, target", [
+    *[(case, target) for case in sorted(BLOCKS) if case in CASES
+      for target in ("aposteriori", "apriori", "apriori+progress")],
+    *[(case, "aposteriori") for case in sorted(BLOCKS) if case in SEEDED],
+])
+def test_fast_gradient_matches_reference_in_blocks(case, target, monkeypatch):
+    monkeypatch.setattr(dual_solver, "_BLOCK_BYTES", BLOCKS[case])
+    _check_fast_gradient(case, target)
+
+
+def _check_fast_gradient(case, target):
     args, centre, start = (CASES[case](), None, (-math.inf, math.inf)) if case in CASES \
         else SEEDED[case]()
     seen = {"new": [], "ref": []}

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import capbound as cb
-from capbound import continuous
+from capbound import continuous, dual_solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -72,13 +72,17 @@ def test_every_truncation_grid_is_a_span(monkeypatch):
     assert rep.quad_nodes in {args[2] for args in grids}
 
 
-def test_inner_loop_layers_are_traced():
+def test_inner_loop_layers_are_traced(monkeypatch):
     # The stacked fast-gradient step still goes through the traced
     # FastGradientState.step, project_ball and _softmax, so the per-layer
     # table keeps its rows for them, on the a posteriori path and on the
-    # a priori one that dmc-small's perturbed BEC solve takes.
+    # a priori one that dmc-small's perturbed BEC solve takes, with the
+    # input term in one block and streamed through one-row blocks.
     spans = _load_spans()
-    for stopping, eps in (("aposteriori", 1e-2), ("apriori", 0.1)):
+    for block_bytes, stopping, eps in ((dual_solver._BLOCK_BYTES, "aposteriori", 1e-2),
+                                       (dual_solver._BLOCK_BYTES, "apriori", 0.1),
+                                       (8 * 3, "aposteriori", 1e-2), (8 * 3, "apriori", 0.1)):
+        monkeypatch.setattr(dual_solver, "_BLOCK_BYTES", block_bytes)
         tracer = spans.Tracer()
         tracer.install()
         try:
