@@ -34,13 +34,14 @@ solve of ``continuous.solve_poisson_grid``.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, require_sandwich
+from .errors import DimensionMismatch, require_epsilon, require_sandwich
 from .info_theory import (
     LN2,
     ChannelMatrix,
@@ -103,8 +104,7 @@ class BAReport:
 
 def ba_iterations(N: int, epsilon: float) -> int:
     """Iterations needed for an epsilon-accurate value: ceil(log2(N)/eps)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    require_epsilon(epsilon)
     return max(1, math.ceil(math.log2(N) / epsilon))
 
 
@@ -127,7 +127,7 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     and the run finishes with plain steps.  The log2(N)/n rate
     holds only for plain steps from the uniform start, so in this mode
     apriori_err is the certified gap c_ub - c_lb, which bounds C - c_lb
-    just as well.  An ``iteration_cap``
+    just as well.  An ``iteration_cap`` (an integer >= 1)
     below the a priori count stops the run there instead, and
     ``stop_reason`` then reads "cap" unless the gap was met.  Zero channel
     entries are fine (0*log 0 terms vanish); the KL exponents are
@@ -151,8 +151,13 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     """
     if stopping not in ("apriori", "aposteriori"):
         raise ValueError(f"unknown stopping mode {stopping!r}")
-    if iteration_cap is not None and iteration_cap < 1:
-        raise ValueError(f"iteration_cap must be >= 1, got {iteration_cap!r}")
+    if iteration_cap is not None:
+        try:
+            iteration_cap = operator.index(iteration_cap)
+        except TypeError:
+            raise ValueError(f"iteration_cap must be an integer, got {iteration_cap!r}") from None
+        if iteration_cap < 1:
+            raise ValueError(f"iteration_cap must be >= 1, got {iteration_cap!r}")
     if cost is not None and stopping != "aposteriori":
         raise ValueError("a cost constraint needs stopping='aposteriori'")
     t0 = time.perf_counter()

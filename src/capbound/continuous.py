@@ -49,6 +49,7 @@ from .errors import (
     InvalidChannel,
     InvalidOrder,
     NeedLargerM,
+    require_epsilon,
     require_sandwich,
 )
 from .info_theory import LN2, ChannelMatrix, _neg_xlogx_nats
@@ -570,8 +571,7 @@ def solve_poisson_grid(peak: float, dark_current: float = 1.0, epsilon: float = 
     bound refuses costs no solve.
     """
     t0 = time.perf_counter()
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    require_epsilon(epsilon)
     base = poisson_channel(peak, dark_current)
     tenth = epsilon / 10.0
     _kernel_floor_bound(base, math.ceil(base.peak + base.dark_current))

@@ -51,6 +51,7 @@ from .errors import (
     AssumptionViolated,
     CertificateViolated,
     DimensionMismatch,
+    require_epsilon,
     require_sandwich,
 )
 from .info_theory import (
@@ -143,26 +144,32 @@ def eval_F(lam) -> tuple[float, np.ndarray]:
     return float(lse / LN2), -p
 
 
-# Bytes of K per row block of the unconstrained input term: a block stays in
-# a 2 MB L2 cache between its two products.
+# Bytes of K per row block of the smoothed input term: a block stays in a
+# 2 MB L2 cache between its two products.
 _BLOCK_BYTES = 1 << 20
 
 
-def _input_term_work(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray] = None
-                     ) -> tuple:
+def _input_term_work(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray] = None,
+                     grad: Optional[np.ndarray] = None) -> tuple:
     """Work arrays of ``_smoothed_input_term`` over K, to allocate once per solve.
 
-    (log-masses, masses, K^T mass, block gradient, blocks): vectors of sizes
-    N, N, M and M, and for each row block of ``_BLOCK_BYTES`` of K (at least
-    one row) the views (K_b, K_b^T, r_b, logw_b, log-masses_b, masses_b).
+    (log-masses, masses, K^T mass, block log-sum-exps, block gradients,
+    blocks): vectors of sizes N, N, M (``grad`` when given) and B, a B x M
+    array, and for each of the B row blocks of ``_BLOCK_BYTES`` of K (at
+    least one row) the views (K_b, K_b^T, r_b, logw_b, log-masses_b,
+    masses_b, block gradient_b).  With one block, its gradient row is the
+    gradient itself.
     """
     N, M = K.shape
     logmass, mass = np.empty(N), np.empty(N)
+    grad = np.empty(M) if grad is None else grad
     rows = max(1, _BLOCK_BYTES // (8 * M))
+    starts = range(0, N, rows)
+    parts = grad[None] if len(starts) == 1 else np.empty((len(starts), M))
     blocks = [(K[i:i + rows], K[i:i + rows].T, r[i:i + rows],
                None if logw is None else logw[i:i + rows], logmass[i:i + rows],
-               mass[i:i + rows]) for i in range(0, N, rows)]
-    return logmass, mass, np.empty(M), np.empty(M), blocks
+               mass[i:i + rows], part) for i, part in zip(starts, parts)]
+    return logmass, mass, grad, np.empty(len(starts)), parts, blocks
 
 
 def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: float,
@@ -183,59 +190,39 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
     G_nu = nu*Phi/ln2 - nu*log2(total weight).  The multiplier solve
     starts from the given ``m2``; the solved m2 is returned.
 
-    Without a cost, K is read once: each row block forms its log-masses,
-    takes their softmax in place and adds K_b^T mass_b to the gradient
-    while the block is still in cache.  The block normalisers are combined
-    online, by a running max and sum (Milakov & Gimelshein,
-    arXiv:1805.02867): the gradient is rescaled when the max rises, and each
-    block's masses once at the end.  A K that fits in one block takes one
-    product each way and one softmax, with no rescaling.  With a cost, the
-    multiplier solve needs every log-mass first, so K is read twice.  K
-    should be C-ordered (``ChannelMatrix`` stores it so), or its row blocks
-    are strided.  ``out`` is ``_input_term_work(K, r, logw)``, whose arrays
+    One loop walks K in row blocks and forms their log-masses.  Without a
+    cost, K is read once: each block also takes their softmax in place,
+    with log-sum-exp lse_b, and its gradient K_b^T mass_b while the block
+    is still in cache.  The softmax of the lse_b then gives the
+    log-sum-exp of all log-masses and the block weights exp(lse_b - lse),
+    which merge the block gradients in one product and scale each block's
+    masses.  A K that fits in one block takes one product each way and one
+    softmax.  With a cost, the multiplier solve needs every log-mass, so it
+    follows the loop with one product K^T mass: K is read twice.  K should
+    be C-ordered (``ChannelMatrix`` stores it so), or its row blocks are
+    strided.  ``out`` is ``_input_term_work(K, r, logw)``, whose arrays
     receive the results in place; without it every call allocates its own.
     """
-    logmass, mass, grad, part, blocks = _input_term_work(K, r, logw) if out is None else out
+    logmass, mass, grad, lses, parts, blocks = _input_term_work(K, r, logw) if out is None else out
     scale = LN2 / nu
-    if s is not None:
-        np.dot(K, lam, out=logmass)
-        logmass -= r
-        logmass *= scale
-        if logw is not None:
-            logmass += logw
-        lse, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
-        return lse, np.dot(K.T, mass, out=grad), mass, m2
-
-    done = []
-    for Kb, KbT, rb, wb, lb, mb in blocks:
+    for b, (Kb, KbT, rb, wb, lb, mb, part) in enumerate(blocks):
         np.dot(Kb, lam, out=lb)
         lb -= rb
         lb *= scale
         if wb is not None:
             lb += wb
-        lse_b = _softmax(lb, out=mb)[0]
-        if not done:
-            np.dot(KbT, mb, out=grad)
-            top, total = lse_b, 1.0
-        elif lse_b <= top:
-            c = math.exp(lse_b - top)
-            total += c
+        if s is None:
+            lse = lses[b] = _softmax(lb, out=mb)[0]
             np.dot(KbT, mb, out=part)
-            part *= c
-            grad += part
-        else:
-            c = math.exp(top - lse_b)
-            total = total * c + 1.0
-            top = lse_b
-            grad *= c
-            grad += np.dot(KbT, mb, out=part)
-        done.append((mb, lse_b))
-    lse = top + math.log(total)
-    if total != 1.0:
-        grad /= total
-    for mb, lse_b in done:
-        if lse_b != lse:
-            mb *= math.exp(lse_b - lse)
+    if s is not None:
+        lse, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
+        return lse, np.dot(K.T, mass, out=grad), mass, m2
+    if b == 0:
+        return lse, grad, mass, m2
+    lse, weight = _softmax(lses, out=lses)
+    np.dot(weight, parts, out=grad)
+    for (_, _, _, _, _, mb, _), w in zip(blocks, weight):
+        mb *= w
     return lse, grad, mass, m2
 
 
@@ -300,8 +287,7 @@ def scheduled_iterations(epsilon: float, d1: float, d2: float) -> int:
     Solves 4*sqrt(d1*d2)/(n+1) + 4*d1/(n+1)^2 = epsilon for n+1 (a quadratic)
     and rounds up.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    require_epsilon(epsilon)
     t = (2.0 / epsilon) * (math.sqrt(d1 * d2) + math.sqrt(d1 * d2 + epsilon * d1))
     return max(1, math.ceil(t - 1.0))
 
@@ -398,8 +384,7 @@ def _fast_gradient(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray],
     # The step's stacked gradient pieces: row 0 takes grad G_nu = K^T mass,
     # row 1 the softmax of -x ln2 (minus grad F).
     HE = np.empty((2, M))
-    logmass, mass, _, part, blocks = _input_term_work(K, r, logw)
-    work = (logmass, mass, HE[0], part, blocks)
+    work = _input_term_work(K, r, logw, HE[0])
     weighted = np.empty(N)
     pF = HE[1]
     watch = target is not None or progress is not None
@@ -513,8 +498,7 @@ def solve_capacity(W: ChannelMatrix,
     """
     if stopping not in ("apriori", "aposteriori"):
         raise ValueError(f"unknown stopping mode {stopping!r}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    require_epsilon(epsilon)
     if W.gamma <= 0.0:
         raise AssumptionViolated(
             "Assumption 1 violated: channel matrix has zero entries (gamma = 0); "

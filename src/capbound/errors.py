@@ -5,6 +5,8 @@ catch the specific subclass; ``CapacityError`` catches everything this
 package raises on purpose.
 """
 
+import math
+
 
 class CapacityError(Exception):
     """Base class for all errors raised by capbound."""
@@ -46,3 +48,9 @@ def require_sandwich(c_lb: float, c_ub: float, what: str) -> None:
     """Raise CertificateViolated unless c_lb <= c_ub up to 1e-9 (NaN fails)."""
     if not c_lb <= c_ub + 1e-9:
         raise CertificateViolated(f"{what}: lower bound {c_lb!r} above upper bound {c_ub!r}")
+
+
+def require_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless the accuracy epsilon is positive and finite (NaN fails)."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")

@@ -6,7 +6,8 @@ build every intermediate as a new array; the tests require the two to agree
 bit for bit.  So ``FastGradientState.step`` is the stacked step (one 2 x 2
 by 2 x M product for both unprojected points, one product for the next
 iterate), ``smoothed_input_term`` walks the rows of K in blocks of
-``dual_solver._BLOCK_BYTES`` with the same running max and sum, and
+``dual_solver._BLOCK_BYTES`` (block matvecs, block softmaxes, a softmax of
+their log-sum-exps to merge them), and
 ``ba_solve`` shifts log p by its normaliser, the softmax's log-sum-exp or,
 with a cost, the Phi of the cost tilt (computed by
 ``_max_entropy_multipliers`` without ``out=``), as the solvers do;
@@ -120,32 +121,22 @@ def max_entropy_multipliers(logmass, s, budget, start=0.0):
 
 
 def smoothed_input_term(K, r, lam, nu, logw=None, s=None, budget=None, m2=0.0):
+    # Row blocks of dual_solver._BLOCK_BYTES, merged by a softmax of their log-sum-exps.
+    rows = max(1, dual_solver._BLOCK_BYTES // (8 * K.shape[1]))
+    starts = range(0, K.shape[0], rows)
+    logmass = (np.concatenate([K[i:i + rows] @ lam for i in starts]) - r) * (LN2 / nu)
+    if logw is not None:
+        logmass += logw
     if s is not None:
-        logmass = (K @ lam - r) * (LN2 / nu)
-        if logw is not None:
-            logmass += logw
         lse, m2, mass = max_entropy_multipliers(logmass, s, budget, m2)
         return lse, K.T @ mass, mass, m2
-    # Row blocks of dual_solver._BLOCK_BYTES, combined by a running max and sum.
-    rows = max(1, dual_solver._BLOCK_BYTES // (8 * K.shape[1]))
-    blocks = []
-    for i in range(0, K.shape[0], rows):
-        logmass = (K[i:i + rows] @ lam - r[i:i + rows]) * (LN2 / nu)
-        if logw is not None:
-            logmass += logw[i:i + rows]
-        lse_b, mass_b = softmax(logmass)
-        blocks.append((mass_b, lse_b))
-        if not i:
-            grad, top, total = K[:rows].T @ mass_b, lse_b, 1.0
-        elif lse_b <= top:
-            c = math.exp(lse_b - top)
-            grad, total = grad + (K[i:i + rows].T @ mass_b) * c, total + c
-        else:
-            c = math.exp(top - lse_b)
-            grad, top, total = grad * c + K[i:i + rows].T @ mass_b, lse_b, total * c + 1.0
-    lse = top + math.log(total)
-    mass = np.concatenate([mass_b * math.exp(lse_b - lse) for mass_b, lse_b in blocks])
-    return lse, grad / total, mass, m2
+    blocks = [softmax(logmass[i:i + rows]) for i in starts]
+    parts = [K[i:i + rows].T @ mass_b for i, (_, mass_b) in zip(starts, blocks)]
+    if len(blocks) == 1:
+        return blocks[0][0], parts[0], blocks[0][1], m2
+    lse, weight = softmax(np.array([lse_b for lse_b, _ in blocks]))
+    mass = np.concatenate([mass_b * w for (_, mass_b), w in zip(blocks, weight)])
+    return lse, weight @ np.array(parts), mass, m2
 
 
 def segment_lp_max(f, s, budget):

@@ -243,6 +243,9 @@ def test_stop_reason_and_iteration_cap():
     assert loose.stop_reason == "apriori_n"
     with pytest.raises(ValueError):
         cb.ba_solve(W, 1e-2, iteration_cap=0)
+    # A non-integral cap would never equal the iteration count.
+    with pytest.raises(ValueError, match="integer"):
+        cb.ba_solve(W, 1e-2, iteration_cap=2.5)
     with pytest.raises(ValueError):
         cb.BAReport(0.1, 0.2, 0.0, 1, free.p, 0.0, stop_reason="tired")
 

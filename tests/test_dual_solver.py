@@ -357,6 +357,19 @@ class TestSchedules:
                 assert apriori_error_bound(n - 1, d1, d2) > eps
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_epsilon_must_be_positive_and_finite(eps):
+    W = cb.make_bsc(0.2)
+    for solve in (lambda: scheduled_iterations(eps, 4.0, 2.0),
+                  lambda: cb.ba_iterations(2, eps),
+                  lambda: cb.solve_capacity(W, epsilon=eps),
+                  lambda: cb.solve_capacity(cb.ChannelMatrix([[0.5, 0.5]]), epsilon=eps),
+                  lambda: cb.ba_solve(W, eps),
+                  lambda: cb.solve_poisson_grid(1.0, epsilon=eps)):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            solve()
+
+
 class TestSolveCapacity:
     def test_bsc_sandwich(self):
         rep = cb.solve_capacity(cb.make_bsc(0.1), epsilon=1e-3)

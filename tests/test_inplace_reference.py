@@ -72,9 +72,10 @@ SEEDED = {
 }
 
 
-# Row blocks of the unconstrained input term: _BLOCK_BYTES set so that these
-# channels stream through several blocks (2, 3 and 3 rows a block).
+# Row blocks of the input term: _BLOCK_BYTES set so that these channels
+# stream through several blocks (2, 2, 3 and 3 rows a block).
 BLOCKS = {
+    "cost-5x4": 8 * 4 * 2,
     "unconstrained-6x5": 8 * 5 * 2,
     "unconstrained-40x7": 8 * 7 * 3,
     "seeded-40x7": 8 * 7 * 3,

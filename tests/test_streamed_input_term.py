@@ -1,9 +1,11 @@
-"""The unconstrained smoothed input term streamed over row blocks of K.
+"""The smoothed input term streamed over row blocks of K.
 
 ``dual_solver._smoothed_input_term`` walks K in blocks of
-``_BLOCK_BYTES`` and combines the block normalisers online.  These tests set
-the block size small, so that tall channels split into many blocks, and hold
-the streamed value, gradient and masses to the one-block evaluation.
+``_BLOCK_BYTES``.  Without a cost it merges the blocks by a softmax of their
+log-sum-exps; with one, the same loop forms the log-masses block by block.
+These tests set the block size small, so that tall channels split into many
+blocks, and hold the streamed value, gradient and masses to the one-block
+evaluation.
 """
 
 import math
@@ -21,9 +23,10 @@ from capbound.info_theory import LN2
 ONE_BLOCK = 1 << 62
 
 
-def _eval(lam, W, nu, block_bytes):
+def _eval(lam, W, nu, block_bytes, cost=None):
     with mock.patch.object(dual_solver, "_BLOCK_BYTES", block_bytes):
-        value, grad, p = cb.eval_G_nu_unconstrained(lam, W, nu)
+        value, grad, p = cb.eval_G_nu_unconstrained(lam, W, nu) if cost is None \
+            else cb.eval_G_nu_constrained(lam, W, nu, cost)
     return value, grad, p.weights
 
 
@@ -60,6 +63,18 @@ def test_streamed_term_matches_one_block(problem):
     W, lam, nu, rows = problem
     streamed = _eval(lam, W, nu, 8 * W.cols * rows)
     _assert_close(streamed, _eval(lam, W, nu, ONE_BLOCK), nu, W.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=tall_problems(), seed=st.integers(0, 2**31), quantile=st.floats(0.05, 0.95))
+def test_streamed_constrained_term_matches_one_block(problem, seed, quantile):
+    # Costs U(0, 1), the budget strictly inside their range: the multiplier
+    # solve runs on log-masses formed block by block.
+    W, lam, nu, rows = problem
+    s = np.random.default_rng(seed).random(W.rows)
+    cost = cb.CostConstraint(s, float(s.min() + quantile * np.ptp(s)))
+    streamed = _eval(lam, W, nu, 8 * W.cols * rows, cost)
+    _assert_close(streamed, _eval(lam, W, nu, ONE_BLOCK, cost), nu, W.rows)
 
 
 def test_whole_blocks_underflow_without_warning():
