@@ -25,6 +25,13 @@ every iterate is feasible, and the upper bound becomes the maximum of
 sum_i p_i D_i over the affordable part of the simplex (Blahut, IEEE T-IT
 18(4), 1972).
 
+Each update, tilt included, is one call of the dual's smoothed input term
+``info_theory._smoothed_input_term`` in nats: at the dual point
+lambda = -ln q and smoothing nu = ln2/t, with log p as the log-weights, its
+log-masses are log p + t*D, so its masses, gradient and log-sum-exp are the
+next p, q = W^T p and the normaliser.  The loop makes no product with W of
+its own except at a checkpoint, where the certificate needs D.
+
 Uses: an independent cross-check of the dual smoothing solver; the start
 of every a posteriori dual solve (cost-tilted with a cost), whose pair is
 also half of that solve's certificate; and the certified Poisson grid
@@ -49,8 +56,10 @@ from .info_theory import (
     ProbVector,
     _affordable_budget,
     _entropy_bits,
+    _input_term_work,
     _max_entropy_multipliers,
     _segment_lp_max,
+    _smoothed_input_term,
     _softmax,
 )
 
@@ -162,6 +171,7 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
         raise ValueError("a cost constraint needs stopping='aposteriori'")
     t0 = time.perf_counter()
     N = W.rows
+    s = spend = None
     if cost is not None:
         s, budget = cost.costs, cost.budget
         if s.size != N:
@@ -170,47 +180,43 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
     n_apriori = ba_iterations(N, epsilon)
     n = n_apriori if iteration_cap is None else min(n_apriori, iteration_cap)
     Wm = W.entries
-    row_neg_ent = W.neg_ent  # sum_j W_ij ln W_ij
+    ent = -W.neg_ent  # row entropies in nats, the term's r
 
-    # Work vectors, allocated once and overwritten by every iterate.
+    # One step is one input-term call (see the module docstring): lam holds
+    # -ln q, logp is bound as the log-weights and p, q are the term's work.
+    lam = np.zeros(W.cols)
     logp = np.full(N, -math.log(N))
-    p = np.empty(N)
-    q = np.empty(W.cols)
-    logq = np.empty(W.cols)
-    div = np.empty(N)
+    work = _input_term_work(Wm, ent, logp)
+    logmass, p, q = work[:3]
     watch = stopping == "aposteriori"
     step = _OVERRELAX if watch else 1.0
+    nu = math.inf  # t = 0: the first call is the uniform start
     m2 = 0.0
     # The over-relaxed iterate at its last checkpoint, restored if it stalls.
-    kept_logp, kept_div = np.empty(N), np.empty(N)
+    kept_logp, kept_lam = np.empty(N), np.empty(W.cols)
     kept_lb, kept_gain = -math.inf, 0.0
     due = _LADDER_FIRST
     it = 0
     while True:
-        # p is the softmax of logp, or its cost tilt (which composes);
+        # p is the softmax of logp + t*D, or its cost tilt (which composes);
         # shifted by the normaliser Phi of either, logp has Phi(logp) = 0.
-        if cost is None:
-            phi, _ = _softmax(logp, out=p)
-        else:
-            phi, m2, _ = _max_entropy_multipliers(logp, s, spend, m2, out=p)
-        logp -= phi
-        np.dot(Wm.T, p, out=q)
+        phi, _, _, m2 = _smoothed_input_term(Wm, ent, lam, nu, logp, s, spend, m2, out=work)
+        np.subtract(logmass, phi, out=logp)
         nz = None
         if q[q.argmin()] > 0.0:
-            np.log(q, out=logq)
+            np.log(q, out=lam)
+            np.negative(lam, out=lam)
         else:
-            logq.fill(0.0)
+            # Columns with q_j = 0 have W_ij = 0 wherever p_i > 0, so lam_j = 0
+            # adds nothing to the next step.
+            lam.fill(0.0)
             nz = q > 0.0
-            logq[nz] = np.log(q[nz])
-        # D_i = sum_j W_ij ln(W_ij / q_j); columns with q_j = 0 have W_ij = 0
-        # wherever p_i > 0, so the zeroed logq entries contribute nothing to
-        # the update.
-        np.dot(Wm, logq, out=div)
-        np.subtract(row_neg_ent, div, out=div)
+            lam[nz] = -np.log(q[nz])
         if it == n or (watch and (it == 0 or it + 1 == due)):
             if it + 1 == due:
                 due = _next_checkpoint(due)
             c_lb = float(-(W.r @ p) + _entropy_bits(q))
+            div = Wm @ lam - ent
             bound = div
             if nz is not None:
                 # Outputs with a positive entry whose every feeding p_i
@@ -220,7 +226,7 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
                 # than M * 1e-300 of mass.
                 lost = (Wm > 0.0).any(axis=0) & ~nz
                 if lost.any():
-                    bound = row_neg_ent - Wm @ np.where(lost, _LOG_Q_FLOOR, logq)
+                    bound = Wm @ np.where(lost, -_LOG_Q_FLOOR, lam) - ent
             if cost is None:
                 c_ub = float(bound.max()) / LN2
             else:
@@ -233,11 +239,11 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
                     # than one plain step from the checkpoint before is sure
                     # to: go back there and finish with plain steps.
                     np.copyto(logp, kept_logp)
-                    np.copyto(div, kept_div)
+                    np.copyto(lam, kept_lam)
                     step = 1.0
                 else:
                     np.copyto(kept_logp, logp)
-                    np.copyto(kept_div, div)
+                    np.copyto(kept_lam, lam)
                     kept_lb = c_lb
                     # A plain step p' = p exp(D + m'u)/Z' (m' the tilt's change)
                     # has I(p') = ln Z' - m' u.p' + KL(p' || p) - D(q' || q) >=
@@ -246,9 +252,7 @@ def ba_solve(W: ChannelMatrix, epsilon: float, stopping: str = "apriori",
                     phi = (_softmax(logp + div)[0] if cost is None
                            else _max_entropy_multipliers(logp + div, s, spend, m2)[0])
                     kept_gain = max(phi / LN2 - c_lb, 0.0)
-        if step != 1.0:
-            div *= step
-        logp += div
+        nu = LN2 / step
         it += 1
 
     if stopping == "aposteriori" and c_ub - c_lb <= epsilon:

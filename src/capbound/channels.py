@@ -10,6 +10,7 @@ original channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,8 +85,8 @@ def perturb_channel(W: ChannelMatrix, eps: float) -> ChannelMatrix:
     Channels with no zero entries are returned unchanged.  The result always
     has gamma >= eps / (1 + M*eps) > 0.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     E = W.entries
     zeros = E == 0.0
     if not zeros.any():

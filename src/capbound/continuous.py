@@ -43,7 +43,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc, gammaln, xlogy
 
 from .blahut_arimoto import ba_solve
-from .dual_solver import _fast_gradient, _smoothed_input_term, ball_radius, eval_F
+from .dual_solver import _fast_gradient, ball_radius, eval_F
 from .errors import (
     AssumptionViolated,
     InvalidChannel,
@@ -52,7 +52,7 @@ from .errors import (
     require_epsilon,
     require_sandwich,
 )
-from .info_theory import LN2, ChannelMatrix, _neg_xlogx_nats
+from .info_theory import LN2, ChannelMatrix, _neg_xlogx_nats, _smoothed_input_term
 
 _GL_ORDER = 8
 
@@ -263,8 +263,8 @@ def eval_G_nu_continuous(lam, trunc: TruncatedChannel, nu: float
     its quadrature weight added to its exponent, so the gradient integrates
     the kernel against the returned density and sums to 1.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
     lam = np.asarray(lam, dtype=float)
     lse, grad, mass, _ = _smoothed_input_term(trunc.kernel_nodes, trunc.r_nodes, lam, nu,
                                               np.log(trunc.weights))

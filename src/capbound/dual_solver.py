@@ -54,7 +54,9 @@ from .errors import (
     require_epsilon,
     require_sandwich,
 )
-from .info_theory import (
+# _max_entropy_multipliers is bound here for the benchmark's span tracer
+# (perfbench/spans.py looks up its layers in this module).
+from .info_theory import (  # noqa: F401
     LN2,
     ChannelMatrix,
     CostConstraint,
@@ -62,8 +64,10 @@ from .info_theory import (
     _affordable_budget,
     _cost_range,
     _entropy_bits,
+    _input_term_work,
     _max_entropy_multipliers,
     _segment_lp_max,
+    _smoothed_input_term,
     _softmax,
 )
 
@@ -144,88 +148,6 @@ def eval_F(lam) -> tuple[float, np.ndarray]:
     return float(lse / LN2), -p
 
 
-# Bytes of K per row block of the smoothed input term: a block stays in a
-# 2 MB L2 cache between its two products.
-_BLOCK_BYTES = 1 << 20
-
-
-def _input_term_work(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray] = None,
-                     grad: Optional[np.ndarray] = None) -> tuple:
-    """Work arrays of ``_smoothed_input_term`` over K, to allocate once per solve.
-
-    (log-masses, masses, K^T mass, block log-sum-exps, block gradients,
-    blocks): vectors of sizes N, N, M (``grad`` when given) and B, a B x M
-    array, and for each of the B row blocks of ``_BLOCK_BYTES`` of K (at
-    least one row) the views (K_b, K_b^T, r_b, logw_b, log-masses_b,
-    masses_b, block gradient_b).  With one block, its gradient row is the
-    gradient itself.
-    """
-    N, M = K.shape
-    logmass, mass = np.empty(N), np.empty(N)
-    grad = np.empty(M) if grad is None else grad
-    rows = max(1, _BLOCK_BYTES // (8 * M))
-    starts = range(0, N, rows)
-    parts = grad[None] if len(starts) == 1 else np.empty((len(starts), M))
-    blocks = [(K[i:i + rows], K[i:i + rows].T, r[i:i + rows],
-               None if logw is None else logw[i:i + rows], logmass[i:i + rows],
-               mass[i:i + rows], part) for i, part in zip(starts, parts)]
-    return logmass, mass, grad, np.empty(len(starts)), parts, blocks
-
-
-def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: float,
-                         logw: Optional[np.ndarray] = None,
-                         s: Optional[np.ndarray] = None,
-                         budget: Optional[float] = None,
-                         m2: float = 0.0,
-                         out: Optional[tuple] = None
-                         ) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """Smoothed input term over inputs with log-weights: (Phi, K^T mass, mass, m2).
-
-    Input k carries the log-mass (K lambda - r)_k ln2/nu + logw_k (logw is 0
-    for a discrete channel and the log quadrature weight on a grid).  The
-    masses are their softmax, tilted by the cost multiplier m2 <= 0 when
-    ``s`` is given so that s . mass <= budget, and Phi is their
-    log-normaliser at the budget (``_max_entropy_multipliers``; the
-    log-sum-exp of the log-masses without a cost), so
-    G_nu = nu*Phi/ln2 - nu*log2(total weight).  The multiplier solve
-    starts from the given ``m2``; the solved m2 is returned.
-
-    One loop walks K in row blocks and forms their log-masses.  Without a
-    cost, K is read once: each block also takes their softmax in place,
-    with log-sum-exp lse_b, and its gradient K_b^T mass_b while the block
-    is still in cache.  The softmax of the lse_b then gives the
-    log-sum-exp of all log-masses and the block weights exp(lse_b - lse),
-    which merge the block gradients in one product and scale each block's
-    masses.  A K that fits in one block takes one product each way and one
-    softmax.  With a cost, the multiplier solve needs every log-mass, so it
-    follows the loop with one product K^T mass: K is read twice.  K should
-    be C-ordered (``ChannelMatrix`` stores it so), or its row blocks are
-    strided.  ``out`` is ``_input_term_work(K, r, logw)``, whose arrays
-    receive the results in place; without it every call allocates its own.
-    """
-    logmass, mass, grad, lses, parts, blocks = _input_term_work(K, r, logw) if out is None else out
-    scale = LN2 / nu
-    for b, (Kb, KbT, rb, wb, lb, mb, part) in enumerate(blocks):
-        np.dot(Kb, lam, out=lb)
-        lb -= rb
-        lb *= scale
-        if wb is not None:
-            lb += wb
-        if s is None:
-            lse = lses[b] = _softmax(lb, out=mb)[0]
-            np.dot(KbT, mb, out=part)
-    if s is not None:
-        lse, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
-        return lse, np.dot(K.T, mass, out=grad), mass, m2
-    if b == 0:
-        return lse, grad, mass, m2
-    lse, weight = _softmax(lses, out=lses)
-    np.dot(weight, parts, out=grad)
-    for (_, _, _, _, _, mb, _), w in zip(blocks, weight):
-        mb *= w
-    return lse, grad, mass, m2
-
-
 def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
                             ) -> tuple[float, np.ndarray, ProbVector]:
     """Smoothed input term G_nu(lambda), its gradient W^T p_nu, and p_nu.
@@ -233,8 +155,8 @@ def eval_G_nu_unconstrained(lam, W: ChannelMatrix, nu: float
     G_nu(lambda) = nu*log2 sum_i 2^((W lambda - r)_i / nu) - nu*log2(N); the
     maximizer p_nu is the softmax of the shifted exponents.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
     lse, grad, p, _ = _smoothed_input_term(W.entries, W.r, _as_values(lam), nu)
     return float(nu * lse / LN2 - nu * math.log2(W.rows)), grad, ProbVector(p)
 
@@ -248,8 +170,8 @@ def eval_G_nu_constrained(lam, W: ChannelMatrix, nu: float, cost: CostConstraint
     nu*Phi/ln2 - nu*log2(N) with Phi the solve's log-normaliser at the
     budget, which avoids any 0*log(0) evaluation.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0.0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu!r}")
     lse, grad, p, _ = _smoothed_input_term(W.entries, W.r, _as_values(lam), nu,
                                            s=cost.costs, budget=cost.budget)
     return float(nu * lse / LN2 - nu * math.log2(W.rows)), grad, ProbVector(p)

@@ -7,11 +7,14 @@ treated as exact zeros.
 
 Everything here is a pure function over immutable inputs (the arrays inside
 ``ChannelMatrix``/``ProbVector`` are marked read-only), so concurrent use
-from multiple threads is safe; only ``_softmax`` and
-``_max_entropy_multipliers`` write, into the ``out`` array their caller
-passes.  Those two and ``_segment_lp_max`` (the linear program over the
-affordable part of the simplex) are shared by the dual solver and
-Blahut-Arimoto.
+from multiple threads is safe; only ``_softmax``,
+``_max_entropy_multipliers`` and ``_smoothed_input_term`` write, into the
+``out`` arrays their caller passes.  The solvers share these kernels:
+``_smoothed_input_term`` (the O(NM) pass over the channel, with its cost
+tilt) is every step of the dual's fast-gradient loop, of its quadrature
+solve and of Blahut-Arimoto, and ``_segment_lp_max`` (the linear program
+over the affordable part of the simplex) bounds both solvers' certificates
+under a cost.
 """
 
 from __future__ import annotations
@@ -169,6 +172,95 @@ def _max_entropy_multipliers(logmass: np.ndarray, s: np.ndarray, budget: float,
     raise NewtonStall(
         f"cost multiplier Newton solve stalled (residual {abs(mean - b):.3e} of the cost range)"
     )
+
+
+# Bytes of K per row block of the smoothed input term: a block stays in a
+# 2 MB L2 cache between its two products.
+_BLOCK_BYTES = 1 << 20
+
+
+def _input_term_work(K: np.ndarray, r: np.ndarray, logw: Optional[np.ndarray] = None,
+                     grad: Optional[np.ndarray] = None) -> tuple:
+    """Work arrays of ``_smoothed_input_term`` over K, to allocate once per solve.
+
+    (log-masses, masses, K^T mass, block log-sum-exps, block gradients,
+    blocks): vectors of sizes N, N, M (``grad`` when given) and B, a B x M
+    array, and for each of the B row blocks of ``_BLOCK_BYTES`` of K (at
+    least one row) the views (K_b, K_b^T, r_b, logw_b, log-masses_b,
+    masses_b, block gradient_b).  With one block, its gradient row is the
+    gradient itself.
+    """
+    N, M = K.shape
+    logmass, mass = np.empty(N), np.empty(N)
+    grad = np.empty(M) if grad is None else grad
+    rows = max(1, _BLOCK_BYTES // (8 * M))
+    starts = range(0, N, rows)
+    parts = grad[None] if len(starts) == 1 else np.empty((len(starts), M))
+    blocks = [(K[i:i + rows], K[i:i + rows].T, r[i:i + rows],
+               None if logw is None else logw[i:i + rows], logmass[i:i + rows],
+               mass[i:i + rows], part) for i, part in zip(starts, parts)]
+    return logmass, mass, grad, np.empty(len(starts)), parts, blocks
+
+
+def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: float,
+                         logw: Optional[np.ndarray] = None,
+                         s: Optional[np.ndarray] = None,
+                         budget: Optional[float] = None,
+                         m2: float = 0.0,
+                         out: Optional[tuple] = None
+                         ) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Smoothed input term over inputs with log-weights: (Phi, K^T mass, mass, m2).
+
+    Input k carries the log-mass (K lambda - r)_k ln2/nu + logw_k (logw is 0
+    for a dual step on a channel, the log quadrature weight on a grid and
+    log p in a Blahut-Arimoto step).  The
+    masses are their softmax, tilted by the cost multiplier m2 <= 0 when
+    ``s`` is given so that s . mass <= budget, and Phi is their
+    log-normaliser at the budget (``_max_entropy_multipliers``; the
+    log-sum-exp of the log-masses without a cost), so
+    G_nu = nu*Phi/ln2 - nu*log2(total weight).  The multiplier solve
+    starts from the given ``m2``; the solved m2 is returned.
+
+    One loop walks K in row blocks and forms their log-masses.  Without a
+    cost, K is read once: each block also takes their softmax in place,
+    with log-sum-exp lse_b, and its gradient K_b^T mass_b while the block
+    is still in cache.  The softmax of the lse_b then gives the
+    log-sum-exp of all log-masses and the block weights exp(lse_b - lse),
+    which merge the block gradients in one product and scale each block's
+    masses.  A K that fits in one block takes one product each way and one
+    softmax.  With a cost, the multiplier solve needs every log-mass, so it
+    follows the loop with one product K^T mass: K is read twice.  K should
+    be C-ordered (``ChannelMatrix`` stores it so), or its row blocks are
+    strided.  ``out`` is ``_input_term_work(K, r, logw)``, whose arrays
+    receive the results in place; without it every call allocates its own.
+
+    Blahut-Arimoto calls it in nats, one call a step: with K = W, r the row
+    entropies -sum_j W_ij ln W_ij, lam = -ln q and nu = ln2/t, the
+    log-masses are logw + t*D_i with D_i = D(W_i || q), so the masses are
+    the next p, K^T mass the next q and Phi the step's normaliser.  nu = inf
+    (scale 0) gives the masses of logw alone.
+    """
+    logmass, mass, grad, lses, parts, blocks = _input_term_work(K, r, logw) if out is None else out
+    scale = LN2 / nu
+    for b, (Kb, KbT, rb, wb, lb, mb, part) in enumerate(blocks):
+        Kb.dot(lam, out=lb)
+        lb -= rb
+        lb *= scale
+        if wb is not None:
+            lb += wb
+        if s is None:
+            lse = lses[b] = _softmax(lb, out=mb)[0]
+            KbT.dot(mb, out=part)
+    if s is not None:
+        lse, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
+        return lse, K.T.dot(mass, out=grad), mass, m2
+    if b == 0:
+        return lse, grad, mass, m2
+    lse, weight = _softmax(lses, out=lses)
+    weight.dot(parts, out=grad)
+    for (_, _, _, _, _, mb, _), w in zip(blocks, weight):
+        mb *= w
+    return lse, grad, mass, m2
 
 
 def _affordable_budget(s: np.ndarray, budget: float) -> float:

@@ -6,11 +6,10 @@ build every intermediate as a new array; the tests require the two to agree
 bit for bit.  So ``FastGradientState.step`` is the stacked step (one 2 x 2
 by 2 x M product for both unprojected points, one product for the next
 iterate), ``smoothed_input_term`` walks the rows of K in blocks of
-``dual_solver._BLOCK_BYTES`` (block matvecs, block softmaxes, a softmax of
-their log-sum-exps to merge them), and
-``ba_solve`` shifts log p by its normaliser, the softmax's log-sum-exp or,
-with a cost, the Phi of the cost tilt (computed by
-``_max_entropy_multipliers`` without ``out=``), as the solvers do;
+``info_theory._BLOCK_BYTES`` (block matvecs, block softmaxes, a softmax of
+their log-sum-exps to merge them) and also returns its log-masses, and
+``ba_solve`` takes each step as one ``smoothed_input_term`` call in nats
+and shifts log p by the Phi it returns, as the solvers do;
 ``tests/test_dual_solver.py`` checks the
 stacked step against the textbook one.  ``segment_lp_max`` is the hull LP
 over numpy scalars that ``info_theory._segment_lp_max`` replaced with a
@@ -29,7 +28,7 @@ import time
 import numpy as np
 from scipy.special import gammaln
 
-from capbound import dual_solver
+from capbound import info_theory
 from capbound.blahut_arimoto import (_LADDER_FIRST, _LADDER_GROWTH, _LOG_Q_FLOOR, _OVERRELAX,
                                      BAReport, ba_iterations)
 from capbound.continuous import _truncated_rows
@@ -121,22 +120,23 @@ def max_entropy_multipliers(logmass, s, budget, start=0.0):
 
 
 def smoothed_input_term(K, r, lam, nu, logw=None, s=None, budget=None, m2=0.0):
-    # Row blocks of dual_solver._BLOCK_BYTES, merged by a softmax of their log-sum-exps.
-    rows = max(1, dual_solver._BLOCK_BYTES // (8 * K.shape[1]))
+    """(Phi, K^T mass, mass, m2, log-masses): the term's result and its log-mass work array."""
+    # Row blocks of info_theory._BLOCK_BYTES, merged by a softmax of their log-sum-exps.
+    rows = max(1, info_theory._BLOCK_BYTES // (8 * K.shape[1]))
     starts = range(0, K.shape[0], rows)
     logmass = (np.concatenate([K[i:i + rows] @ lam for i in starts]) - r) * (LN2 / nu)
     if logw is not None:
         logmass += logw
     if s is not None:
         lse, m2, mass = max_entropy_multipliers(logmass, s, budget, m2)
-        return lse, K.T @ mass, mass, m2
+        return lse, K.T @ mass, mass, m2, logmass
     blocks = [softmax(logmass[i:i + rows]) for i in starts]
     parts = [K[i:i + rows].T @ mass_b for i, (_, mass_b) in zip(starts, blocks)]
     if len(blocks) == 1:
-        return blocks[0][0], parts[0], blocks[0][1], m2
+        return blocks[0][0], parts[0], blocks[0][1], m2, logmass
     lse, weight = softmax(np.array([lse_b for lse_b, _ in blocks]))
     mass = np.concatenate([mass_b * w for (_, mass_b), w in zip(blocks, weight)])
-    return lse, weight @ np.array(parts), mass, m2
+    return lse, weight @ np.array(parts), mass, m2, logmass
 
 
 def segment_lp_max(f, s, budget):
@@ -204,7 +204,7 @@ def fast_gradient(K, r, logw, radius, nu, n, s, budget, exact_G, target, progres
     m2 = 0.0
     x = state.x
     for k in range(n + 1):
-        _, gG, mass, m2 = smoothed_input_term(K, r, x, nu, logw, s, budget, m2)
+        _, gG, mass, m2, _ = smoothed_input_term(K, r, x, nu, logw, s, budget, m2)
         _, pF = softmax(-x * LN2)
         acc += (k + 1) * mass
         y = state.step(np.array([gG, pF]))
@@ -226,7 +226,11 @@ def fast_gradient(K, r, logw, radius, nu, n, s, budget, exact_G, target, progres
 
 
 def ba_solve(W, epsilon, stopping="apriori", cost=None):
-    """Reference for ``blahut_arimoto.ba_solve``: same ladder, step, tilt and safeguard."""
+    """Reference for ``blahut_arimoto.ba_solve``: one input-term twin call a step.
+
+    Same ladder, step and safeguard: with lam = -ln q and r the row
+    entropies in nats, the term's log-masses at nu = ln2/t are logp + t*D.
+    """
     t0 = time.perf_counter()
     N = W.rows
     n = ba_iterations(N, epsilon)
@@ -234,50 +238,47 @@ def ba_solve(W, epsilon, stopping="apriori", cost=None):
     wlogw = np.zeros_like(Wm)
     mask = Wm > 0.0
     wlogw[mask] = Wm[mask] * np.log(Wm[mask])
-    row_neg_ent = wlogw.sum(axis=1)
+    ent = -wlogw.sum(axis=1)
     reachable = mask.any(axis=0)
+    s = spend = None
+    if cost is not None:
+        s, spend = cost.costs, _affordable_budget(cost.costs, cost.budget)
 
-    def tilt(a, m2):
-        """The normaliser Phi(a), the multiplier and the (cost-tilted) softmax."""
-        if cost is None:
-            lse, p = softmax(a)
-            return lse, m2, p
-        return _max_entropy_multipliers(a, cost.costs,
-                                        _affordable_budget(cost.costs, cost.budget), m2)
-
-    logp = np.full(N, -math.log(N))
+    lam, logp = np.zeros(W.cols), np.full(N, -math.log(N))
     watch = stopping == "aposteriori"
     step = _OVERRELAX if watch else 1.0
+    nu = math.inf
     m2 = 0.0
     kept, kept_lb, kept_gain = None, -math.inf, 0.0
     due = _LADDER_FIRST
     it = 0
     while True:
-        phi, m2, p = tilt(logp, m2)
-        logp = logp - phi
-        q = Wm.T @ p
-        logq = np.zeros_like(q)
+        phi, q, p, m2, logmass = smoothed_input_term(Wm, ent, lam, nu, logp, s, spend, m2)
+        logp = logmass - phi
         nz = q > 0.0
-        logq[nz] = np.log(q[nz])
-        div = row_neg_ent - Wm @ logq
+        lam = np.zeros_like(q)
+        lam[nz] = -np.log(q[nz])
         if it == n or (watch and (it == 0 or it + 1 == due)):
             if it + 1 == due:
                 due = math.ceil(_LADDER_GROWTH * due)
             c_lb = float(-(W.r @ p) + _entropy_bits(q))
+            div = Wm @ lam - ent
             bound = div
             if not nz[reachable].all():
-                bound = row_neg_ent - Wm @ np.where(reachable & ~nz, _LOG_Q_FLOOR, logq)
+                bound = Wm @ np.where(reachable & ~nz, -_LOG_Q_FLOOR, lam) - ent
             c_ub = (float(bound.max()) if cost is None
                     else _segment_lp_max(bound, cost.costs, cost.budget)) / LN2
             if it == n or c_ub - c_lb <= epsilon:
                 break
             if step != 1.0:
                 if c_lb - kept_lb < kept_gain:
-                    (logp, div), step = kept, 1.0
+                    (logp, lam), step = kept, 1.0
                 else:
-                    kept, kept_lb = (logp, div), c_lb
-                    kept_gain = max(tilt(logp + div, m2)[0] / LN2 - c_lb, 0.0)
-        logp = logp + step * div
+                    kept, kept_lb = (logp, lam), c_lb
+                    gain = (softmax(logp + div)[0] if cost is None
+                            else _max_entropy_multipliers(logp + div, s, spend, m2)[0])
+                    kept_gain = max(gain / LN2 - c_lb, 0.0)
+        nu = LN2 / step
         it += 1
 
     return BAReport(c_lb=c_lb, c_ub=c_ub,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,14 @@ class TestPerturb:
             W2 = cb.perturb_channel(cb.make_bec(0.4), eps)
             assert W2.gamma >= eps / (1.0 + W2.cols * eps) - 1e-18
             assert W2.gamma > 0
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_perturbation_level_must_be_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        cb.perturb_channel(cb.make_bec(0.4), eps)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        cb.solve_with_perturbation(cb.make_bec(0.4), eps, 0.1)
 
 
 class TestSolveWithPerturbation:

@@ -254,6 +254,23 @@ class TestEvalGnuConstrained:
             assert lhs <= rhs
 
 
+_EVALUATORS = {
+    "unconstrained": lambda nu: cb.eval_G_nu_unconstrained(np.zeros(3), cb.make_random(4, 3, 5), nu),
+    "constrained": lambda nu: cb.eval_G_nu_constrained(
+        np.zeros(3), cb.make_random(4, 3, 5), nu,
+        cb.CostConstraint(np.array([0.0, 1.0, 2.0, 3.0]), 1.2)),
+    "continuous": lambda nu: cb.eval_G_nu_continuous(
+        np.zeros(8), cb.truncate(cb.poisson_channel(1.0, 1.0), 8, quad_nodes=64), nu),
+}
+
+
+@pytest.mark.parametrize("evaluator", sorted(_EVALUATORS))
+@pytest.mark.parametrize("nu", [math.nan, math.inf, 0.0, -1.0])
+def test_smoothed_evaluators_reject_bad_nu(evaluator, nu):
+    with pytest.raises(ValueError, match="nu must be positive and finite"):
+        _EVALUATORS[evaluator](nu)
+
+
 class TestProjectQ:
     def test_inside_unchanged(self):
         x = np.array([0.1, -0.2])

@@ -2,7 +2,8 @@
 
 ``dual_solver._fast_gradient`` and ``blahut_arimoto.ba_solve`` reuse their
 work arrays; ``reference.py`` keeps the versions that allocate every
-intermediate.  Equality is exact: the same floating-point operations run in
+intermediate.  Both loops run ``info_theory._smoothed_input_term``, in one
+row block and, with ``_BLOCK_BYTES`` patched small, in several.  Equality is exact: the same floating-point operations run in
 the same order, only the memory they write to differs.
 """
 
@@ -14,7 +15,7 @@ from reference import ba_solve as ba_solve_reference
 from reference import fast_gradient as fast_gradient_reference
 
 import capbound as cb
-from capbound import dual_solver
+from capbound import dual_solver, info_theory
 from capbound.dual_solver import ball_radius, project_ball
 
 
@@ -97,7 +98,7 @@ def test_fast_gradient_matches_reference(case, target):
     *[(case, "aposteriori") for case in sorted(BLOCKS) if case in SEEDED],
 ])
 def test_fast_gradient_matches_reference_in_blocks(case, target, monkeypatch):
-    monkeypatch.setattr(dual_solver, "_BLOCK_BYTES", BLOCKS[case])
+    monkeypatch.setattr(info_theory, "_BLOCK_BYTES", BLOCKS[case])
     _check_fast_gradient(case, target)
 
 
@@ -151,6 +152,26 @@ BA_COST_CHANNELS = {
     *[(name, "aposteriori") for name in sorted(BA_COST_CHANNELS)],
 ])
 def test_ba_solve_matches_reference(name, stopping):
+    _check_ba_solve(name, stopping)
+
+
+# Blahut-Arimoto streamed through row blocks of 2 rows: without a cost, with
+# a binding one, and on the sparse channel whose q has zero outputs.
+BA_BLOCKS = ("cost-16x8", "random-12x9", "underflow")
+
+
+@pytest.mark.parametrize("name, stopping", [
+    *[(name, stopping) for name in BA_BLOCKS if name in BA_CHANNELS
+      for stopping in ("apriori", "aposteriori")],
+    *[(name, "aposteriori") for name in BA_BLOCKS if name in BA_COST_CHANNELS],
+])
+def test_ba_solve_matches_reference_in_blocks(name, stopping, monkeypatch):
+    W = BA_COST_CHANNELS[name][0] if name in BA_COST_CHANNELS else BA_CHANNELS[name]
+    monkeypatch.setattr(info_theory, "_BLOCK_BYTES", 8 * W.cols * 2)
+    _check_ba_solve(name, stopping)
+
+
+def _check_ba_solve(name, stopping):
     W, cost = BA_COST_CHANNELS[name] if name in BA_COST_CHANNELS else (BA_CHANNELS[name], None)
     rep = cb.ba_solve(W, 1e-3, stopping, cost=cost)
     ref = ba_solve_reference(W, 1e-3, stopping, cost=cost)

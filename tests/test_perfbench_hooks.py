@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import capbound as cb
-from capbound import continuous, dual_solver
+from capbound import continuous, dual_solver, info_theory
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -79,10 +79,10 @@ def test_inner_loop_layers_are_traced(monkeypatch):
     # a priori one that dmc-small's perturbed BEC solve takes, with the
     # input term in one block and streamed through one-row blocks.
     spans = _load_spans()
-    for block_bytes, stopping, eps in ((dual_solver._BLOCK_BYTES, "aposteriori", 1e-2),
-                                       (dual_solver._BLOCK_BYTES, "apriori", 0.1),
+    for block_bytes, stopping, eps in ((info_theory._BLOCK_BYTES, "aposteriori", 1e-2),
+                                       (info_theory._BLOCK_BYTES, "apriori", 0.1),
                                        (8 * 3, "aposteriori", 1e-2), (8 * 3, "apriori", 0.1)):
-        monkeypatch.setattr(dual_solver, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(info_theory, "_BLOCK_BYTES", block_bytes)
         tracer = spans.Tracer()
         tracer.install()
         try:

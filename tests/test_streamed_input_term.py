@@ -1,6 +1,6 @@
 """The smoothed input term streamed over row blocks of K.
 
-``dual_solver._smoothed_input_term`` walks K in blocks of
+``info_theory._smoothed_input_term`` walks K in blocks of
 ``_BLOCK_BYTES``.  Without a cost it merges the blocks by a softmax of their
 log-sum-exps; with one, the same loop forms the log-masses block by block.
 These tests set the block size small, so that tall channels split into many
@@ -17,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capbound as cb
-from capbound import dual_solver
+from capbound import info_theory
 from capbound.info_theory import LN2
 
 ONE_BLOCK = 1 << 62
 
 
 def _eval(lam, W, nu, block_bytes, cost=None):
-    with mock.patch.object(dual_solver, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(info_theory, "_BLOCK_BYTES", block_bytes):
         value, grad, p = cb.eval_G_nu_unconstrained(lam, W, nu) if cost is None \
             else cb.eval_G_nu_constrained(lam, W, nu, cost)
     return value, grad, p.weights
@@ -98,10 +98,10 @@ def test_one_block_is_the_whole_matrix_arithmetic():
     # A K that fits in one block takes one product each way and one softmax.
     W = cb.make_random(40, 7, 11)
     lam = np.linspace(-1.0, 1.0, 7)
-    lse, grad, mass, _ = dual_solver._smoothed_input_term(W.entries, W.r, lam, 0.05)
+    lse, grad, mass, _ = info_theory._smoothed_input_term(W.entries, W.r, lam, 0.05)
     logmass = W.entries @ lam - W.r
     logmass *= LN2 / 0.05
-    want_lse, want_mass = dual_solver._softmax(logmass)
+    want_lse, want_mass = info_theory._softmax(logmass)
     assert lse == want_lse
     assert mass.tobytes() == want_mass.tobytes()
     assert grad.tobytes() == (W.entries.T @ want_mass).tobytes()
@@ -115,7 +115,7 @@ def criterion_9_channel():
 @pytest.mark.parametrize("scale, nu", [(0.0, 1.0), (1.0, 0.1), (10.0, 0.01), (50.0, 1e-3)])
 def test_criterion_9_channel_streams_at_default_blocks(criterion_9_channel, scale, nu):
     W = criterion_9_channel
-    assert W.rows > dual_solver._BLOCK_BYTES // (8 * W.cols)  # more than one block
+    assert W.rows > info_theory._BLOCK_BYTES // (8 * W.cols)  # more than one block
     lam = scale * np.random.default_rng(7).normal(size=W.cols)
-    streamed = _eval(lam, W, nu, dual_solver._BLOCK_BYTES)
+    streamed = _eval(lam, W, nu, info_theory._BLOCK_BYTES)
     _assert_close(streamed, _eval(lam, W, nu, ONE_BLOCK), nu, W.rows)
