@@ -9,7 +9,12 @@ Everything here is a pure function over immutable inputs (the arrays inside
 ``ChannelMatrix``/``ProbVector`` are marked read-only), so concurrent use
 from multiple threads is safe; only ``_softmax``,
 ``_max_entropy_multipliers`` and ``_smoothed_input_term`` write, into the
-``out`` arrays their caller passes.  The solvers share these kernels:
+``out`` arrays their caller passes.  ``_smoothed_input_term`` without a cost
+on a K of more than one row block shares its blocks with one worker thread,
+started by the first such call in each process, including a forked child; a
+call made while another thread's call has the worker takes all its blocks
+itself, as does every call when the process may run on one CPU only.  The
+solvers share these kernels:
 ``_smoothed_input_term`` (the O(NM) pass over the channel, with its cost
 tilt) is every step of the dual's fast-gradient loop, of its quadrature
 solve and of Blahut-Arimoto, and ``_segment_lp_max`` (the linear program
@@ -21,8 +26,12 @@ from __future__ import annotations
 
 import bisect
 import io
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
+from queue import SimpleQueue
 from typing import Optional
 
 import numpy as np
@@ -221,15 +230,19 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
     G_nu = nu*Phi/ln2 - nu*log2(total weight).  The multiplier solve
     starts from the given ``m2``; the solved m2 is returned.
 
-    One loop walks K in row blocks and forms their log-masses.  Without a
+    K is walked in row blocks, each forming its log-masses.  Without a
     cost, K is read once: each block also takes their softmax in place,
     with log-sum-exp lse_b, and its gradient K_b^T mass_b while the block
-    is still in cache.  The softmax of the lse_b then gives the
-    log-sum-exp of all log-masses and the block weights exp(lse_b - lse),
-    which merge the block gradients in one product and scale each block's
-    masses.  A K that fits in one block takes one product each way and one
-    softmax.  With a cost, the multiplier solve needs every log-mass, so it
-    follows the loop with one product K^T mass: K is read twice.  K should
+    is still in cache (``_term_blocks``).  The blocks are independent, so
+    this thread and a worker thread claim them in turn from one counter
+    (``_all_blocks``).  After both are done, the softmax of the lse_b gives
+    the log-sum-exp of all log-masses and the block weights
+    exp(lse_b - lse), which merge the block gradients in one product, in
+    block order, and scale each block's masses: the bits do not depend on
+    which thread took which block.  A K that fits in one block takes one
+    product each way and one softmax, in this thread.  With a cost, the
+    multiplier solve needs every log-mass, so it follows a serial loop over
+    the blocks, and one product K^T mass follows it: K is read twice.  K should
     be C-ordered (``ChannelMatrix`` stores it so), or its row blocks are
     strided.  ``out`` is ``_input_term_work(K, r, logw)``, whose arrays
     receive the results in place; without it every call allocates its own.
@@ -242,25 +255,118 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
     """
     logmass, mass, grad, lses, parts, blocks = _input_term_work(K, r, logw) if out is None else out
     scale = LN2 / nu
-    for b, (Kb, KbT, rb, wb, lb, mb, part) in enumerate(blocks):
+    if s is None and len(blocks) > 1:
+        _all_blocks(blocks, lam, scale, lses)
+        lse, weight = _softmax(lses, out=lses)
+        weight.dot(parts, out=grad)
+        for (_, _, _, _, _, mb, _), w in zip(blocks, weight):
+            mb *= w
+        return lse, grad, mass, m2
+    for Kb, _, rb, wb, lb, _, _ in blocks:
         Kb.dot(lam, out=lb)
         lb -= rb
         lb *= scale
         if wb is not None:
             lb += wb
-        if s is None:
-            lse = lses[b] = _softmax(lb, out=mb)[0]
-            KbT.dot(mb, out=part)
-    if s is not None:
+    if s is None:
+        lse = _softmax(logmass, out=mass)[0]
+    else:
         lse, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
-        return lse, K.T.dot(mass, out=grad), mass, m2
-    if b == 0:
-        return lse, grad, mass, m2
-    lse, weight = _softmax(lses, out=lses)
-    weight.dot(parts, out=grad)
-    for (_, _, _, _, _, mb, _), w in zip(blocks, weight):
-        mb *= w
-    return lse, grad, mass, m2
+    return lse, K.T.dot(mass, out=grad), mass, m2
+
+
+def _term_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray, claims,
+                 softmax=_softmax) -> None:
+    """The unconstrained input term on each row block claimed from ``claims``.
+
+    Block b of ``blocks`` (``_input_term_work``'s views) takes its log-masses
+    (K_b lam - r_b)*scale + logw_b, their softmax in place with log-sum-exp
+    ``lses[b]``, and its gradient K_b^T mass_b while the block is in cache.
+    ``claims`` yields block numbers; the caller and the worker thread share
+    one ``itertools.count``, so each takes the next block when it is free,
+    until the numbers pass the last block.  The worker runs the ``softmax``
+    bound here, so that a tracer that replaces the module's ``_softmax``
+    sees the caller's calls only.
+    """
+    n = len(blocks)
+    for b in claims:
+        if b >= n:
+            return
+        Kb, KbT, rb, wb, lb, mb, part = blocks[b]
+        Kb.dot(lam, out=lb)
+        lb -= rb
+        lb *= scale
+        if wb is not None:
+            lb += wb
+        lses[b] = softmax(lb, out=mb)[0]
+        KbT.dot(mb, out=part)
+
+
+# The worker thread of ``_all_blocks``: (process id, job queue), started by
+# the first call that uses it in each process.  The lock is held by the one
+# call that is using it.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _serve(jobs: SimpleQueue) -> None:
+    """The worker: runs ``_term_blocks(*args)`` for each (args, done) job.
+
+    It then puts the error, or None, on ``done``.  Any error, an interrupt
+    too, goes to the caller, which raises it.  A
+    job's arguments are let go before ``done`` is given, so that once its
+    call returns the worker holds nothing of that call's K, lam or blocks.
+    """
+    while True:
+        args, done = jobs.get()
+        try:
+            _term_blocks(*args)
+            error = None
+        except BaseException as exc:
+            error = exc
+        del args
+        done.put(error)
+        del done, error
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _all_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray) -> None:
+    """``_term_blocks`` over every block, split between this thread and the worker.
+
+    Both claim blocks from one counter, so a worker that gets no CPU leaves
+    its share to this thread, which then waits only until the worker has
+    finished the block in its hands, or has found none left.  Each call
+    waits on its own completion queue, also when its blocks raise, and
+    raises the worker's error.  The blocks run here alone when the process
+    may use one CPU, or while another thread's call holds the worker.
+    """
+    global _worker
+    claims = itertools.count()
+    if _cpus() < 2 or not _worker_lock.acquire(blocking=False):
+        _term_blocks(blocks, lam, scale, lses, claims, _softmax)
+        return
+    try:
+        if _worker is None or _worker[0] != os.getpid():
+            jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="capbound-blocks",
+                             daemon=True).start()
+            _worker = os.getpid(), jobs
+        done = SimpleQueue()
+        _worker[1].put(((blocks, lam, scale, lses, claims), done))
+        try:
+            _term_blocks(blocks, lam, scale, lses, claims, _softmax)
+        finally:
+            error = done.get()
+    finally:
+        _worker_lock.release()
+    if error is not None:
+        raise error
 
 
 def _affordable_budget(s: np.ndarray, budget: float) -> float:

@@ -5,6 +5,7 @@ a rename in capbound would otherwise only show up as missing trace metrics.
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +78,9 @@ def test_inner_loop_layers_are_traced(monkeypatch):
     # FastGradientState.step, project_ball and _softmax, so the per-layer
     # table keeps its rows for them, on the a posteriori path and on the
     # a priori one that dmc-small's perturbed BEC solve takes, with the
-    # input term in one block and streamed through one-row blocks.
+    # input term in one block and streamed through one-row blocks, whose
+    # softmaxes the caller and the worker thread split.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     spans = _load_spans()
     for block_bytes, stopping, eps in ((info_theory._BLOCK_BYTES, "aposteriori", 1e-2),
                                        (info_theory._BLOCK_BYTES, "apriori", 0.1),
@@ -97,6 +100,31 @@ def test_inner_loop_layers_are_traced(monkeypatch):
         assert metrics["dual_solver.project_ball.calls"] == 2 * steps, stopping
         names = [tracer.names[s[0]] for s in tracer.spans]
         assert names.count("dual_solver.softmax") >= 2 * steps, stopping
+
+
+def test_spans_nest_with_the_worker_on(monkeypatch):
+    # The worker thread takes row blocks of the input term and calls no
+    # traced function, so the tracer's one span stack stays the caller's:
+    # every span closes, and each opens and closes within its parent.
+    monkeypatch.setattr(info_theory, "_BLOCK_BYTES", 8 * 6 * 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    W = cb.make_random(400, 6, seed=1)
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cb.solve_capacity(W, epsilon=1e-2)
+        cb.ba_solve(W, 1e-3, "aposteriori")
+    finally:
+        tracer.uninstall()
+    assert tracer.spans and None not in tracer.spans
+    names = [tracer.names[s[0]] for s in tracer.spans]
+    assert names.count("dual_solver.softmax") > 0
+    for sid, (_, t0, t1, parent, _) in enumerate(tracer.spans):
+        assert t0 <= t1
+        if parent >= 0:
+            _, p0, p1, _, _ = tracer.spans[parent]
+            assert parent < sid and p0 <= t0 and t1 <= p1
 
 
 def test_smax_presolve_is_a_ba_span():

@@ -5,16 +5,26 @@
 log-sum-exps; with one, the same loop forms the log-masses block by block.
 These tests set the block size small, so that tall channels split into many
 blocks, and hold the streamed value, gradient and masses to the one-block
-evaluation.
+evaluation.  Without a cost and over more than one block, the caller and a
+worker thread split the blocks; those tests hold the term to its serial
+twin in ``reference.py`` bit for bit, and the solvers, run in several
+threads and in a forked child, give their sequential reports.
 """
 
+import collections
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import smoothed_input_term as smoothed_input_term_reference
 
 import capbound as cb
 from capbound import info_theory
@@ -119,3 +129,234 @@ def test_criterion_9_channel_streams_at_default_blocks(criterion_9_channel, scal
     lam = scale * np.random.default_rng(7).normal(size=W.cols)
     streamed = _eval(lam, W, nu, info_theory._BLOCK_BYTES)
     _assert_close(streamed, _eval(lam, W, nu, ONE_BLOCK), nu, W.rows)
+
+
+# ---------------------------------------------------------------------------
+# The caller and the worker thread split the blocks of the unconstrained term.
+
+
+def _dual_step():
+    W = cb.make_random(300, 6, 5)
+    return W.entries, W.r, np.random.default_rng(1).normal(size=6), 0.05, None
+
+
+def _ba_step():
+    # An over-relaxed Blahut-Arimoto step in nats: lam = -ln q, nu = ln2/t at
+    # t = 2, and log p as the log-weights.
+    W = cb.make_random(300, 6, 5)
+    p = np.random.default_rng(2).dirichlet(np.ones(300))
+    return W.entries, -W.neg_ent, -np.log(W.entries.T @ p), LN2 / 2.0, np.log(p)
+
+
+def _grid_step():
+    trunc = cb.truncate(cb.poisson_channel(1.0, 1.0), 8, quad_nodes=64)
+    lam = np.random.default_rng(3).normal(size=trunc.kernel_nodes.shape[1])
+    return trunc.kernel_nodes, trunc.r_nodes, lam, 0.05, np.log(trunc.weights)
+
+
+STEPS = {"dual": _dual_step, "blahut-arimoto": _ba_step, "grid": _grid_step}
+BLOCK_ROWS = 7
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process may run on two CPUs, so that multi-block calls use the worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _spy(monkeypatch, starve=False):
+    """Count the ``_term_blocks`` runs and the blocks of the calling thread and of the worker.
+
+    With ``starve``, the worker's run of each call waits until the caller's
+    has claimed every block.
+    """
+    caller = threading.get_ident()
+    runs, blocks = collections.Counter(), collections.Counter()
+    caller_done = {}
+    term_blocks = info_theory._term_blocks
+
+    def spy(blocks_, lam, scale, lses, claims, softmax=info_theory._softmax):
+        who = "caller" if threading.get_ident() == caller else "worker"
+        done = caller_done.setdefault(claims, threading.Event())
+        runs[who] += 1
+        if who == "worker" and starve:
+            assert done.wait(30)
+
+        def counted(a, out):
+            blocks[who] += 1
+            return softmax(a, out=out)
+
+        try:
+            term_blocks(blocks_, lam, scale, lses, claims, counted)
+        finally:
+            if who == "caller":
+                done.set()
+
+    monkeypatch.setattr(info_theory, "_term_blocks", spy)
+    return runs, blocks
+
+
+def _assert_same_term(got, work, want):
+    lse, grad, mass, m2 = got
+    want_lse, want_grad, want_mass, want_m2, want_logmass = want
+    assert lse == want_lse and m2 == want_m2
+    assert grad.tobytes() == want_grad.tobytes()
+    assert mass.tobytes() == want_mass.tobytes()
+    assert work[0].tobytes() == want_logmass.tobytes()
+
+
+def _check_step(step, calls):
+    """``calls`` in-place term calls of ``step``, each bit-exact: returns its block count."""
+    K, r, lam, nu, logw = STEPS[step]()
+    want = smoothed_input_term_reference(K, r, lam, nu, logw)
+    work = info_theory._input_term_work(K, r, logw)
+    for _ in range(calls):
+        _assert_same_term(info_theory._smoothed_input_term(K, r, lam, nu, logw, out=work),
+                          work, want)
+    return len(work[5])
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Row blocks of BLOCK_ROWS rows on the 6-output channels."""
+    monkeypatch.setattr(info_theory, "_BLOCK_BYTES", 8 * 6 * BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("step", sorted(STEPS))
+def test_split_blocks_match_the_serial_twin(step, monkeypatch, two_cpus):
+    K = STEPS[step]()[0]
+    monkeypatch.setattr(info_theory, "_BLOCK_BYTES", 8 * K.shape[1] * BLOCK_ROWS)
+    runs, blocks = _spy(monkeypatch)
+    n = _check_step(step, 3)
+    assert n > 2
+    assert runs["caller"] == runs["worker"] == 3
+    assert blocks["caller"] + blocks["worker"] == 3 * n
+
+
+@pytest.mark.parametrize("step", sorted(STEPS))
+def test_starved_worker_leaves_its_blocks_to_the_caller(step, monkeypatch, two_cpus):
+    K = STEPS[step]()[0]
+    monkeypatch.setattr(info_theory, "_BLOCK_BYTES", 8 * K.shape[1] * BLOCK_ROWS)
+    runs, blocks = _spy(monkeypatch, starve=True)
+    n = _check_step(step, 2)
+    assert runs["worker"] == 2
+    assert blocks["caller"] == 2 * n and blocks["worker"] == 0
+
+
+def test_one_cpu_or_a_busy_worker_runs_the_blocks_here(monkeypatch, small_blocks):
+    # Affinity to one CPU, or the worker held by another thread's call: the
+    # caller takes every block and gives the worker no job.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    runs, blocks = _spy(monkeypatch)
+    n = _check_step("dual", 2)
+    assert runs["worker"] == 0 and blocks["caller"] == 2 * n
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with info_theory._worker_lock:
+        _check_step("blahut-arimoto", 2)
+    assert runs["worker"] == 0 and blocks["caller"] == 4 * n
+
+
+def test_worker_lets_go_of_its_inputs_and_raises_in_the_caller(monkeypatch, two_cpus,
+                                                                 small_blocks):
+    runs, _ = _spy(monkeypatch)
+    W = cb.make_random(300, 6, 5)
+    K, lam = np.array(W.entries), np.linspace(-1.0, 1.0, 6)
+    kept = weakref.ref(K), weakref.ref(lam)
+    info_theory._smoothed_input_term(K, W.r, lam, 0.05)
+    assert runs["worker"] == 1
+    del K, lam
+    assert kept[0]() is None and kept[1]() is None
+
+    caller = threading.get_ident()
+    term_blocks = info_theory._term_blocks
+
+    def failing(who, exc):
+        def run(blocks, lam, scale, lses, claims, softmax=info_theory._softmax):
+            if (threading.get_ident() == caller) == (who == "caller"):
+                raise exc
+            term_blocks(blocks, lam, scale, lses, claims, softmax)
+        return run
+
+    K, r, lam, nu, logw = STEPS["dual"]()
+    want = smoothed_input_term_reference(K, r, lam, nu, logw)
+    work = info_theory._input_term_work(K, r, logw)
+    # A block that fails in the worker re-raises here; an interrupt of the
+    # caller's blocks waits for the worker's.  Each next call is exact.
+    for who, exc in (("worker", RuntimeError("block failed")), ("caller", KeyboardInterrupt())):
+        monkeypatch.setattr(info_theory, "_term_blocks", failing(who, exc))
+        with pytest.raises(type(exc)):
+            info_theory._smoothed_input_term(K, r, lam, nu, logw, out=work)
+        monkeypatch.setattr(info_theory, "_term_blocks", term_blocks)
+        _assert_same_term(info_theory._smoothed_input_term(K, r, lam, nu, logw, out=work),
+                          work, want)
+
+
+def _fields(rep):
+    """Every field of a solve report but its wall time, arrays as bytes and floats as hex."""
+    out = {}
+    for key, value in vars(rep).items():
+        value = getattr(value, "weights", getattr(value, "values", value))
+        if isinstance(value, np.ndarray):
+            value = value.tobytes()
+        elif isinstance(value, float):
+            value = value.hex()
+        if key != "wall_time":
+            out[key] = value
+    return out
+
+
+# More solving threads than the two CPUs, so that calls find the worker busy.
+CONCURRENT_CHANNELS = (cb.make_random(400, 6, 1), cb.make_random(300, 6, 2),
+                       cb.make_random(200, 6, 3))
+
+
+def _solves(W):
+    return [_fields(cb.solve_capacity(W, epsilon=1e-2)),
+            _fields(cb.ba_solve(W, 1e-3, "aposteriori"))]
+
+
+def test_threads_solve_as_one_does(two_cpus, small_blocks):
+    want = [_solves(W) for W in CONCURRENT_CHANNELS]
+    got = [None] * len(CONCURRENT_CHANNELS)
+
+    def run(i):
+        got[i] = [_solves(CONCURRENT_CHANNELS[i]) for _ in range(2)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[w, w] for w in want]
+
+
+def test_forked_child_restarts_the_worker(two_cpus, small_blocks):
+    W = CONCURRENT_CHANNELS[0]
+    want = _solves(W)
+    assert info_theory._worker[0] == os.getpid()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send((_solves(W), info_theory._worker[0] == os.getpid()))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    send.close()
+    try:
+        # A child whose worker is lost hangs: it fails here instead.
+        assert recv.poll(60), "the forked child's solves did not finish"
+        got, restarted = recv.recv()
+    finally:
+        proc.join(5)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(5)
+    assert proc.exitcode == 0
+    assert restarted and got == want
