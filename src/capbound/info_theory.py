@@ -25,13 +25,15 @@ under a cost.
 from __future__ import annotations
 
 import bisect
+import collections
 import io
 import itertools
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass
-from queue import SimpleQueue
+from queue import Empty, SimpleQueue
 from typing import Optional
 
 import numpy as np
@@ -255,8 +257,11 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
     """
     logmass, mass, grad, lses, parts, blocks = _input_term_work(K, r, logw) if out is None else out
     scale = LN2 / nu
-    if s is None and len(blocks) > 1:
-        _all_blocks(blocks, lam, scale, lses)
+    if s is None:
+        if len(blocks) == 1:
+            _term_blocks(blocks, lam, scale, lses, range(1), _softmax)
+            return lses[0], grad, mass, m2
+        _all_blocks(blocks, lam, scale, lses, K.nbytes)
         lse, weight = _softmax(lses, out=lses)
         weight.dot(parts, out=grad)
         for (_, _, _, _, _, mb, _), w in zip(blocks, weight):
@@ -268,10 +273,7 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
         lb *= scale
         if wb is not None:
             lb += wb
-    if s is None:
-        lse = _softmax(logmass, out=mass)[0]
-    else:
-        lse, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
+    lse, m2, mass = _max_entropy_multipliers(logmass, s, budget, m2, out=mass)
     return lse, K.T.dot(mass, out=grad), mass, m2
 
 
@@ -282,11 +284,12 @@ def _term_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray, claims
     Block b of ``blocks`` (``_input_term_work``'s views) takes its log-masses
     (K_b lam - r_b)*scale + logw_b, their softmax in place with log-sum-exp
     ``lses[b]``, and its gradient K_b^T mass_b while the block is in cache.
-    ``claims`` yields block numbers; the caller and the worker thread share
-    one ``itertools.count``, so each takes the next block when it is free,
-    until the numbers pass the last block.  The worker runs the ``softmax``
-    bound here, so that a tracer that replaces the module's ``_softmax``
-    sees the caller's calls only.
+    ``claims`` yields block numbers: a range over the blocks in one thread,
+    or one ``itertools.count`` that the caller and the worker thread share,
+    so that each takes the next block when it is free, until the numbers
+    pass the last block.  The worker runs the ``softmax`` bound here, so
+    that a tracer that replaces the module's ``_softmax`` sees the caller's
+    calls only.
     """
     n = len(blocks)
     for b in claims:
@@ -302,20 +305,27 @@ def _term_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray, claims
         KbT.dot(mb, out=part)
 
 
-# The worker thread of ``_all_blocks``: (process id, job queue), started by
-# the first call that uses it in each process.  The lock is held by the one
-# call that is using it.
+# The worker thread of ``_split_blocks``: (process id, job queue), started
+# by the first split call in each process.  The lock is held by the one
+# call that may split.  ``_paces`` keeps the seconds per byte of K of the
+# last split calls (True) and of the last calls run in one thread (False),
+# both measured under the lock, and ``_calls`` counts the calls under it.
 _worker = None
 _worker_lock = threading.Lock()
+_paces = {True: collections.deque(maxlen=5), False: collections.deque(maxlen=5)}
+_calls = itertools.count()
+# Every this many calls under the lock, the slower-looking way runs once,
+# so that its pace follows the host's load.
+_PROBE_EVERY = 16
 
 
 def _serve(jobs: SimpleQueue) -> None:
     """The worker: runs ``_term_blocks(*args)`` for each (args, done) job.
 
     It then puts the error, or None, on ``done``.  Any error, an interrupt
-    too, goes to the caller, which raises it.  A
-    job's arguments are let go before ``done`` is given, so that once its
-    call returns the worker holds nothing of that call's K, lam or blocks.
+    too, goes to the caller, which raises it.  A job's arguments are let go
+    before ``done`` is given, so that once its call returns the worker holds
+    nothing of that call's K, lam or blocks.
     """
     while True:
         args, done = jobs.get()
@@ -336,35 +346,75 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _all_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray) -> None:
+def _split_pays() -> bool:
+    """Whether the next call under the lock splits its blocks.
+
+    It splits when the median of the last split paces is at most that of
+    the last one-thread paces; a way with no pace yet counts as free.
+    Every ``_PROBE_EVERY``-th call takes the other way, so that a way that
+    lost under one load is timed again under the next.
+    """
+    split, alone = (sorted(p)[len(p) // 2] if p else 0.0 for p in (_paces[True], _paces[False]))
+    return (split <= alone) != (next(_calls) % _PROBE_EVERY == 0)
+
+
+def _all_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray, nbytes: int) -> None:
+    """``_term_blocks`` over every block, in this thread or split with the worker.
+
+    A split pays only while the worker gets a CPU of its own: on a busy
+    host the two threads queue for CPUs and for the interpreter lock, and a
+    call takes longer than in one thread.  So each call under the lock is
+    timed, per byte of K (``nbytes``), and ``_split_pays`` picks the faster
+    way from those times.  The blocks run here alone, untimed, when the
+    process may use one CPU, or while another thread's call holds the lock.
+    """
+    if _cpus() < 2 or not _worker_lock.acquire(blocking=False):
+        _term_blocks(blocks, lam, scale, lses, range(len(blocks)), _softmax)
+        return
+    try:
+        split = _split_pays()
+        t0 = time.perf_counter()
+        if split:
+            _split_blocks(blocks, lam, scale, lses)
+        else:
+            _term_blocks(blocks, lam, scale, lses, range(len(blocks)), _softmax)
+        _paces[split].append((time.perf_counter() - t0) / nbytes)
+    finally:
+        _worker_lock.release()
+
+
+def _split_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray) -> None:
     """``_term_blocks`` over every block, split between this thread and the worker.
 
     Both claim blocks from one counter, so a worker that gets no CPU leaves
-    its share to this thread, which then waits only until the worker has
-    finished the block in its hands, or has found none left.  Each call
-    waits on its own completion queue, also when its blocks raise, and
-    raises the worker's error.  The blocks run here alone when the process
-    may use one CPU, or while another thread's call holds the worker.
+    its share to this thread.  A job the worker has not begun by the time
+    this thread has run out of blocks is taken back from its queue.
+    Otherwise this thread waits on the call's own completion queue until
+    the worker has finished the block in its hands, or found none left,
+    also when its own blocks raise or an interrupt arrives in the wait; it
+    then raises the first error, its own or the worker's.
     """
     global _worker
-    claims = itertools.count()
-    if _cpus() < 2 or not _worker_lock.acquire(blocking=False):
-        _term_blocks(blocks, lam, scale, lses, claims, _softmax)
-        return
+    if _worker is None or _worker[0] != os.getpid():
+        _worker = os.getpid(), SimpleQueue()
+        threading.Thread(target=_serve, args=(_worker[1],), name="capbound-blocks",
+                         daemon=True).start()
+    jobs, claims, done, error = _worker[1], itertools.count(), SimpleQueue(), None
+    jobs.put(((blocks, lam, scale, lses, claims), done))
     try:
-        if _worker is None or _worker[0] != os.getpid():
-            jobs = SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs,), name="capbound-blocks",
-                             daemon=True).start()
-            _worker = os.getpid(), jobs
-        done = SimpleQueue()
-        _worker[1].put(((blocks, lam, scale, lses, claims), done))
-        try:
-            _term_blocks(blocks, lam, scale, lses, claims, _softmax)
-        finally:
-            error = done.get()
-    finally:
-        _worker_lock.release()
+        _term_blocks(blocks, lam, scale, lses, claims, _softmax)
+    except BaseException as exc:
+        error = exc
+    try:
+        jobs.get_nowait()
+    except Empty:
+        while True:
+            try:
+                worker_error = done.get()
+                break
+            except BaseException as exc:
+                error = error or exc
+        error = error or worker_error
     if error is not None:
         raise error
 

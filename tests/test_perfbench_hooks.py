@@ -81,6 +81,7 @@ def test_inner_loop_layers_are_traced(monkeypatch):
     # input term in one block and streamed through one-row blocks, whose
     # softmaxes the caller and the worker thread split.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(info_theory, "_split_pays", lambda: True)
     spans = _load_spans()
     for block_bytes, stopping, eps in ((info_theory._BLOCK_BYTES, "aposteriori", 1e-2),
                                        (info_theory._BLOCK_BYTES, "apriori", 0.1),
@@ -108,6 +109,7 @@ def test_spans_nest_with_the_worker_on(monkeypatch):
     # every span closes, and each opens and closes within its parent.
     monkeypatch.setattr(info_theory, "_BLOCK_BYTES", 8 * 6 * 7)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(info_theory, "_split_pays", lambda: True)
     W = cb.make_random(400, 6, seed=1)
     spans = _load_spans()
     tracer = spans.Tracer()

@@ -12,12 +12,16 @@ threads and in a forked child, give their sequential reports.
 """
 
 import collections
+import itertools
 import math
 import multiprocessing
 import os
+import signal
 import sys
 import threading
+import time
 import weakref
+from queue import SimpleQueue
 from unittest import mock
 
 import numpy as np
@@ -160,27 +164,45 @@ BLOCK_ROWS = 7
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """The process may run on two CPUs, so that multi-block calls use the worker."""
+    """The process may run on two CPUs, and every multi-block call splits its blocks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(info_theory, "_split_pays", lambda: True)
 
 
-def _spy(monkeypatch, starve=False):
+@pytest.fixture
+def fresh_paces(monkeypatch):
+    """No pace timed yet and no call counted, as in a new process."""
+    monkeypatch.setattr(info_theory, "_paces", {True: collections.deque(maxlen=5),
+                                                False: collections.deque(maxlen=5)})
+    monkeypatch.setattr(info_theory, "_calls", itertools.count())
+
+
+def _spy(monkeypatch, starve=False, stall=None):
     """Count the ``_term_blocks`` runs and the blocks of the calling thread and of the worker.
 
-    With ``starve``, the worker's run of each call waits until the caller's
-    has claimed every block.
+    With ``starve``, the caller's run of each split call starts once the
+    worker's run has begun, and the worker's run waits until the caller's
+    has claimed every block.  ``stall`` maps "caller" or "worker" to seconds
+    of sleep before each such run; the caller's run of a call in one thread
+    counts as "alone".
     """
     caller = threading.get_ident()
     runs, blocks = collections.Counter(), collections.Counter()
-    caller_done = {}
+    events = collections.defaultdict(lambda: (threading.Event(), threading.Event()))
     term_blocks = info_theory._term_blocks
 
     def spy(blocks_, lam, scale, lses, claims, softmax=info_theory._softmax):
         who = "caller" if threading.get_ident() == caller else "worker"
-        done = caller_done.setdefault(claims, threading.Event())
+        if isinstance(claims, range):
+            who = "alone"
+        worker_began, caller_done = events[claims]
         runs[who] += 1
-        if who == "worker" and starve:
-            assert done.wait(30)
+        time.sleep((stall or {}).get(who, 0.0))
+        if starve and who == "worker":
+            worker_began.set()
+            assert caller_done.wait(30)
+        elif starve and who == "caller":
+            assert worker_began.wait(30)
 
         def counted(a, out):
             blocks[who] += 1
@@ -190,7 +212,7 @@ def _spy(monkeypatch, starve=False):
             term_blocks(blocks_, lam, scale, lses, claims, counted)
         finally:
             if who == "caller":
-                done.set()
+                caller_done.set()
 
     monkeypatch.setattr(info_theory, "_term_blocks", spy)
     return runs, blocks
@@ -229,7 +251,7 @@ def test_split_blocks_match_the_serial_twin(step, monkeypatch, two_cpus):
     runs, blocks = _spy(monkeypatch)
     n = _check_step(step, 3)
     assert n > 2
-    assert runs["caller"] == runs["worker"] == 3
+    assert runs["caller"] == 3 and runs["worker"] <= 3 and runs["alone"] == 0
     assert blocks["caller"] + blocks["worker"] == 3 * n
 
 
@@ -243,17 +265,76 @@ def test_starved_worker_leaves_its_blocks_to_the_caller(step, monkeypatch, two_c
     assert blocks["caller"] == 2 * n and blocks["worker"] == 0
 
 
+def test_a_job_the_worker_never_begins_is_taken_back(monkeypatch, two_cpus, small_blocks):
+    # A worker that never runs: its queue is served by no thread.  The
+    # caller takes every block, takes its job back and does not wait.
+    # Should jobs be left queued, a thread answers them from 20 s on, so
+    # that the test fails instead of hanging.
+    jobs, answered, stop = SimpleQueue(), [], threading.Event()
+    monkeypatch.setattr(info_theory, "_worker", (os.getpid(), jobs))
+    runs, blocks = _spy(monkeypatch)
+
+    def answer():
+        stop.wait(20.0)
+        while not stop.wait(0.1):
+            while not jobs.empty():
+                answered.append(jobs.get()[1].put(None))
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    try:
+        n = _check_step("grid", 2)
+    finally:
+        stop.set()
+        thread.join(30)
+    assert not answered and jobs.empty()
+    assert runs["worker"] == 0 and blocks["caller"] == 2 * n
+
+
 def test_one_cpu_or_a_busy_worker_runs_the_blocks_here(monkeypatch, small_blocks):
     # Affinity to one CPU, or the worker held by another thread's call: the
     # caller takes every block and gives the worker no job.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(info_theory, "_split_pays", lambda: True)
     runs, blocks = _spy(monkeypatch)
     n = _check_step("dual", 2)
-    assert runs["worker"] == 0 and blocks["caller"] == 2 * n
+    assert runs["worker"] == runs["caller"] == 0 and blocks["alone"] == 2 * n
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with info_theory._worker_lock:
         _check_step("blahut-arimoto", 2)
-    assert runs["worker"] == 0 and blocks["caller"] == 4 * n
+    assert runs["worker"] == runs["caller"] == 0 and blocks["alone"] == 4 * n
+
+
+def test_split_pays_takes_the_faster_way_and_probes_the_other(monkeypatch, fresh_paces):
+    # Call 0 probes one thread; with no split pace yet, the next calls split.
+    choices = [info_theory._split_pays() for _ in range(2)]
+    assert choices == [False, True]
+    paces = info_theory._paces
+    paces[True].extend([1.0, 9.0, 2.0])   # median 2.0
+    paces[False].extend([3.0, 1.5, 4.0])  # median 3.0
+    choices = [info_theory._split_pays() for _ in range(2, 2 * info_theory._PROBE_EVERY)]
+    probes = {info_theory._PROBE_EVERY - 2}
+    assert [i for i, split in enumerate(choices) if not split] == sorted(probes)
+    paces[True].extend([5.0, 6.0])        # median of 1, 9, 2, 5, 6: 5.0
+    choices = [info_theory._split_pays() for _ in range(info_theory._PROBE_EVERY)]
+    assert [i for i, split in enumerate(choices) if split] == [0]
+
+
+@pytest.mark.parametrize("slow, want_split", [("worker", False), ("alone", True)])
+def test_calls_turn_to_the_way_that_is_faster_here(slow, want_split, monkeypatch,
+                                                   small_blocks, fresh_paces):
+    # A busy host, as a worker that sleeps 20 ms before each job, turns the
+    # calls to one thread, and one thread that sleeps turns them to the
+    # split, but for one probe of the other way every _PROBE_EVERY calls.
+    # Every call stays exact.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    runs, _ = _spy(monkeypatch, stall={slow: 0.02})
+    calls = 4 * info_theory._PROBE_EVERY
+    _check_step("dual", calls)
+    split, alone = runs["caller"], runs["alone"]
+    assert split + alone == calls
+    probes = (calls // info_theory._PROBE_EVERY) + 4
+    assert (alone if want_split else split) <= probes
 
 
 def test_worker_lets_go_of_its_inputs_and_raises_in_the_caller(monkeypatch, two_cpus,
@@ -263,7 +344,7 @@ def test_worker_lets_go_of_its_inputs_and_raises_in_the_caller(monkeypatch, two_
     K, lam = np.array(W.entries), np.linspace(-1.0, 1.0, 6)
     kept = weakref.ref(K), weakref.ref(lam)
     info_theory._smoothed_input_term(K, W.r, lam, 0.05)
-    assert runs["worker"] == 1
+    assert runs["caller"] == 1
     del K, lam
     assert kept[0]() is None and kept[1]() is None
 
@@ -289,6 +370,59 @@ def test_worker_lets_go_of_its_inputs_and_raises_in_the_caller(monkeypatch, two_
         monkeypatch.setattr(info_theory, "_term_blocks", term_blocks)
         _assert_same_term(info_theory._smoothed_input_term(K, r, lam, nu, logw, out=work),
                           work, want)
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+def test_an_interrupt_in_the_wait_still_waits_for_the_worker(monkeypatch, two_cpus,
+                                                              small_blocks):
+    # The worker holds a block while the caller, out of blocks, waits for it.
+    # A SIGINT then interrupts the wait: the caller keeps waiting until the
+    # worker's block is done, and only then raises KeyboardInterrupt.
+    caller = threading.get_ident()
+    term_blocks = info_theory._term_blocks
+    in_block, release, worker_done = threading.Event(), threading.Event(), threading.Event()
+
+    def held(blocks, lam, scale, lses, claims, softmax=info_theory._softmax):
+        if threading.get_ident() == caller:
+            assert in_block.wait(30)
+            term_blocks(blocks, lam, scale, lses, claims, softmax)
+            return
+
+        def hold(a, out):
+            in_block.set()
+            assert release.wait(30)
+            return softmax(a, out=out)
+
+        term_blocks(blocks, lam, scale, lses, claims, hold)
+        worker_done.set()
+
+    def interrupt():
+        time.sleep(0.2)
+        signal.pthread_kill(caller, signal.SIGINT)
+        time.sleep(0.2)
+        release.set()
+
+    def on_sigint(signum, frame):
+        raise KeyboardInterrupt
+
+    K, r, lam, nu, logw = STEPS["dual"]()
+    want = smoothed_input_term_reference(K, r, lam, nu, logw)
+    work = info_theory._input_term_work(K, r, logw)
+    monkeypatch.setattr(info_theory, "_term_blocks", held)
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    try:
+        thread = threading.Thread(target=interrupt)
+        thread.start()
+        with pytest.raises(KeyboardInterrupt):
+            info_theory._smoothed_input_term(K, r, lam, nu, logw, out=work)
+        assert worker_done.is_set()
+    finally:
+        release.set()
+        thread.join(30)
+        signal.signal(signal.SIGINT, previous)
+    monkeypatch.setattr(info_theory, "_term_blocks", term_blocks)
+    _assert_same_term(info_theory._smoothed_input_term(K, r, lam, nu, logw, out=work),
+                      work, want)
 
 
 def _fields(rep):
