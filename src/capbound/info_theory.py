@@ -10,11 +10,12 @@ Everything here is a pure function over immutable inputs (the arrays inside
 from multiple threads is safe; only ``_softmax``,
 ``_max_entropy_multipliers`` and ``_smoothed_input_term`` write, into the
 ``out`` arrays their caller passes.  ``_smoothed_input_term`` without a cost
-on a K of more than one row block shares its blocks with one worker thread,
-started by the first such call in each process, including a forked child; a
-call made while another thread's call has the worker takes all its blocks
-itself, as does every call when the process may run on one CPU only.  The
-solvers share these kernels:
+on a K of more than one row block may share its blocks with one worker
+thread, started by the first such call in each process, including a forked
+child, while timed calls show that sharing is faster; a call made while
+another thread's call has the worker takes all its blocks itself, as does
+every call when the process may run on one CPU only.  The solvers share
+these kernels:
 ``_smoothed_input_term`` (the O(NM) pass over the channel, with its cost
 tilt) is every step of the dual's fast-gradient loop, of its quadrature
 solve and of Blahut-Arimoto, and ``_segment_lp_max`` (the linear program
@@ -236,9 +237,10 @@ def _smoothed_input_term(K: np.ndarray, r: np.ndarray, lam: np.ndarray, nu: floa
     cost, K is read once: each block also takes their softmax in place,
     with log-sum-exp lse_b, and its gradient K_b^T mass_b while the block
     is still in cache (``_term_blocks``).  The blocks are independent, so
-    this thread and a worker thread claim them in turn from one counter
-    (``_all_blocks``).  After both are done, the softmax of the lse_b gives
-    the log-sum-exp of all log-masses and the block weights
+    this thread and a worker thread may claim them in turn from one
+    counter, while timed calls show that this is faster than one thread
+    (``_all_blocks``).  After the blocks are done, the softmax of the lse_b
+    gives the log-sum-exp of all log-masses and the block weights
     exp(lse_b - lse), which merge the block gradients in one product, in
     block order, and scale each block's masses: the bits do not depend on
     which thread took which block.  A K that fits in one block takes one
@@ -309,14 +311,16 @@ def _term_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray, claims
 # by the first split call in each process.  The lock is held by the one
 # call that may split.  ``_paces`` keeps the seconds per byte of K of the
 # last split calls (True) and of the last calls run in one thread (False),
-# both measured under the lock, and ``_calls`` counts the calls under it.
+# both measured under the lock, ``_last_way`` is the way of the last call
+# under it, and ``_calls`` counts those calls.
 _worker = None
 _worker_lock = threading.Lock()
 _paces = {True: collections.deque(maxlen=5), False: collections.deque(maxlen=5)}
+_last_way = None
 _calls = itertools.count()
-# Every this many calls under the lock, the slower-looking way runs once,
-# so that its pace follows the host's load.
-_PROBE_EVERY = 16
+# The first two of every this many calls under the lock take the
+# slower-looking way, so that its pace follows the host's load.
+_PROBE_EVERY = 32
 
 
 def _serve(jobs: SimpleQueue) -> None:
@@ -350,12 +354,12 @@ def _split_pays() -> bool:
     """Whether the next call under the lock splits its blocks.
 
     It splits when the median of the last split paces is at most that of
-    the last one-thread paces; a way with no pace yet counts as free.
-    Every ``_PROBE_EVERY``-th call takes the other way, so that a way that
-    lost under one load is timed again under the next.
+    the last one-thread paces; a way with no pace yet counts as free.  The
+    first two of every ``_PROBE_EVERY`` calls take the other way, so that a
+    way that lost under one load is timed again under the next.
     """
     split, alone = (sorted(p)[len(p) // 2] if p else 0.0 for p in (_paces[True], _paces[False]))
-    return (split <= alone) != (next(_calls) % _PROBE_EVERY == 0)
+    return (split <= alone) != (next(_calls) % _PROBE_EVERY < 2)
 
 
 def _all_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray, nbytes: int) -> None:
@@ -365,9 +369,13 @@ def _all_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray, nbytes:
     host the two threads queue for CPUs and for the interpreter lock, and a
     call takes longer than in one thread.  So each call under the lock is
     timed, per byte of K (``nbytes``), and ``_split_pays`` picks the faster
-    way from those times.  The blocks run here alone, untimed, when the
-    process may use one CPU, or while another thread's call holds the lock.
+    way from those times.  A call's pace is kept only when the call before
+    it took the same way: the first split call after calls in one thread
+    waits for the idle worker to wake, and took as long as one thread.  The
+    blocks run here alone, untimed, when the process may use one CPU, or
+    while another thread's call holds the lock.
     """
+    global _last_way
     if _cpus() < 2 or not _worker_lock.acquire(blocking=False):
         _term_blocks(blocks, lam, scale, lses, range(len(blocks)), _softmax)
         return
@@ -378,7 +386,9 @@ def _all_blocks(blocks, lam: np.ndarray, scale: float, lses: np.ndarray, nbytes:
             _split_blocks(blocks, lam, scale, lses)
         else:
             _term_blocks(blocks, lam, scale, lses, range(len(blocks)), _softmax)
-        _paces[split].append((time.perf_counter() - t0) / nbytes)
+        if split == _last_way:
+            _paces[split].append((time.perf_counter() - t0) / nbytes)
+        _last_way = split
     finally:
         _worker_lock.release()
 

@@ -175,6 +175,7 @@ def fresh_paces(monkeypatch):
     monkeypatch.setattr(info_theory, "_paces", {True: collections.deque(maxlen=5),
                                                 False: collections.deque(maxlen=5)})
     monkeypatch.setattr(info_theory, "_calls", itertools.count())
+    monkeypatch.setattr(info_theory, "_last_way", None)
 
 
 def _spy(monkeypatch, starve=False, stall=None):
@@ -306,18 +307,27 @@ def test_one_cpu_or_a_busy_worker_runs_the_blocks_here(monkeypatch, small_blocks
 
 
 def test_split_pays_takes_the_faster_way_and_probes_the_other(monkeypatch, fresh_paces):
-    # Call 0 probes one thread; with no split pace yet, the next calls split.
-    choices = [info_theory._split_pays() for _ in range(2)]
-    assert choices == [False, True]
+    # Calls 0 and 1 probe one thread; with no split pace yet, the next calls split.
+    every = info_theory._PROBE_EVERY
+    choices = [info_theory._split_pays() for _ in range(3)]
+    assert choices == [False, False, True]
     paces = info_theory._paces
     paces[True].extend([1.0, 9.0, 2.0])   # median 2.0
     paces[False].extend([3.0, 1.5, 4.0])  # median 3.0
-    choices = [info_theory._split_pays() for _ in range(2, 2 * info_theory._PROBE_EVERY)]
-    probes = {info_theory._PROBE_EVERY - 2}
-    assert [i for i, split in enumerate(choices) if not split] == sorted(probes)
+    choices = [info_theory._split_pays() for _ in range(3, 2 * every)]
+    assert [i + 3 for i, split in enumerate(choices) if not split] == [every, every + 1]
     paces[True].extend([5.0, 6.0])        # median of 1, 9, 2, 5, 6: 5.0
-    choices = [info_theory._split_pays() for _ in range(info_theory._PROBE_EVERY)]
-    assert [i for i, split in enumerate(choices) if split] == [0]
+    choices = [info_theory._split_pays() for _ in range(every)]
+    assert [i for i, split in enumerate(choices) if split] == [0, 1]
+
+
+def test_a_pace_is_kept_after_a_call_of_the_same_way(monkeypatch, small_blocks, fresh_paces):
+    # The first call of a way after a call of the other way is not timed.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    ways = iter([False, True, True, False, False, False])
+    monkeypatch.setattr(info_theory, "_split_pays", lambda: next(ways))
+    _check_step("dual", 6)
+    assert len(info_theory._paces[True]) == 1 and len(info_theory._paces[False]) == 2
 
 
 @pytest.mark.parametrize("slow, want_split", [("worker", False), ("alone", True)])
@@ -325,7 +335,7 @@ def test_calls_turn_to_the_way_that_is_faster_here(slow, want_split, monkeypatch
                                                    small_blocks, fresh_paces):
     # A busy host, as a worker that sleeps 20 ms before each job, turns the
     # calls to one thread, and one thread that sleeps turns them to the
-    # split, but for one probe of the other way every _PROBE_EVERY calls.
+    # split, but for two probes of the other way every _PROBE_EVERY calls.
     # Every call stays exact.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     runs, _ = _spy(monkeypatch, stall={slow: 0.02})
@@ -333,7 +343,7 @@ def test_calls_turn_to_the_way_that_is_faster_here(slow, want_split, monkeypatch
     _check_step("dual", calls)
     split, alone = runs["caller"], runs["alone"]
     assert split + alone == calls
-    probes = (calls // info_theory._PROBE_EVERY) + 4
+    probes = 2 * (calls // info_theory._PROBE_EVERY) + 4
     assert (alone if want_split else split) <= probes
 
 
