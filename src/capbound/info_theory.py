@@ -11,11 +11,11 @@ from multiple threads is safe; only ``_softmax``,
 ``_max_entropy_multipliers`` and ``_smoothed_input_term`` write, into the
 ``out`` arrays their caller passes.  ``_smoothed_input_term`` without a cost
 on a K of more than one row block may share its blocks with one worker
-thread, started by the first such call in each process, including a forked
-child, while timed calls show that sharing is faster; a call made while
-another thread's call has the worker takes all its blocks itself, as does
-every call when the process may run on one CPU only.  The solvers share
-these kernels:
+thread, started by the first call that shares them in each process,
+including a forked child, while timed calls show that sharing is faster; a
+call made while another thread's call has the worker takes all its blocks
+itself, as does every call when the process may run on one CPU only.  The
+solvers share these kernels:
 ``_smoothed_input_term`` (the O(NM) pass over the channel, with its cost
 tilt) is every step of the dual's fast-gradient loop, of its quadrature
 solve and of Blahut-Arimoto, and ``_segment_lp_max`` (the linear program
