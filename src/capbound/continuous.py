@@ -19,7 +19,8 @@ the truncation penalty:
 Every pair rests on two facts.  The fold is a garbling of the output, so
 I(p, W_M) <= C for any input p, with no -E.  And for any lambda,
 F(lambda) + sup_x f_lambda(x) + E >= C, with the supremum over the whole input
-interval certified by a curvature bound.  With G that certified supremum,
+interval certified by chord bounds on cells of a scan, each with a lower
+bound on f'' over its cell.  With G that certified supremum,
 weak duality gives I <= F + G, so the paper's sandwich is a certificate too
 and contains the pair [I, F + G + E]; the pinned dual solve reports both at
 its final iterate.  The sweep takes the pair from Blahut-Arimoto on a
@@ -299,9 +300,13 @@ def _f_scan(base: PoissonChannel, M: int, lam: np.ndarray, xs: np.ndarray) -> np
     """
     f = np.empty(xs.size)
     for lo in range(0, xs.size, _SCAN_BLOCK):
-        K = _truncated_rows(base, xs[lo:lo + _SCAN_BLOCK], M)
-        f[lo:lo + _SCAN_BLOCK] = K @ lam - _neg_xlogx_nats(K).sum(axis=1) / LN2
+        f[lo:lo + _SCAN_BLOCK] = _f_rows(_truncated_rows(base, xs[lo:lo + _SCAN_BLOCK], M), lam)
     return f
+
+
+def _f_rows(K: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """f of ``_f_scan`` at the inputs whose rows W_M(.|x) are the rows of K."""
+    return K @ lam - _neg_xlogx_nats(K).sum(axis=1) / LN2
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +450,10 @@ def solve_poisson(peak: float, dark_current: float = 1.0, *, M: int, iterations:
 _TAIL_ORDERS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 _GRID_INPUTS = 513
 
+# Cells of that grid that share one curvature bound in ``refined_sup_f``
+# (it divides _GRID_INPUTS - 1).
+_CURVATURE_CELLS = 16
+
 
 def choose_truncation_level(base: PoissonChannel, target: float
                             ) -> tuple[int, float, float]:
@@ -460,68 +469,106 @@ def choose_truncation_level(base: PoissonChannel, target: float
         M += 1
 
 
-def _curvature_bound(base: PoissonChannel, M: int, lam: np.ndarray) -> float:
-    """L2 >= sup over [0, peak] of |f''| for the Poisson f of ``_f_scan``.
+def _curvature_bounds(base: PoissonChannel, M: int, lam: np.ndarray,
+                      edges: np.ndarray) -> np.ndarray:
+    """L[k] >= sup of -f'' over [edges[k], edges[k+1]] for the Poisson f of ``_f_scan``.
 
-    With W = W(.|x), W_M(i) = W(i) + T/M and T = P(Y >= M | x), write
-    f = sum_i W_M(i) (lam_i + log2 W_M(i)).  As sum_i W_M'(i) = 0,
+    With W(j) = W(j|x) (zero for j < 0), W_M(i) = W(i) + T/M and
+    T = P(Y >= M | x), write f = sum_i W_M(i) c_i with c_i = lam_i +
+    log2 W_M(i).  As sum_i W_M'(i) = 0,
 
-        f'' = sum_i W_M''(i) (lam_i + log2 W_M(i)) + sum_i W_M'(i)^2 / (W_M(i) ln 2).
+        f'' = sum_i W_M''(i) c_i + sum_i W_M'(i)^2 / (W_M(i) ln 2).
 
-    The Poisson identities W'(i) = W(i-1) - W(i) and T' = W(M-1) give
-    W''(i) = W(i-2) - 2 W(i-1) + W(i) and T'' = W(M-2) - W(M-1), so
-    sum_{i<M} |W_M''(i)| <= 4 + 1 = 5.  Because sum_i W_M''(i) = 0, the
-    first sum is unchanged by shifting lam_i + log2 W_M(i) by a constant, and
-    that term ranges over [min lam + log2 gamma, max lam] with
-    gamma = gammainc(M, eta)/M <= T(0)/M <= min W_M: the first sum is at most
-    2.5 (max lam - min lam + log2(1/gamma)).  For the second, (a+b)^2 <=
-    2a^2 + 2b^2 with W_M(i) >= W(i) and W_M(i) >= T/M gives
+    The second sum is >= 0, and only a bound on -f'' is needed (see
+    ``refined_sup_f``), so it drops out.  As sum_i W_M''(i) = 0 too, the
+    first sum equals sum_i W_M''(i) (c_i - cbar) for any constant cbar, so
+    on a cell
 
-        sum_i W_M'(i)^2 / W_M(i) <= 2 sum_i W(i) (i/m - 1)^2 + 2 W(M-1)^2 / T
-                                 <= 2 (1 + M W(M-1)) / m,
+        -f'' <= sum_i U_i (half_i + |mid_i - cbar|),
 
-    where m = x + eta: the first sum is Var(Y)/m^2 = 1/m, and T >= W(M) =
-    W(M-1) m/M.  With W(M-1) <= 1 and m >= eta the second term is at most
-    2 (1 + M) / (eta ln 2).  Without dark current (eta = 0) f'' is unbounded
-    near x = 0, so that channel is refused.
+    with U_i >= |W_M''(i)| and [mid_i - half_i, mid_i + half_i] containing
+    c_i on the whole cell; cbar is the U-weighted mean of mid.  The pieces:
+
+    * The Poisson identities W'(j) = W(j-1) - W(j) and T' = W(M-1) give
+      W''(i) = W(i-2) - 2 W(i-1) + W(i) and T'' = W(M-2) - W(M-1), so
+      U_i = Wt(i-2) + 2 Wt(i-1) + Wt(i) + (Wt(M-2) + Wt(M-1))/M, where
+      Wt(j) = W(j | clip(j - eta, a, b)) is the sup of W(j|x) over the cell
+      [a, b]: the pmf is unimodal in its mean x + eta, with its mode at j.
+    * T rises with the mean and W(i|x) is least at an end of the cell, so
+      min(W(i|a), W(i|b)) + T(a)/M <= W_M(i|x) <= Wt(i) + T(b)/M; c_i lies
+      between the log2 of the two ends.  The left end is at least the
+      kernel floor gamma of ``_kernel_floor_bound``, which refuses a channel
+      without dark current, where that end is 0 on the cell at x = 0.
+
+    In the tails U_i is tiny exactly where |c_i - cbar| is large, so the
+    bound stays near the curvature itself: 0.6 to 14 over groups of 16 grid
+    cells on the 0-17 dB sweep, where -f'' stays below 0.1.  A bound over
+    the whole interval would grow like max lam - min lam + log2(1/gamma).
     """
-    spread = float(lam.max() - lam.min()) - math.log2(_kernel_floor_bound(base, M))
-    return 2.5 * spread + 2.0 * (1.0 + M) / (base.dark_current * LN2)
+    _kernel_floor_bound(base, M)
+    j = np.arange(M)
+    top = np.zeros((edges.size - 1, M + 2))  # Wt(j) for j = -2, ..., M-1
+    top[:, 2:] = base.kernel(np.clip(j - base.dark_current, edges[:-1, None], edges[1:, None]), j)
+    U = top[:, :-2] + 2.0 * top[:, 1:-1] + top[:, 2:] + ((top[:, -2] + top[:, -1]) / M)[:, None]
+    ends = base.kernel(edges[:, None], j)
+    tails = base.tail_mass(edges, M)[:, None] / M
+    lo = np.log2(np.minimum(ends[:-1], ends[1:]) + tails[:-1])
+    hi = np.log2(top[:, 2:] + tails[1:])
+    mid, half = lam + 0.5 * (hi + lo), 0.5 * (hi - lo)
+    cbar = (U * mid).sum(axis=1) / U.sum(axis=1)
+    return (U * (half + np.abs(mid - cbar[:, None]))).sum(axis=1)
 
 
-def refined_sup_f(base: PoissonChannel, M: int, lam: np.ndarray, tol: float) -> float:
+def refined_sup_f(base: PoissonChannel, M: int, lam: np.ndarray, tol: float,
+                  grid_rows: Optional[np.ndarray] = None) -> float:
     """Upper bound on sup over [0, peak] of the f of ``_f_scan``, within tol of the scan.
 
-    On a cell of width h the chord bound gives f <= max(f at its ends) +
-    L2 h^2/8, with L2 from ``_curvature_bound``.  The scan starts on the
-    cells of the _GRID_INPUTS-point input grid and halves every cell whose
-    bound still exceeds the largest f seen plus tol, until none is left; the
-    result is the largest bound of any cell kept.  Halving only those cells
-    spends the scan where f comes within the allowance of its maximum.  The
-    bound holds for f as computed here in floating point: an evaluation
-    blocked otherwise may differ by the rounding of the M-term sum, up to
-    about M eps (max|lam| + log2(1/gamma)), which exceeds a 1e-14 allowance
-    once |lam| reaches the hundreds.
+    On a cell [a, b] of width h where f'' >= -L, the chord bound gives
+    f <= max(f(a), f(b)) + L h^2/8: with l the chord through the ends,
+    g = f - l - (L/2)(x - a)(b - x) has g'' = f'' + L >= 0 and g(a) = g(b)
+    = 0, so g <= 0 on the cell and f <= l + L h^2/8.  Only a lower bound on
+    f'' enters.  The scan starts on the cells of the _GRID_INPUTS-point
+    input grid, with L from ``_curvature_bounds`` on groups of
+    _CURVATURE_CELLS of them, and halves every cell whose bound still
+    exceeds the largest f seen plus tol, until none is left; the result is
+    the largest bound of any cell kept.  A half keeps its parent's L, which
+    bounds -f'' on any part of the cell.  Halving only the cells left spends
+    the scan where f comes within the allowance of its maximum.  The bound
+    holds for f as computed here in floating point: an evaluation blocked
+    otherwise may differ by the rounding of the M-term sum, up to about
+    M eps (max|lam| + log2(1/gamma)), which exceeds a 1e-14 allowance once
+    |lam| reaches the hundreds.
+
+    tol must be positive and finite and lam finite (ValueError): at
+    tol <= 0 the halving never ends, and an inf or NaN in lam makes a
+    cell's L NaN, which fails every comparison, so the cell would drop out.
+    A caller that holds the grid's rows ``_truncated_rows(base, grid, M)``
+    may pass them as grid_rows, and the first scan reads f from them; the
+    result is the same bit for bit.
     """
-    L2 = _curvature_bound(base, M, lam)
+    require_epsilon(tol)
+    if not np.isfinite(lam).all():
+        raise ValueError("lam must be finite")
     h = base.peak / (_GRID_INPUTS - 1)
     x = np.linspace(0.0, base.peak, _GRID_INPUTS)
-    f = _f_scan(base, M, lam, x)
+    L = np.repeat(_curvature_bounds(base, M, lam, x[::_CURVATURE_CELLS]), _CURVATURE_CELLS)
+    f = _f_scan(base, M, lam, x) if grid_rows is None else _f_rows(grid_rows, lam)
     best = float(f.max())
     left, fl, fr = x[:-1], f[:-1], f[1:]
     sup = -math.inf
     while True:
-        bound = np.maximum(fl, fr) + L2 * h * h / 8.0
+        bound = np.maximum(fl, fr) + L * (h * h / 8.0)
         hot = bound > best + tol
         sup = max(sup, float(bound[~hot].max(initial=-math.inf)))
         if not hot.any():
             return sup
         h /= 2.0
-        left, fl, fr = left[hot], fl[hot], fr[hot]
+        left, fl, fr, L = left[hot], fl[hot], fr[hot], L[hot]
         mid = _f_scan(base, M, lam, left + h)
         best = max(best, float(mid.max()))
         left = np.concatenate([left, left + h])
         fl, fr = np.concatenate([fl, mid]), np.concatenate([mid, fr])
+        L = np.concatenate([L, L])
 
 
 @dataclass
@@ -577,11 +624,12 @@ def solve_poisson_grid(peak: float, dark_current: float = 1.0, epsilon: float = 
     _kernel_floor_bound(base, math.ceil(base.peak + base.dark_current))
     M, err_trunc, k = choose_truncation_level(base, tenth)
     _kernel_floor_bound(base, M)
-    W = ChannelMatrix(_truncated_rows(base, np.linspace(0.0, base.peak, _GRID_INPUTS), M))
+    rows = _truncated_rows(base, np.linspace(0.0, base.peak, _GRID_INPUTS), M)
+    W = ChannelMatrix(rows)
     ba = ba_solve(W, 8.0 * tenth - err_trunc, stopping="aposteriori",
                   iteration_cap=iteration_cap)
     lam = -np.log2(W.entries.T @ ba.p.weights)
-    sup = refined_sup_f(base, M, lam, tenth)
+    sup = refined_sup_f(base, M, lam, tenth, rows)
     return PoissonGridReport(
         peak=base.peak,
         dark_current=float(dark_current),
@@ -612,8 +660,9 @@ def poisson_sweep(db_values, dark_current: float = 1.0, epsilon: float = 1e-3,
 
     Each point is a ``solve_poisson_grid`` run, so every row's c_lb <= C <=
     c_ub is certified, with c_ub - c_lb <= epsilon unless the iteration cap
-    stopped the Blahut-Arimoto solve first.  ``progress(db, report)`` is
-    called after each point.
+    stopped the Blahut-Arimoto solve first: the row's stop_reason is then
+    "cap" rather than "gap<=eps".  ``progress(db, report)`` is called after
+    each point.
     """
     rows = []
     for db, peak in [(db, _peak_from_db(db)) for db in db_values]:
@@ -625,6 +674,7 @@ def poisson_sweep(db_values, dark_current: float = 1.0, epsilon: float = 1e-3,
             "A_dB": db,
             "M": rep.M,
             "iterations": rep.iterations,
+            "stop_reason": rep.stop_reason,
             "c_lb": rep.c_lb,
             "c_ub": rep.c_ub,
             "E": rep.trunc_error,

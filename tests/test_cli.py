@@ -221,7 +221,7 @@ class TestPoisson:
         code, out, _ = run_cli(capsys, ["poisson-sweep", "--db-grid", "0:2:1", "--quiet",
                                         "--out", str(out_path)])
         assert code == 0
-        header = "A_dB,M,iterations,c_lb,c_ub,E,lapidoth_lb"
+        header = "A_dB,M,iterations,stop_reason,c_lb,c_ub,E,lapidoth_lb"
         lines = out.strip().splitlines()
         assert lines[0] == header
         assert len(lines) == 4
@@ -230,15 +230,18 @@ class TestPoisson:
         assert len(file_lines) == 4
         with out_path.open(newline="") as fh:
             for row in csv.DictReader(fh):
+                assert row["stop_reason"] == "gap<=eps"
                 assert float(row["c_lb"]) <= float(row["c_ub"])
                 assert float(row["c_ub"]) - float(row["c_lb"]) <= 1e-3
 
     def test_sweep_progress_names_stop_reason(self, capsys):
-        code, _, err = run_cli(capsys, ["poisson-sweep", "--db-grid", "0:2:2",
+        code, out, err = run_cli(capsys, ["poisson-sweep", "--db-grid", "0:2:2",
                                         "--iteration-cap", "20"])
         assert code == 0
         notes = [line for line in err.splitlines() if line.startswith("#")]
         assert notes == ["# 0.0 dB done (M=14, n=20, cap)", "# 2.0 dB done (M=16, n=20, cap)"]
+        # The table says it too, so a capped row never reads as a certified gap.
+        assert [row["stop_reason"] for row in csv.DictReader(out.splitlines())] == ["cap", "cap"]
 
     def test_sweep_deterministic(self, capsys):
         args = ["poisson-sweep", "--db-grid", "0:1:1", "--iteration-cap", "800", "--quiet"]

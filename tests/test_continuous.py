@@ -279,7 +279,9 @@ class TestReproducedNumbers:
     # c_lb_certified is mutual_info and c_ub_certified is dual_value plus the
     # least truncation bound.  GRID is the a posteriori Blahut-Arimoto solve
     # with the over-relaxed step and the checkpoint ladder (1302 plain
-    # iterations gave [0.11301757264635093, 0.11391359376013939]).
+    # iterations gave [0.11301757264635093, 0.11391359376013939]); its c_ub
+    # is the certified sup with a curvature bound per group of grid cells
+    # (one global bound gave 0.11391341699836333, 9.5e-5 higher).
     SOLVE = {
         "peak": 1.0, "dark_current": 1.0, "M": 16, "nu": 0.01, "iterations": 300,
         "tail_order": 0.5, "trunc_error": 0.000932010044376853,
@@ -295,7 +297,7 @@ class TestReproducedNumbers:
         "peak": 1.0, "dark_current": 1.0, "M": 14, "tail_order": 0.95,
         "trunc_error": 1.9490730835847594e-05, "iterations": 659,
         "stop_reason": "gap<=eps", "c_lb": 0.11303039039346396,
-        "c_ub": 0.11391341699836333, "lapidoth": -1.522897959841617,
+        "c_ub": 0.11381800221659819, "lapidoth": -1.522897959841617,
     }
 
     @staticmethod
@@ -320,10 +322,19 @@ class TestSweep:
         rows = cb.poisson_sweep([0.0, 1.0], 1.0)
         assert len(rows) == 2
         for row in rows:
-            assert set(row) == {"A_dB", "M", "iterations", "c_lb", "c_ub", "E", "lapidoth_lb"}
+            assert set(row) == {"A_dB", "M", "iterations", "stop_reason", "c_lb", "c_ub",
+                                "E", "lapidoth_lb"}
+            assert row["stop_reason"] == "gap<=eps"
             assert row["c_lb"] <= row["c_ub"]
             assert row["c_ub"] - row["c_lb"] <= 1e-3
             assert row["c_ub"] >= row["lapidoth_lb"]
+
+    def test_capped_point_says_so(self):
+        # A point the iteration cap stops keeps a certified but wider pair,
+        # and its row tells it apart from a point that reached the gap.
+        row, = cb.poisson_sweep([0.0], iteration_cap=10)
+        assert row["stop_reason"] == "cap" and row["iterations"] == 10
+        assert row["c_lb"] <= row["c_ub"]
 
 
 class TestGridSandwich:
@@ -331,8 +342,7 @@ class TestGridSandwich:
     def check_covers_scan(base, M, lam):
         # At the pinned solve's allowance and at a coarse one, the certified
         # supremum dominates a 65,537-point scan and the node maximum of a
-        # 128-node quadrature grid, and the curvature bound dominates the
-        # scan's second differences.  The scan and the nodes evaluate f in
+        # 128-node quadrature grid.  The scan and the nodes evaluate f in
         # other blocks than the sup does, and two evaluations of the M-term
         # sum f = sum_i W_M(i) (lam_i + log2 W_M(i)) at one x may differ by
         # M eps (max|lam| + log2(1/gamma)).  The pinned allowance lies below
@@ -345,12 +355,22 @@ class TestGridSandwich:
         for tol, slack in ((_SUP_TOL, rounding), (1e-4, 0.0)):
             sup = refined_sup_f(base, M, lam, tol) + slack
             assert sup >= f.max() and sup >= node_max, tol
-        h = xs[1] - xs[0]
-        second = np.abs(f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-        assert continuous._curvature_bound(base, M, lam) >= second.max()
+        # The chord bound needs only f'' >= -L, so in every group of cells
+        # that shares a curvature bound L, L dominates -f'' as the second
+        # differences of every fourth scan point read it (up to 4 roundings
+        # of f).  A difference whose three points span two groups is
+        # compared with the larger of their bounds.
+        edges = np.linspace(0.0, base.peak, continuous._GRID_INPUTS)[::continuous._CURVATURE_CELLS]
+        L = continuous._curvature_bounds(base, M, lam, edges)
+        g, h = f[::4], 4.0 * (xs[1] - xs[0])
+        neg_second = -(g[2:] - 2.0 * g[1:-1] + g[:-2]) / (h * h)
+        k = np.arange(1, g.size - 1)
+        per = (g.size - 1) // L.size
+        cover = np.maximum(L[(k - 1) // per], L[k // per])
+        assert np.all(cover + 4.0 * rounding / (h * h) >= neg_second)
 
     @settings(max_examples=24, deadline=None)
-    @given(peak=st.sampled_from([0.5, 1.0, 5.0, 25.0]), data=st.data())
+    @given(peak=st.sampled_from([0.5, 1.0, 5.0, 25.0, 10.0 ** 1.7]), data=st.data())
     def test_certified_sup_covers_fine_scan(self, peak, data):
         # At the sweep's truncation level and lam = -log2 q for a random
         # output law q (entries spread over twelve decades).
@@ -360,20 +380,63 @@ class TestGridSandwich:
         q = 10.0 ** np.array(expo)
         self.check_covers_scan(base, M, -np.log2(q / q.sum()))
 
-    @settings(max_examples=24, deadline=None)
-    @given(peak=st.floats(0.5, 25.0), data=st.data())
+    @settings(max_examples=32, deadline=None)
+    @given(peak=st.floats(0.5, 10.0 ** 1.7), data=st.data())
     def test_certified_sup_covers_fine_scan_anywhere_in_ball(self, peak, data):
         # Neither bound assumes lam = -log2 q: the same holds at any lam in
         # the dual ball of radius ball_radius(M, gamma), gamma the kernel
-        # floor.
+        # floor, at the sweep's level and at the two smallest levels.
         base = cb.poisson_channel(peak, 1.0)
-        M = cb.choose_truncation_level(base, 1e-4)[0]
+        level = cb.choose_truncation_level(base, 1e-4)[0]
+        M = data.draw(st.one_of(st.just(level), st.integers(1, 2)))
         radius = ball_radius(M, continuous._kernel_floor_bound(base, M))
         lam = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=M, max_size=M)))
         norm = np.linalg.norm(lam)
         if norm > 0.0:
             lam = lam / norm * (data.draw(st.floats(0.0, 1.0)) * radius)
         self.check_covers_scan(base, M, lam)
+
+    @pytest.mark.parametrize("tol", [-1e-3, math.nan, 0.0, math.inf])
+    def test_bad_allowance_rejected(self, tol):
+        # At tol <= 0 the halving never ends; a NaN tol used to skip it.
+        with pytest.raises(ValueError, match="positive and finite"):
+            refined_sup_f(cb.poisson_channel(1.0, 1.0), 14, np.zeros(14), tol)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_lam_rejected(self, bad):
+        # A NaN curvature bound fails every comparison, so its cells would
+        # drop out and the sup would read -inf.
+        lam = np.zeros(14)
+        lam[3] = bad
+        with pytest.raises(ValueError, match="lam must be finite"):
+            refined_sup_f(cb.poisson_channel(1.0, 1.0), 14, lam, 1e-4)
+
+    @pytest.mark.parametrize("db, most", [(0.0, 600), (14.0, 1500)])
+    def test_sup_scan_stays_near_first_grid(self, monkeypatch, db, most):
+        # With a curvature bound per group of cells, a sweep point's sup
+        # builds few rows beyond the 513 of its first grid, which it takes
+        # from the Blahut-Arimoto channel; the one global bound it replaced
+        # scanned 513 rows at 0 dB and 8,977 at 14 dB.
+        rows = []
+        scan = continuous._f_scan
+
+        def counted(base, M, lam, xs):
+            rows.append(xs.size)
+            return scan(base, M, lam, xs)
+
+        monkeypatch.setattr(continuous, "_f_scan", counted)
+        cb.poisson_sweep([db])
+        assert sum(rows) <= most
+
+    def test_grid_rows_leave_the_sup_unchanged(self):
+        # The rows a caller already holds give the first scan the same f,
+        # bit for bit, as building them again.
+        base = cb.poisson_channel(25.0, 1.0)
+        M = cb.choose_truncation_level(base, 1e-4)[0]
+        lam = np.linspace(2.0, 30.0, M)
+        rows = _truncated_rows(base, np.linspace(0.0, base.peak, continuous._GRID_INPUTS), M)
+        for tol in (_SUP_TOL, 1e-4):
+            assert refined_sup_f(base, M, lam, tol, rows) == refined_sup_f(base, M, lam, tol)
 
     def test_scan_blocks_match_one_pass(self):
         base = cb.poisson_channel(5.0, 1.0)
